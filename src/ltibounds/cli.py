@@ -29,11 +29,13 @@ from .bounds import (
     spectral_split,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .minimax import PriorSpec, minimax_regimes, sample_prior, van_trees_bound
+from .linalg import sym_inv_sqrt
+from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
 from .model import SystemParams
 from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
     AllTrialsSingularError,
+    RateInputs,
     TooManySingularTrialsError,
     bayes_risk_experiment,
     concentration_experiment,
@@ -296,12 +298,15 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         )
 
     if cfg.trials >= 100:
+        # deterministic bound inputs, shared by every experiment below
+        bound = cr_bound(params, cfg.epsilon, constant=1.0, grid_points=cfg.grid_points)
         dom = dominance_check(
             params,
             cfg.trials,
             cfg.epsilon,
             root.child(SALT_DOMINANCE),
             bound_scale=cfg.constant_c,
+            bound=bound,
             workers=workers,
         )
         dom_status = "inconclusive" if inconclusive else ("pass" if dom.holds else "fail")
@@ -367,12 +372,13 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
 
     # constant-dependent experiments: descriptive, never drive the exit code
     if cfg.trials >= 1000:
+        inputs = RateInputs(psi_inv_sqrt=sym_inv_sqrt(bound.psi), l_ab=bound.l_ab)
         fit = concentration_experiment(
             params,
             cfg.trials,
             list(cfg.t_levels),
             root.child(SALT_CONCENTRATION),
-            grid_points=cfg.grid_points,
+            inputs=inputs,
             workers=workers,
         )
         rows.append(
@@ -392,7 +398,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             params,
             cfg.trials,
             root.child(SALT_MULTIPLICATION),
-            grid_points=cfg.grid_points,
+            inputs=inputs,
             workers=workers,
         )
         rows.append(
@@ -412,19 +418,18 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
 
 def run_sample_prior(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
-    root = Stream(cfg.seed).child(SALT_SAMPLES)
+    draws = sample_prior_batch(spec, Stream(cfg.seed).child(SALT_SAMPLES), cfg.trials)
     rows = []
-    for k in range(cfg.trials):
-        sample = sample_prior(spec, root.child(k))
+    for k, (sigmas, a) in enumerate(zip(draws.sigmas, draws.a)):
         rows.append(
             _row(
                 cfg,
                 "prior_sample",
-                float(np.max(sample.sigmas)),
+                float(np.max(sigmas)),
                 "operator-ball-prior-draw",
                 index=k,
-                sigmas=[float(x) for x in sample.sigmas],
-                a=[[float(x) for x in row] for row in sample.a],
+                sigmas=[float(x) for x in sigmas],
+                a=[[float(x) for x in row] for row in a],
             )
         )
     return rows, EXIT_OK

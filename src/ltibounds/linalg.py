@@ -55,16 +55,15 @@ class SvdResult:
         return self.u @ (self.sigma[:, None] * self.v.T)
 
 
-def _canonical_column_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip signs so the largest-magnitude entry of each column of u is >= 0."""
-    u = u.copy()
-    vt = vt.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
-    return u, vt
+def _canonical_column_signs(u: np.ndarray) -> np.ndarray:
+    """Signs (+1/-1) making the largest-magnitude entry of each column of u >= 0.
+
+    Works on one matrix or a stack; the result has u's shape without the row
+    axis, one sign per column.
+    """
+    rows = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    peak = np.take_along_axis(u, rows, axis=-2)[..., 0, :]
+    return np.where(peak < 0, -1.0, 1.0)
 
 
 def svd(m: np.ndarray) -> SvdResult:
@@ -74,8 +73,8 @@ def svd(m: np.ndarray) -> SvdResult:
         u, s, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
-    u, vt = _canonical_column_signs(u, vt)
-    return SvdResult(u=u, sigma=s, v=vt.T)
+    signs = _canonical_column_signs(u)
+    return SvdResult(u=u * signs, sigma=s, v=vt.T * signs)
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
@@ -96,11 +95,6 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
             return 0.0
         return float(np.linalg.norm(m, 2))
     raise ValueError(f"unsupported Schatten order {p!r}; use 2, 4 or inf")
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; accepts complex input."""
-    return float(np.linalg.norm(m, 2))
 
 
 def is_psd_dominated(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
@@ -125,23 +119,32 @@ def sym_inv_sqrt(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return 0.5 * (r + r.T)
 
 
-def haar_orthogonal(d: int, rng, *, canonical_signs: bool = True) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with R-diagonal sign correction.
+def haar_from_gaussian(z: np.ndarray, *, canonical_signs: bool = True) -> np.ndarray:
+    """Haar orthogonal matrices from a stack ``z`` of standard Gaussian matrices.
 
-    With ``canonical_signs`` the column-sign uniqueness convention is applied
-    on top (largest-magnitude entry of each column nonnegative), so the law is
-    Haar modulo column signs; pass False for the plain Haar draw.
+    One stacked QR with R-diagonal sign correction; slice k depends on
+    ``z[k]`` alone. With ``canonical_signs`` the column-sign uniqueness
+    convention is applied on top (largest-magnitude entry of each column
+    nonnegative), so the law is Haar modulo column signs; pass False for the
+    plain Haar draw.
     """
+    if z.ndim != 3 or z.shape[1] != z.shape[2] or z.shape[1] < 1:
+        raise ValueError(f"z must be a stack of square matrices, got shape {z.shape}")
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    q = q * signs[:, None, :]
+    if canonical_signs:
+        q = q * _canonical_column_signs(q)[:, None, :]
+    return q
+
+
+def haar_orthogonal(d: int, rng, *, canonical_signs: bool = True) -> np.ndarray:
+    """One Haar orthogonal d x d matrix: :func:`haar_from_gaussian` of one draw."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    g = as_generator(rng)
-    q, r = np.linalg.qr(g.standard_normal((d, d)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    if canonical_signs:
-        q, _ = _canonical_column_signs(q, np.zeros((d, d)))
-    return q
+    z = as_generator(rng).standard_normal((1, d, d))
+    return haar_from_gaussian(z, canonical_signs=canonical_signs)[0]
 
 
 def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import geom_sum
-from .linalg import haar_orthogonal, svd, validate_square
-from .rng import Stream, as_generator
+from .linalg import haar_from_gaussian, svd, validate_square
+from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
 
 BOUNDARY_MARGIN = 1e-8
 
@@ -43,7 +43,11 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PriorSample:
-    """One draw (U, sigmas, V) with the assembled matrix a = sI + U diag V^T."""
+    """Draws (U, sigmas, V) with the assembled matrices a = sI + U diag V^T.
+
+    Fields of one draw are (d, d) / (d,) arrays; a batch stacks them along a
+    leading trial axis.
+    """
 
     u: np.ndarray
     sigmas: np.ndarray
@@ -77,19 +81,37 @@ def prior_density(a: np.ndarray, spec: PriorSpec) -> float:
     return float(np.prod(z * (spec.eps - sigmas) ** 2))
 
 
-def sample_prior(spec: PriorSpec, rng) -> PriorSample:
-    """Draw from the factorized prior law.
+def sample_prior_batch(spec: PriorSpec, rng: Stream, count: int) -> PriorSample:
+    """Draw ``count`` samples from the factorized prior law.
 
     sigma_i are i.i.d. eps * Beta(d, 3); U is Haar with the column-sign
     uniqueness convention and V is plain Haar (the sign flips live in V, whose
-    mean must vanish for the score identities to hold at s > 0).
+    mean must vanish for the score identities to hold at s > 0). Each factor
+    comes from its own kind stream under ``rng`` with one trial-major call, so
+    draw k does not depend on ``count``.
     """
-    g = as_generator(rng)
-    u = haar_orthogonal(spec.d, g)
-    v = haar_orthogonal(spec.d, g, canonical_signs=False)
-    sigmas = spec.eps * g.beta(spec.d, 3.0, size=spec.d)
-    a = spec.s * np.eye(spec.d) + (u * sigmas) @ v.T
+    if not isinstance(rng, Stream):
+        raise TypeError(f"rng must be a Stream, got {type(rng).__name__}")
+    d = spec.d
+    u = haar_from_gaussian(rng.child(KIND_HAAR_U).generator().standard_normal((count, d, d)))
+    v = haar_from_gaussian(
+        rng.child(KIND_HAAR_V).generator().standard_normal((count, d, d)),
+        canonical_signs=False,
+    )
+    sigmas = spec.eps * rng.child(KIND_SIGMAS).generator().beta(d, 3.0, size=(count, d))
+    a = spec.s * np.eye(d) + (u * sigmas[:, None, :]) @ np.swapaxes(v, -1, -2)
     return PriorSample(u=u, sigmas=sigmas, v=v, a=a)
+
+
+def sample_prior(spec: PriorSpec, rng: Stream) -> PriorSample:
+    """One draw from the prior: :func:`sample_prior_batch` with ``count=1``."""
+    batch = sample_prior_batch(spec, rng, 1)
+    return PriorSample(u=batch.u[0], sigmas=batch.sigmas[0], v=batch.v[0], a=batch.a[0])
+
+
+def _score(u: np.ndarray, sigmas: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    """-2 U (eps I - Sigma)^{-1} V^T for one set of factors or a stack."""
+    return -2.0 * (u / (eps - sigmas)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def grad_log_prior(a: np.ndarray, spec: PriorSpec) -> np.ndarray:
@@ -107,7 +129,7 @@ def grad_log_prior(a: np.ndarray, spec: PriorSpec) -> np.ndarray:
         raise ValueError(
             f"largest singular value {r.sigma[0]:.6g} is at or near the boundary {spec.eps}"
         )
-    return -2.0 * (r.u / (spec.eps - r.sigma)) @ r.v.T
+    return _score(r.u, r.sigma, r.v, spec.eps)
 
 
 def prior_fisher(d: int, eps: float) -> np.ndarray:
@@ -177,17 +199,19 @@ def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> Reg
 
 
 def score_identity_lhs(sample: PriorSample, spec: PriorSpec) -> np.ndarray:
-    """One-sample value of -A (grad log prior)^T; its prior mean is d * I."""
-    return -sample.a @ grad_log_prior(sample.a, spec).T
+    """Value of -A (grad log prior)^T per draw; its prior mean is d * I.
+
+    The gradient comes from the draw's own factors, so this works on one
+    draw or a batch.
+    """
+    grad = _score(sample.u, sample.sigmas, sample.v, spec.eps)
+    return -sample.a @ np.swapaxes(grad, -1, -2)
 
 
 def sample_prior_sigma_batch(spec: PriorSpec, rng: Stream, count: int) -> np.ndarray:
-    """Singular-value draws of ``count`` prior samples, one child stream each.
+    """Singular-value draws of ``count`` prior samples, one row per draw.
 
-    Convenience for distribution tests; row k holds the sigmas of
-    sample_prior(spec, rng.child(k)).
+    Convenience for distribution tests: the sigmas of
+    sample_prior_batch(spec, rng, count).
     """
-    out = np.empty((count, spec.d))
-    for k in range(count):
-        out[k] = sample_prior(spec, rng.child(k)).sigmas
-    return out
+    return sample_prior_batch(spec, rng, count).sigmas

@@ -1,10 +1,14 @@
 """Seeded Monte Carlo experiments checking the identities behind the bounds.
 
-Determinism contract: trial k draws its noise from the child stream
-``rng.child(k)``, trials are processed in fixed-size chunks, per-trial
-statistics are written into position-indexed arrays, and reductions run over
-those arrays with numpy's pairwise summation. Worker count only distributes
-chunks, so reports are bit-identical for any ``workers`` value.
+Determinism contract: trials are processed in fixed chunks of ``CHUNK``.
+Chunk c draws each kind of randomness (noise, the two Haar Gaussian stacks,
+the Beta singular values; see ``rng``) from its own generator keyed by
+``rng.child(c, kind)``, with one trial-major call per kind, so trial k's
+draws depend only on ``(seed, salt, k)`` (stream layout ``RNG_LAYOUT``).
+Per-trial statistics are written into position-indexed arrays, and
+reductions run over those arrays with numpy's pairwise summation. Worker
+count only distributes chunks, so reports are bit-identical for any
+``workers`` value.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -20,11 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import cr_bound, delta1, delta2, l_ab, psi
+from .bounds import BoundReport, cr_bound, delta1, delta2, l_ab, psi
 from .linalg import sym_inv_sqrt
-from .minimax import PriorSpec, sample_prior, van_trees_bound
+from .minimax import PriorSpec, sample_prior_batch, score_identity_lhs, van_trees_bound
 from .model import SystemParams, fisher_information
-from .rng import Stream
+from .rng import KIND_NOISE, Stream
 
 CHUNK = 4096
 MIN_CONCLUSIVE_TRIALS = 1000
@@ -94,6 +98,18 @@ class BayesRiskResult(NamedTuple):
     vt_bound: float
 
 
+class RateInputs(NamedTuple):
+    """Deterministic inputs of the concentration and multiplication experiments."""
+
+    psi_inv_sqrt: np.ndarray
+    l_ab: float
+
+
+def rate_inputs(params: SystemParams, grid_points: int = 4096) -> RateInputs:
+    """Psi^{-1/2} and the frequency supremum l_ab of ``params``."""
+    return RateInputs(psi_inv_sqrt=sym_inv_sqrt(psi(params)), l_ab=l_ab(params, grid_points))
+
+
 # ---------------------------------------------------------------------------
 # chunked engine
 # ---------------------------------------------------------------------------
@@ -103,19 +119,23 @@ def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     return [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
 
 
+def _chunk_stream(rng: Stream, start: int) -> Stream:
+    """Stream of the chunk that starts at trial ``start``; kinds are its children."""
+    return rng.child(start // CHUNK)
+
+
 def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndarray:
-    out = np.empty((count, n, d))
-    for j in range(count):
-        out[j] = rng.child(start + j).generator().standard_normal((n, d))
-    return out
+    gen = _chunk_stream(rng, start).child(KIND_NOISE).generator()
+    return gen.standard_normal((count, n, d))
 
 
 def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray:
     count, n, d = noise.shape
     states = np.zeros((count, n + 1, d))
-    shocks = noise @ b.T
+    # shocks B e_i go straight into the state buffer: no second noise-sized array
+    np.matmul(noise, b.T, out=states[:, 1:])
     for i in range(n):
-        states[:, i + 1] = states[:, i] @ a.T + shocks[:, i]
+        states[:, i + 1] += states[:, i] @ a.T
     return states
 
 
@@ -179,12 +199,8 @@ def _trajectory_chunk(args) -> dict[str, np.ndarray]:
 def _bayes_chunk(args) -> dict[str, np.ndarray]:
     spec, n, rng, start, count = args
     d = spec.d
-    a_stack = np.empty((count, d, d))
-    noise = np.empty((count, n, d))
-    for j in range(count):
-        g = rng.child(start + j).generator()
-        a_stack[j] = sample_prior(spec, g).a
-        noise[j] = g.standard_normal((n, d))
+    a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
+    noise = _noise_chunk(rng, start, count, n, d)
     states = np.zeros((count, n + 1, d))
     for i in range(n):
         states[:, i + 1] = np.einsum("tij,tj->ti", a_stack, states[:, i]) + noise[:, i]
@@ -202,9 +218,7 @@ def _bayes_chunk(args) -> dict[str, np.ndarray]:
 
 def _norm_ineq_chunk(args) -> dict[str, np.ndarray]:
     d, rng, start, count = args
-    vecs = np.empty((count, 4, d))
-    for j in range(count):
-        vecs[j] = rng.child(start + j).generator().standard_normal((4, d))
+    vecs = _noise_chunk(rng, start, count, 4, d)
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     u1, v1, u2, v2 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
     m = np.einsum("ti,tj->tij", u1, v1) - np.einsum("ti,tj->tij", u2, v2)
@@ -329,6 +343,7 @@ def concentration_experiment(
     rng: Stream,
     *,
     grid_points: int = 4096,
+    inputs: RateInputs | None = None,
     workers: int = 1,
 ) -> ConcentrationReport:
     """Tail of |Psi^{-1/2} (sum x_i x_i^T) Psi^{-1/2} - I| against c * Delta1(t).
@@ -336,18 +351,19 @@ def concentration_experiment(
     Fits the smallest constant c making the exceedance of c * Delta1(t) at
     most e^{-t} for every requested level; the fit is descriptive (the true
     constant is not quantified), so this report carries no pass/fail by
-    itself.
+    itself. ``inputs`` defaults to ``rate_inputs(params, grid_points)``.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     levels = tuple(sorted(float(t) for t in t_levels))
     if not levels or levels[0] <= 0:
         raise ValueError(f"t_levels must be positive, got {t_levels}")
-    aux = {"w": sym_inv_sqrt(psi(params))}
+    if inputs is None:
+        inputs = rate_inputs(params, grid_points)
+    aux = {"w": inputs.psi_inv_sqrt}
     data = _trajectory_stats(params, trials, rng, frozenset({"dev"}), aux, workers)
     devs = np.sort(data["dev"])
-    l_val = l_ab(params, grid_points)
-    deltas = tuple(delta1(params, t, l_val) for t in levels)
+    deltas = tuple(delta1(params, t, inputs.l_ab) for t in levels)
     fitted = 0.0
     for t, delta in zip(levels, deltas):
         allowed = int(math.floor(math.exp(-t) * trials))
@@ -374,17 +390,22 @@ def multiplication_experiment(
     rng: Stream,
     *,
     grid_points: int = 4096,
+    inputs: RateInputs | None = None,
     workers: int = 1,
 ) -> MultiplicationResult:
-    """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L."""
+    """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L.
+
+    ``inputs`` defaults to ``rate_inputs(params, grid_points)``.
+    """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    aux = {"w": sym_inv_sqrt(psi(params))}
+    if inputs is None:
+        inputs = rate_inputs(params, grid_points)
+    aux = {"w": inputs.psi_inv_sqrt}
     data = _trajectory_stats(params, trials, rng, frozenset({"mult"}), aux, workers)
-    l_val = l_ab(params, grid_points)
     return MultiplicationResult(
         mc_value=float(data["mult"].mean()),
-        bound_value=params.d * delta2(params, l_val),
+        bound_value=params.d * delta2(params, inputs.l_ab),
     )
 
 
@@ -395,16 +416,27 @@ def dominance_check(
     rng: Stream,
     *,
     bound_scale: float = 1.0,
+    grid_points: int = 4096,
+    bound: BoundReport | None = None,
     workers: int = 1,
 ) -> DominanceResult:
     """Loewner check of the empirical error matrix against the error bound.
 
     The bound is evaluated with universal constant 1; ``bound_scale``
     multiplies it and exists for negative controls (a 10x inflated bound must
-    fail). ``margin`` is the smallest eigenvalue of (empirical - bound).
+    fail). ``bound`` defaults to
+    ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``.
+    ``margin`` is the smallest eigenvalue of (empirical - bound).
     """
     risk = empirical_risk(params, trials, rng, workers=workers)
-    report = cr_bound(params, epsilon, constant=1.0)
+    report = bound
+    if report is None:
+        report = cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)
+    elif (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
+        raise ValueError(
+            f"bound was computed at epsilon={report.epsilon_used}, "
+            f"constant={report.constant_used}; need epsilon={epsilon}, constant=1.0"
+        )
     diff = risk.error_matrix - bound_scale * report.cr_matrix
     margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
     return DominanceResult(holds=margin >= 0.0, margin=margin)
@@ -507,13 +539,8 @@ def identity_checks(
 
 def _prior_identity_chunk(args) -> dict[str, np.ndarray]:
     spec, rng, start, count = args
-    d = spec.d
-    out = np.empty((count, d, d))
-    for j in range(count):
-        sample = sample_prior(spec, rng.child(start + j))
-        grad = -2.0 * (sample.u / (spec.eps - sample.sigmas)) @ sample.v.T
-        out[j] = -sample.a @ grad.T
-    return {"lhs": out}
+    sample = sample_prior_batch(spec, _chunk_stream(rng, start), count)
+    return {"lhs": score_identity_lhs(sample, spec)}
 
 
 def prior_identity_check(

@@ -2,8 +2,17 @@
 
 A :class:`Stream` is a value, not a mutable generator: the same stream always
 yields the same draws, and child streams are addressed by ``(seed, path)``.
-Monte Carlo code derives one child per trial index, so results never depend
-on how trials are split across chunks or workers.
+
+Stream layout (version :data:`RNG_LAYOUT`): Monte Carlo code splits trials
+into fixed chunks and keys one generator by ``(seed, salt, chunk, kind)``,
+where ``kind`` is one of the ``KIND_*`` draw kinds below. Each chunk draws
+each kind with a single trial-major call, so trial k's draws are the k-th
+block of that array. Numpy fills arrays in order, so they depend only on
+``(seed, salt, k)``: not on the total trial count, not on how chunks are
+spread over workers, and, because every kind has its own stream, never on
+how many variates a rejection sampler of another kind consumed. This is the
+counter-based design of Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3" (SC'11).
 """
 
 from __future__ import annotations
@@ -11,6 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# version of the mapping from (seed, config) to draws; bumped whenever the
+# same seed starts producing different draws
+RNG_LAYOUT = 2
+
+# draw kinds, the last index of a stream path
+KIND_NOISE = 0  # standard normal noise, or any other plain Gaussian block
+KIND_HAAR_U = 1  # Gaussian stack behind the left Haar factor of a prior draw
+KIND_HAAR_V = 2  # Gaussian stack behind the right Haar factor of a prior draw
+KIND_SIGMAS = 3  # Beta(d, 3) singular values of a prior draw
 
 
 @dataclass(frozen=True)

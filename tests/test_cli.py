@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ltibounds.bounds
+import ltibounds.montecarlo
 from ltibounds.cli import main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
 
@@ -239,6 +241,29 @@ def test_verify_low_trials_inconclusive(tmp_path):
     rows = {r["quantity"]: r for r in read_rows(out)}
     assert "warning_low_trials" in rows
     assert json.loads(rows["selfnorm_identity"]["extra"])["status"] == "inconclusive"
+
+
+def test_verify_computes_l_ab_once_on_the_configured_grid(tmp_path, monkeypatch):
+    grids = []
+    original = ltibounds.bounds.l_ab
+
+    def recording_l_ab(params, grid_points=4096):
+        grids.append(grid_points)
+        return original(params, grid_points)
+
+    # cr_bound looks l_ab up in bounds, rate_inputs in montecarlo
+    monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
+    monkeypatch.setattr(ltibounds.montecarlo, "l_ab", recording_l_ab)
+    out = tmp_path / "v.csv"
+    path = write_config(
+        tmp_path,
+        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+        run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+    )
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    assert grids == [128]
+    rows = {r["quantity"] for r in read_rows(out)}
+    assert {"risk_dominance", "concentration_constant", "multiplication_ratio"} <= rows
 
 
 def test_seed_override_changes_report(tmp_path):

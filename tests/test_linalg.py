@@ -3,6 +3,7 @@ import pytest
 
 from ltibounds.linalg import (
     eig_sym,
+    haar_from_gaussian,
     haar_orthogonal,
     is_psd_dominated,
     schatten_norm,
@@ -200,11 +201,45 @@ def test_haar_first_row_norm_mean():
 def test_haar_entry_square_mean():
     # for d=2 the (1,1) entry is cos(theta) with theta uniform: E cos^2 = 1/2
     n = 100_000
-    vals = np.empty(n)
-    for k in range(n):
-        vals[k] = haar_orthogonal(2, Stream(108).child(k))[0, 0] ** 2
+    z = Stream(108).generator().standard_normal((n, 2, 2))
+    vals = haar_from_gaussian(z)[:, 0, 0] ** 2
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean() - 0.5) < 3 * se
+
+
+def _haar_reference(z: np.ndarray, canonical_signs: bool) -> np.ndarray:
+    """Per-matrix QR, R-diagonal sign fix and column-by-column sign convention."""
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    if canonical_signs:
+        for j in range(q.shape[1]):
+            i = int(np.argmax(np.abs(q[:, j])))
+            if q[i, j] < 0:
+                q[:, j] = -q[:, j]
+    return q
+
+
+@pytest.mark.parametrize("canonical_signs", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_haar_from_gaussian_matches_per_matrix_loop(d, canonical_signs):
+    z = Stream(109).child(d).generator().standard_normal((64, d, d))
+    got = haar_from_gaussian(z, canonical_signs=canonical_signs)
+    want = np.stack([_haar_reference(m, canonical_signs) for m in z])
+    assert np.array_equal(got, want)
+
+
+def test_haar_orthogonal_is_batch_of_one():
+    z = Stream(110).generator().standard_normal((1, 3, 3))
+    assert np.array_equal(haar_orthogonal(3, Stream(110)), haar_from_gaussian(z)[0])
+
+
+def test_haar_from_gaussian_rejects_non_square_stack():
+    with pytest.raises(ValueError):
+        haar_from_gaussian(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        haar_from_gaussian(np.ones((2, 3, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ltibounds.minimax import (
     prior_density,
     prior_fisher,
     sample_prior,
+    sample_prior_batch,
     sample_prior_sigma_batch,
     score_identity_lhs,
     van_trees_bound,
@@ -106,6 +107,31 @@ def test_sample_singular_value_range():
         sv_tilde = np.linalg.svd(sample.a - spec.s * np.eye(3), compute_uv=False)
         assert np.allclose(np.sort(sv_tilde), np.sort(sample.sigmas), atol=1e-10)
         assert prior_density(sample.a, spec) > 0.0
+
+
+def test_sample_prior_draws_do_not_depend_on_count():
+    spec = PriorSpec(s=0.5, eps=0.8, d=3)
+    one = sample_prior(spec, Stream(48))
+    many = sample_prior_batch(spec, Stream(48), 10)
+    for name in ("u", "sigmas", "v", "a"):
+        assert np.array_equal(getattr(one, name), getattr(many, name)[0])
+    more = sample_prior_batch(spec, Stream(48), 25)
+    for name in ("u", "sigmas", "v", "a"):
+        assert np.array_equal(getattr(many, name), getattr(more, name)[:10])
+
+
+def test_sample_prior_requires_stream():
+    with pytest.raises(TypeError):
+        sample_prior(PriorSpec(s=0.0, eps=1.0, d=2), np.random.default_rng(0))
+
+
+def test_score_identity_lhs_batch_matches_per_draw():
+    spec = PriorSpec(s=0.3, eps=0.8, d=2)
+    batch = sample_prior_batch(spec, Stream(49), 50)
+    lhs = score_identity_lhs(batch, spec)
+    for k in range(50):
+        a = batch.a[k]
+        assert np.allclose(lhs[k], -a @ grad_log_prior(a, spec).T, rtol=1e-9, atol=1e-9)
 
 
 def test_sample_max_singular_value_any_s():
@@ -266,11 +292,7 @@ def test_score_identity_scalar_sample():
 
 
 def _score_identity_mean(spec: PriorSpec, trials: int, seed: int):
-    acc = np.zeros((trials, spec.d, spec.d))
-    root = Stream(seed)
-    for k in range(trials):
-        sample = sample_prior(spec, root.child(k))
-        acc[k] = score_identity_lhs(sample, spec)
+    acc = score_identity_lhs(sample_prior_batch(spec, Stream(seed), trials), spec)
     mean = acc.mean(axis=0)
     se = acc.std(axis=0, ddof=1) / math.sqrt(trials)
     return mean, se

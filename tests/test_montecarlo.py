@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+import ltibounds.bounds
+from ltibounds.bounds import cr_bound
 from ltibounds.minimax import PriorSpec
 from ltibounds.model import SystemParams
 from ltibounds.montecarlo import (
+    CHUNK,
     AllTrialsSingularError,
+    _bayes_chunk,
+    _chunk_ranges,
+    _gather,
+    _prior_identity_chunk,
+    _trajectory_stats,
     bayes_risk_experiment,
     concentration_experiment,
     dominance_check,
@@ -207,6 +215,25 @@ def test_dominance_scalar_stable():
     assert result.holds and result.margin > 0
 
 
+def test_dominance_grid_points_reach_l_ab(monkeypatch):
+    grids = []
+    original = ltibounds.bounds.l_ab
+
+    def recording_l_ab(params, grid_points=4096):
+        grids.append(grid_points)
+        return original(params, grid_points)
+
+    monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
+    dominance_check(scalar_params(0.5, n=64), 200, 0.1, Stream(86), grid_points=128)
+    assert grids == [128]
+
+
+def test_dominance_rejects_bound_for_other_epsilon():
+    params = scalar_params(0.5, n=64)
+    with pytest.raises(ValueError):
+        dominance_check(params, 200, 0.1, Stream(87), bound=cr_bound(params, 0.2))
+
+
 def test_dominance_negative_control():
     params = scalar_params(0.5, n=500)
     result = dominance_check(params, 4000, 0.1, Stream(79), bound_scale=10.0)
@@ -263,6 +290,68 @@ def test_prior_identity_worker_independence():
     one = prior_identity_check(spec, 6000, Stream(84), workers=1)
     two = prior_identity_check(spec, 6000, Stream(84), workers=2)
     assert one == two
+
+
+def test_bayes_risk_worker_independence():
+    spec = PriorSpec(s=0.0, eps=0.5, d=2)
+    one = bayes_risk_experiment(spec, 8, 6000, Stream(88), workers=1)
+    two = bayes_risk_experiment(spec, 8, 6000, Stream(88), workers=2)
+    assert one == two
+
+
+def test_norm_ineq_fuzz_worker_independence():
+    one = norm_ineq_fuzz(3, 6000, Stream(89), workers=1)
+    two = norm_ineq_fuzz(3, 6000, Stream(89), workers=2)
+    assert one == two
+
+
+# ---------------------------------------------------------------------------
+# stream layout: trial k's draws depend only on (seed, salt, k)
+# ---------------------------------------------------------------------------
+
+PREFIX_TRIALS = CHUNK + 5
+LONGER_TRIALS = PREFIX_TRIALS + CHUNK + 7
+
+
+def _assert_prefix_equal(short: dict, long: dict) -> None:
+    assert short.keys() == long.keys()
+    for key in short:
+        assert len(short[key]) == PREFIX_TRIALS
+        assert np.array_equal(short[key], long[key][:PREFIX_TRIALS]), key
+
+
+def test_trajectory_stats_trial_prefix_invariance():
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    aux = {
+        "psi_inv": np.eye(2),
+        "bbt_inv": np.eye(2),
+        "w": np.eye(2),
+        "a_eval": 0.5 * np.eye(2),
+    }
+    want = frozenset({"err", "mse", "score", "fisher", "selfnorm", "dev", "mult"})
+    short, long = (
+        _trajectory_stats(params, trials, Stream(90), want, aux, 1)
+        for trials in (PREFIX_TRIALS, LONGER_TRIALS)
+    )
+    _assert_prefix_equal(short, long)
+
+
+def test_bayes_chunk_trial_prefix_invariance():
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    short, long = (
+        _gather(_bayes_chunk, [(spec, 6, Stream(91), s, c) for s, c in _chunk_ranges(t)], 1)
+        for t in (PREFIX_TRIALS, LONGER_TRIALS)
+    )
+    _assert_prefix_equal(short, long)
+
+
+def test_prior_identity_chunk_trial_prefix_invariance():
+    spec = PriorSpec(s=0.5, eps=1.0, d=3)
+    short, long = (
+        _gather(_prior_identity_chunk, [(spec, Stream(92), s, c) for s, c in _chunk_ranges(t)], 1)
+        for t in (PREFIX_TRIALS, LONGER_TRIALS)
+    )
+    _assert_prefix_equal(short, long)
 
 
 def test_all_singular_raises():
