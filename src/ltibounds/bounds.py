@@ -118,18 +118,19 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:
     return max(fc, fd)
 
 
-def l_ab(params: SystemParams, grid_points: int = 4096) -> float:
+def l_ab(
+    params: SystemParams, grid_points: int = 4096, *, psi_matrix: np.ndarray | None = None
+) -> float:
     """Frequency supremum sup_s |Psi^{-1/2} (sum_{k=0}^{N-2} A^k e^{j2pi ks}) B|^2.
 
     Evaluated on a uniform grid of ``grid_points`` frequencies followed by one
     golden-section refinement around the grid argmax. The result is a lower
     approximation of the true supremum; the grid-convergence tests guard the
-    resolution.
+    resolution. ``psi_matrix`` is a precomputed ``psi(params)``.
     """
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    psi_m = psi(params)
-    w = sym_inv_sqrt(psi_m)
+    w = sym_inv_sqrt(psi(params) if psi_matrix is None else psi_matrix)
     powers = _matrix_powers(params.a, params.n - 1)
     grid = np.arange(grid_points) / grid_points
     vals = _freq_norm_sq(w, powers, params.b, grid)
@@ -222,6 +223,7 @@ def cr_bound(
     *,
     grid_points: int = 4096,
     delta_variant: str = "statement",
+    psi_matrix: np.ndarray | None = None,
 ) -> BoundReport:
     """Cramer-Rao-type lower bound on the least-squares estimation error.
 
@@ -233,7 +235,7 @@ def cr_bound(
     echoed in the report so no number masquerades as constant-free.
     ``delta_variant`` picks the argument of the deviation rate: "statement"
     uses t = log(L/eps), "proof" uses t = log(C d L / eps). Negative logs are
-    clamped to zero.
+    clamped to zero. ``psi_matrix`` is a precomputed ``psi(params)``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -241,8 +243,8 @@ def cr_bound(
         raise ValueError(f"constant must be > 0, got {constant}")
     if delta_variant not in ("statement", "proof"):
         raise ValueError(f"unknown delta_variant {delta_variant!r}")
-    psi_m = psi(params)
-    l_val = l_ab(params, grid_points)
+    psi_m = psi(params) if psi_matrix is None else psi_matrix
+    l_val = l_ab(params, grid_points, psi_matrix=psi_m)
     if delta_variant == "statement":
         t = math.log(l_val / epsilon) if l_val > 0 else 0.0
     else:

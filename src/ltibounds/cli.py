@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .bounds import (
     lab_upper_bound,
     prop_bound_no_limit,
     prop_bound_with_limit,
+    psi,
     spectral_split,
 )
 from .config import ConfigError, ExperimentConfig, load_config
@@ -35,15 +37,15 @@ from .model import SystemParams
 from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
     AllTrialsSingularError,
-    RateInputs,
     TooManySingularTrialsError,
-    bayes_risk_experiment,
-    concentration_experiment,
-    dominance_check,
+    bayes_plan,
+    concentration_plan,
+    dominance_plan,
     empirical_risk,
-    identity_checks,
-    multiplication_experiment,
-    prior_identity_check,
+    identity_plan,
+    multiplication_plan,
+    prior_identity_plan,
+    run_experiments,
 )
 from .rng import Stream
 
@@ -249,7 +251,47 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     if cfg.epsilon >= 1.0:
         raise ConfigError("run.epsilon", "must be in (0, 1) for the verify command")
     params = _system(cfg)
+    spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
+    # every experiment of the op, and the bound, run in one call of the runner;
+    # Psi is computed once here and shared by the tasks that need it
+    psi_m = psi(params)
+    plans = [
+        identity_plan(params, cfg.trials, root.child(SALT_IDENTITY), psi_m),
+        prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR)),
+    ]
+    if cfg.trials >= 100:
+        bound = partial(
+            cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points, psi_matrix=psi_m
+        )
+        plans.append(
+            dominance_plan(
+                params,
+                cfg.trials,
+                cfg.epsilon,
+                root.child(SALT_DOMINANCE),
+                bound,
+                bound_scale=cfg.constant_c,
+            )
+        )
+    if cfg.trials >= 1000:
+        psi_inv_sqrt = sym_inv_sqrt(psi_m)
+        plans += [
+            bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES)),
+            concentration_plan(
+                params,
+                cfg.trials,
+                list(cfg.t_levels),
+                root.child(SALT_CONCENTRATION),
+                psi_inv_sqrt,
+                bound,
+            ),
+            multiplication_plan(
+                params, cfg.trials, root.child(SALT_MULTIPLICATION), psi_inv_sqrt, bound
+            ),
+        ]
+    results = iter(run_experiments(plans, workers))
+
     rows: list[ReportRow] = []
     failed = False
     inconclusive = cfg.trials < MIN_CONCLUSIVE_TRIALS
@@ -264,15 +306,8 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
 
-    checks = identity_checks(params, cfg.trials, root.child(SALT_IDENTITY), workers=workers)
-    checks.append(
-        prior_identity_check(
-            PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d),
-            cfg.trials,
-            root.child(SALT_PRIOR),
-            workers=workers,
-        )
-    )
+    checks = next(results)
+    checks.append(next(results))
     tag = {
         "selfnorm_identity": "selfnorm-identity",
         "fisher_information": "information-identity",
@@ -298,17 +333,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         )
 
     if cfg.trials >= 100:
-        # deterministic bound inputs, shared by every experiment below
-        bound = cr_bound(params, cfg.epsilon, constant=1.0, grid_points=cfg.grid_points)
-        dom = dominance_check(
-            params,
-            cfg.trials,
-            cfg.epsilon,
-            root.child(SALT_DOMINANCE),
-            bound_scale=cfg.constant_c,
-            bound=bound,
-            workers=workers,
-        )
+        dom = next(results)
         dom_status = "inconclusive" if inconclusive else ("pass" if dom.holds else "fail")
         failed |= dom_status == "fail"
         rows.append(
@@ -336,13 +361,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         )
 
     if cfg.trials >= 1000:
-        bayes = bayes_risk_experiment(
-            PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d),
-            cfg.n,
-            cfg.trials,
-            root.child(SALT_BAYES),
-            workers=workers,
-        )
+        bayes = next(results)
         bayes_status = "pass" if bayes.bayes_mse >= bayes.vt_bound else "fail"
         failed |= bayes_status == "fail"
         rows.append(
@@ -372,15 +391,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
 
     # constant-dependent experiments: descriptive, never drive the exit code
     if cfg.trials >= 1000:
-        inputs = RateInputs(psi_inv_sqrt=sym_inv_sqrt(bound.psi), l_ab=bound.l_ab)
-        fit = concentration_experiment(
-            params,
-            cfg.trials,
-            list(cfg.t_levels),
-            root.child(SALT_CONCENTRATION),
-            inputs=inputs,
-            workers=workers,
-        )
+        fit = next(results)
         rows.append(
             _row(
                 cfg,
@@ -394,13 +405,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 trials=cfg.trials,
             )
         )
-        mult = multiplication_experiment(
-            params,
-            cfg.trials,
-            root.child(SALT_MULTIPLICATION),
-            inputs=inputs,
-            workers=workers,
-        )
+        mult = next(results)
         rows.append(
             _row(
                 cfg,

@@ -1,14 +1,25 @@
 """Seeded Monte Carlo experiments checking the identities behind the bounds.
 
-Determinism contract: trials are processed in fixed chunks of ``CHUNK``.
-Chunk c draws each kind of randomness (noise, the two Haar Gaussian stacks,
-the Beta singular values; see ``rng``) from its own generator keyed by
-``rng.child(c, kind)``, with one trial-major call per kind, so trial k's
-draws depend only on ``(seed, salt, k)`` (stream layout ``RNG_LAYOUT``).
-Per-trial statistics are written into position-indexed arrays, and
-reductions run over those arrays with numpy's pairwise summation. Worker
-count only distributes chunks, so reports are bit-identical for any
-``workers`` value.
+Each experiment is an ``Experiment``: a list of independent tasks (one per
+chunk of ``CHUNK`` trials, plus any deterministic input its reducer needs)
+and a reducer of their results. ``run_experiments`` is the one runner. It
+puts the tasks of every experiment it is given into one list; with
+``workers`` > 1 one process pool of ``min(workers, tasks)`` processes runs
+the whole list, otherwise it runs in this process, in order. Reducers run
+in this process, in order, so the first exception in that order is the one
+raised whatever the worker count. The public functions (``empirical_risk``,
+``identity_checks``, ...) run one experiment each; the CLI ``verify`` command
+runs all of its experiments and its ``cr_bound`` in one call, so one op
+opens at most one pool.
+
+Determinism contract: chunk c draws each kind of randomness (noise, the two
+Haar Gaussian stacks, the Beta singular values; see ``rng``) from its own
+generator keyed by ``rng.child(c, kind)``, with one trial-major call per
+kind, so trial k's draws depend only on ``(seed, salt, k)`` (stream layout
+``RNG_LAYOUT``). Per-trial statistics are written into position-indexed
+arrays, and reductions run over those arrays with numpy's pairwise
+summation. The worker count only decides where tasks run, so reports are
+bit-identical for any ``workers`` value.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -18,9 +29,10 @@ outright if they exceed one per thousand.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -107,16 +119,86 @@ class RateInputs(NamedTuple):
 
 def rate_inputs(params: SystemParams, grid_points: int = 4096) -> RateInputs:
     """Psi^{-1/2} and the frequency supremum l_ab of ``params``."""
-    return RateInputs(psi_inv_sqrt=sym_inv_sqrt(psi(params)), l_ab=l_ab(params, grid_points))
+    psi_m = psi(params)
+    return RateInputs(
+        psi_inv_sqrt=sym_inv_sqrt(psi_m), l_ab=l_ab(params, grid_points, psi_matrix=psi_m)
+    )
 
 
 # ---------------------------------------------------------------------------
-# chunked engine
+# runner
+# ---------------------------------------------------------------------------
+
+
+class Experiment(NamedTuple):
+    """Independent tasks and the reducer of their results.
+
+    A task is a picklable zero-argument callable: a ``functools.partial`` of
+    a module-level function. ``reduce`` gets the task results in task order.
+    """
+
+    tasks: list[Callable[[], Any]]
+    reduce: Callable[[list], Any]
+
+
+def _known(value: Any) -> Any:
+    """Task whose result is already known: a precomputed input of a reducer."""
+    return value
+
+
+def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list:
+    """The reduced result of each experiment, in order.
+
+    The tasks of all ``experiments`` form one list, in order; a task object
+    listed by several experiments runs once. With ``workers`` > 1 and more
+    than one task, one process pool of ``min(workers, tasks)`` processes runs
+    the whole list; otherwise the list runs in this process, in order.
+    Reducers run here, each once its tasks are done, in order, so the first
+    exception in (tasks, reducer) order is the one raised whatever the
+    worker count; the pool is then shut down with its queued tasks cancelled.
+    """
+    tasks = list(dict.fromkeys(t for e in experiments for t in e.tasks))
+    size = min(workers, len(tasks))
+    if size <= 1:
+        done: dict = {}
+
+        def result(task):
+            if task not in done:
+                done[task] = task()
+            return done[task]
+
+        return [e.reduce([result(t) for t in e.tasks]) for e in experiments]
+    # imported here: bounds and single-process runs never load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        futures = {task: pool.submit(task) for task in tasks}
+        return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run(experiment: Experiment, workers: int):
+    return run_experiments([experiment], workers)[0]
+
+
+# ---------------------------------------------------------------------------
+# chunk tasks
 # ---------------------------------------------------------------------------
 
 
 def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     return [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
+
+
+def _chunk_tasks(fn, trials: int, *args) -> list[Callable[[], Any]]:
+    """One task per chunk: ``fn(*args, start, count)``."""
+    return [partial(fn, *args, start, count) for start, count in _chunk_ranges(trials)]
+
+
+def _gather(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
 def _chunk_stream(rng: Stream, start: int) -> Stream:
@@ -139,8 +221,14 @@ def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray
     return states
 
 
-def _trajectory_chunk(args) -> dict[str, np.ndarray]:
-    params, rng, start, count, want, aux = args
+def _trajectory_chunk(
+    params: SystemParams,
+    want: frozenset[str],
+    aux: dict[str, np.ndarray],
+    rng: Stream,
+    start: int,
+    count: int,
+) -> dict[str, np.ndarray]:
     a, b, n, d = params.a, params.b, params.n, params.d
     noise = _noise_chunk(rng, start, count, n, d)
     states = _states_batch(a, b, noise)
@@ -196,8 +284,9 @@ def _trajectory_chunk(args) -> dict[str, np.ndarray]:
     return out
 
 
-def _bayes_chunk(args) -> dict[str, np.ndarray]:
-    spec, n, rng, start, count = args
+def _bayes_chunk(
+    spec: PriorSpec, n: int, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
     d = spec.d
     a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
     noise = _noise_chunk(rng, start, count, n, d)
@@ -216,8 +305,7 @@ def _bayes_chunk(args) -> dict[str, np.ndarray]:
     return {"failed": ~ok, "mse": np.einsum("tij,tij->t", diff, diff)}
 
 
-def _norm_ineq_chunk(args) -> dict[str, np.ndarray]:
-    d, rng, start, count = args
+def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, np.ndarray]:
     vecs = _noise_chunk(rng, start, count, 4, d)
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     u1, v1, u2, v2 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
@@ -227,16 +315,11 @@ def _norm_ineq_chunk(args) -> dict[str, np.ndarray]:
     return {"slack": rhs - lhs}
 
 
-def _map_chunks(chunk_fn, args_list, workers: int) -> list[dict[str, np.ndarray]]:
-    if workers <= 1 or len(args_list) <= 1:
-        return [chunk_fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, args_list))
-
-
-def _gather(chunk_fn, args_list, workers: int) -> dict[str, np.ndarray]:
-    parts = _map_chunks(chunk_fn, args_list, workers)
-    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
+def _prior_identity_chunk(
+    spec: PriorSpec, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
+    sample = sample_prior_batch(spec, _chunk_stream(rng, start), count)
+    return {"lhs": score_identity_lhs(sample, spec)}
 
 
 def _trajectory_stats(
@@ -247,46 +330,54 @@ def _trajectory_stats(
     aux: dict[str, np.ndarray],
     workers: int,
 ) -> dict[str, np.ndarray]:
-    args_list = [
-        (params, rng, start, count, want, aux) for start, count in _chunk_ranges(trials)
-    ]
-    return _gather(_trajectory_chunk, args_list, workers)
+    tasks = _chunk_tasks(_trajectory_chunk, trials, params, want, aux, rng)
+    return _run(Experiment(tasks, _gather), workers)
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: a plan (tasks and reducer) and the function that runs it
 # ---------------------------------------------------------------------------
+
+
+def risk_plan(params: SystemParams, trials: int, rng: Stream) -> Experiment:
+    """Plan of ``empirical_risk``."""
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
+
+    def reduce(parts) -> RiskEstimate:
+        data = _gather(parts)
+        failed = int(np.sum(data["failed"]))
+        n_ok = trials - failed
+        if n_ok == 0:
+            raise AllTrialsSingularError(
+                "all trials had singular sample covariance; check N >= d+1 and params"
+            )
+        if failed > 0.001 * trials:
+            raise TooManySingularTrialsError(
+                f"{failed} of {trials} trials had singular sample covariance"
+            )
+        ok = ~data["failed"]
+        error_matrix = np.sum(data["err"], axis=0) / n_ok
+        error_matrix = 0.5 * (error_matrix + error_matrix.T)
+        mses = data["mse"][ok]
+        std_error = float(mses.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("inf")
+        return RiskEstimate(
+            error_matrix=error_matrix,
+            mse=float(np.trace(error_matrix)),
+            trials=n_ok,
+            mse_std_error=std_error,
+            failed_trials=failed,
+        )
+
+    want = frozenset({"err", "mse"})
+    return Experiment(_chunk_tasks(_trajectory_chunk, trials, params, want, {}, rng), reduce)
 
 
 def empirical_risk(
     params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
 ) -> RiskEstimate:
     """Monte Carlo mean of (A_hat - A)(A_hat - A)^T over independent trajectories."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    data = _trajectory_stats(params, trials, rng, frozenset({"err", "mse"}), {}, workers)
-    failed = int(np.sum(data["failed"]))
-    n_ok = trials - failed
-    if n_ok == 0:
-        raise AllTrialsSingularError(
-            "all trials had singular sample covariance; check N >= d+1 and params"
-        )
-    if failed > 0.001 * trials:
-        raise TooManySingularTrialsError(
-            f"{failed} of {trials} trials had singular sample covariance"
-        )
-    ok = ~data["failed"]
-    error_matrix = np.sum(data["err"], axis=0) / n_ok
-    error_matrix = 0.5 * (error_matrix + error_matrix.T)
-    mses = data["mse"][ok]
-    std_error = float(mses.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("inf")
-    return RiskEstimate(
-        error_matrix=error_matrix,
-        mse=float(np.trace(error_matrix)),
-        trials=n_ok,
-        mse_std_error=std_error,
-        failed_trials=failed,
-    )
+    return _run(risk_plan(params, trials, rng), workers)
 
 
 def mc_selfnorm_identity(
@@ -336,6 +427,54 @@ def mc_score_mean(
     return data["score"].mean(axis=0)
 
 
+def concentration_plan(
+    params: SystemParams,
+    trials: int,
+    t_levels: list[float],
+    rng: Stream,
+    psi_inv_sqrt: np.ndarray,
+    rate: Callable[[], Any],
+) -> Experiment:
+    """Plan of ``concentration_experiment``.
+
+    The chunks need only ``psi_inv_sqrt``. ``rate`` is the task whose result
+    carries ``l_ab`` (a ``BoundReport`` or ``RateInputs``); only the reducer
+    reads it, so the chunks need not wait for it.
+    """
+    if trials < 1000:
+        raise ValueError(f"trials must be >= 1000, got {trials}")
+    levels = tuple(sorted(float(t) for t in t_levels))
+    if not levels or levels[0] <= 0:
+        raise ValueError(f"t_levels must be positive, got {t_levels}")
+
+    def reduce(parts) -> ConcentrationReport:
+        data = _gather(parts[1:])
+        devs = np.sort(data["dev"])
+        deltas = tuple(delta1(params, t, parts[0].l_ab) for t in levels)
+        fitted = 0.0
+        for t, delta in zip(levels, deltas):
+            allowed = int(math.floor(math.exp(-t) * trials))
+            if allowed >= trials:
+                continue
+            # smallest threshold leaving at most `allowed` strict exceedances
+            threshold = devs[trials - 1 - allowed]
+            fitted = max(fitted, threshold / delta)
+        exceedance = tuple(
+            float(np.mean(devs > fitted * delta)) for delta in deltas
+        )
+        return ConcentrationReport(
+            deviations=devs,
+            t_levels=levels,
+            empirical_exceedance=exceedance,
+            delta1_levels=deltas,
+            fitted_constant=fitted,
+        )
+
+    aux = {"w": psi_inv_sqrt}
+    chunks = _chunk_tasks(_trajectory_chunk, trials, params, frozenset({"dev"}), aux, rng)
+    return Experiment([rate, *chunks], reduce)
+
+
 def concentration_experiment(
     params: SystemParams,
     trials: int,
@@ -343,7 +482,6 @@ def concentration_experiment(
     rng: Stream,
     *,
     grid_points: int = 4096,
-    inputs: RateInputs | None = None,
     workers: int = 1,
 ) -> ConcentrationReport:
     """Tail of |Psi^{-1/2} (sum x_i x_i^T) Psi^{-1/2} - I| against c * Delta1(t).
@@ -351,37 +489,36 @@ def concentration_experiment(
     Fits the smallest constant c making the exceedance of c * Delta1(t) at
     most e^{-t} for every requested level; the fit is descriptive (the true
     constant is not quantified), so this report carries no pass/fail by
-    itself. ``inputs`` defaults to ``rate_inputs(params, grid_points)``.
+    itself.
     """
+    inputs = rate_inputs(params, grid_points)
+    plan = concentration_plan(
+        params, trials, t_levels, rng, inputs.psi_inv_sqrt, partial(_known, inputs)
+    )
+    return _run(plan, workers)
+
+
+def multiplication_plan(
+    params: SystemParams,
+    trials: int,
+    rng: Stream,
+    psi_inv_sqrt: np.ndarray,
+    rate: Callable[[], Any],
+) -> Experiment:
+    """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    levels = tuple(sorted(float(t) for t in t_levels))
-    if not levels or levels[0] <= 0:
-        raise ValueError(f"t_levels must be positive, got {t_levels}")
-    if inputs is None:
-        inputs = rate_inputs(params, grid_points)
-    aux = {"w": inputs.psi_inv_sqrt}
-    data = _trajectory_stats(params, trials, rng, frozenset({"dev"}), aux, workers)
-    devs = np.sort(data["dev"])
-    deltas = tuple(delta1(params, t, inputs.l_ab) for t in levels)
-    fitted = 0.0
-    for t, delta in zip(levels, deltas):
-        allowed = int(math.floor(math.exp(-t) * trials))
-        if allowed >= trials:
-            continue
-        # smallest threshold leaving at most `allowed` strict exceedances
-        threshold = devs[trials - 1 - allowed]
-        fitted = max(fitted, threshold / delta)
-    exceedance = tuple(
-        float(np.mean(devs > fitted * delta)) for delta in deltas
-    )
-    return ConcentrationReport(
-        deviations=devs,
-        t_levels=levels,
-        empirical_exceedance=exceedance,
-        delta1_levels=deltas,
-        fitted_constant=fitted,
-    )
+
+    def reduce(parts) -> MultiplicationResult:
+        data = _gather(parts[1:])
+        return MultiplicationResult(
+            mc_value=float(data["mult"].mean()),
+            bound_value=params.d * delta2(params, parts[0].l_ab),
+        )
+
+    aux = {"w": psi_inv_sqrt}
+    chunks = _chunk_tasks(_trajectory_chunk, trials, params, frozenset({"mult"}), aux, rng)
+    return Experiment([rate, *chunks], reduce)
 
 
 def multiplication_experiment(
@@ -390,23 +527,39 @@ def multiplication_experiment(
     rng: Stream,
     *,
     grid_points: int = 4096,
-    inputs: RateInputs | None = None,
     workers: int = 1,
 ) -> MultiplicationResult:
-    """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L.
+    """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L."""
+    inputs = rate_inputs(params, grid_points)
+    plan = multiplication_plan(params, trials, rng, inputs.psi_inv_sqrt, partial(_known, inputs))
+    return _run(plan, workers)
 
-    ``inputs`` defaults to ``rate_inputs(params, grid_points)``.
-    """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    if inputs is None:
-        inputs = rate_inputs(params, grid_points)
-    aux = {"w": inputs.psi_inv_sqrt}
-    data = _trajectory_stats(params, trials, rng, frozenset({"mult"}), aux, workers)
-    return MultiplicationResult(
-        mc_value=float(data["mult"].mean()),
-        bound_value=params.d * delta2(params, inputs.l_ab),
-    )
+
+def dominance_plan(
+    params: SystemParams,
+    trials: int,
+    epsilon: float,
+    rng: Stream,
+    bound: Callable[[], BoundReport],
+    *,
+    bound_scale: float = 1.0,
+) -> Experiment:
+    """Plan of ``dominance_check``; ``bound`` is the task returning the bound."""
+    risk = risk_plan(params, trials, rng)
+
+    def reduce(parts) -> DominanceResult:
+        estimate = risk.reduce(parts[1:])
+        report = parts[0]
+        if (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
+            raise ValueError(
+                f"bound was computed at epsilon={report.epsilon_used}, "
+                f"constant={report.constant_used}; need epsilon={epsilon}, constant=1.0"
+            )
+        diff = estimate.error_matrix - bound_scale * report.cr_matrix
+        margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
+        return DominanceResult(holds=margin >= 0.0, margin=margin)
+
+    return Experiment([bound, *risk.tasks], reduce)
 
 
 def dominance_check(
@@ -425,21 +578,40 @@ def dominance_check(
     The bound is evaluated with universal constant 1; ``bound_scale``
     multiplies it and exists for negative controls (a 10x inflated bound must
     fail). ``bound`` defaults to
-    ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``.
-    ``margin`` is the smallest eigenvalue of (empirical - bound).
+    ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``,
+    evaluated beside the trials. ``margin`` is the smallest eigenvalue of
+    (empirical - bound).
     """
-    risk = empirical_risk(params, trials, rng, workers=workers)
-    report = bound
-    if report is None:
-        report = cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)
-    elif (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
-        raise ValueError(
-            f"bound was computed at epsilon={report.epsilon_used}, "
-            f"constant={report.constant_used}; need epsilon={epsilon}, constant=1.0"
+    if bound is None:
+        task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
+    else:
+        task = partial(_known, bound)
+    return _run(dominance_plan(params, trials, epsilon, rng, task, bound_scale=bound_scale), workers)
+
+
+def bayes_plan(spec: PriorSpec, n: int, trials: int, rng: Stream) -> Experiment:
+    """Plan of ``bayes_risk_experiment``."""
+    if trials < 1000:
+        raise ValueError(f"trials must be >= 1000, got {trials}")
+    if n < spec.d + 1:
+        raise ValueError(f"n must be >= d + 1 = {spec.d + 1}, got {n}")
+
+    def reduce(parts) -> BayesRiskResult:
+        data = _gather(parts)
+        failed = int(np.sum(data["failed"]))
+        n_ok = trials - failed
+        if n_ok == 0:
+            raise AllTrialsSingularError("all Bayes trials had singular sample covariance")
+        if failed > 0.001 * trials:
+            raise TooManySingularTrialsError(
+                f"{failed} of {trials} Bayes trials had singular sample covariance"
+            )
+        bayes_mse = float(np.sum(data["mse"]) / n_ok)
+        return BayesRiskResult(
+            bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
         )
-    diff = risk.error_matrix - bound_scale * report.cr_matrix
-    margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-    return DominanceResult(holds=margin >= 0.0, margin=margin)
+
+    return Experiment(_chunk_tasks(_bayes_chunk, trials, spec, n, rng), reduce)
 
 
 def bayes_risk_experiment(
@@ -451,24 +623,7 @@ def bayes_risk_experiment(
     least squares, record the squared error. Any estimator's Bayes risk is
     bounded below by the van Trees value, so least squares' must be too.
     """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    if n < spec.d + 1:
-        raise ValueError(f"n must be >= d + 1 = {spec.d + 1}, got {n}")
-    args_list = [(spec, n, rng, start, count) for start, count in _chunk_ranges(trials)]
-    data = _gather(_bayes_chunk, args_list, workers)
-    failed = int(np.sum(data["failed"]))
-    n_ok = trials - failed
-    if n_ok == 0:
-        raise AllTrialsSingularError("all Bayes trials had singular sample covariance")
-    if failed > 0.001 * trials:
-        raise TooManySingularTrialsError(
-            f"{failed} of {trials} Bayes trials had singular sample covariance"
-        )
-    bayes_mse = float(np.sum(data["mse"]) / n_ok)
-    return BayesRiskResult(
-        bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
-    )
+    return _run(bayes_plan(spec, n, trials, rng), workers)
 
 
 def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> float:
@@ -477,8 +632,7 @@ def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> flo
         raise ValueError(f"d must be >= 1, got {d}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    args_list = [(d, rng, start, count) for start, count in _chunk_ranges(trials)]
-    data = _gather(_norm_ineq_chunk, args_list, workers)
+    data = _run(Experiment(_chunk_tasks(_norm_ineq_chunk, trials, d, rng), _gather), workers)
     return float(np.min(data["slack"]))
 
 
@@ -511,6 +665,35 @@ def _entrywise_check(
     )
 
 
+def identity_plan(
+    params: SystemParams,
+    trials: int,
+    rng: Stream,
+    psi_matrix: np.ndarray | None = None,
+) -> Experiment:
+    """Plan of ``identity_checks``; ``psi_matrix`` defaults to ``psi(params)``."""
+    d = params.d
+    if psi_matrix is None:
+        psi_matrix = psi(params)
+    aux = {
+        "psi_inv": np.linalg.solve(psi_matrix, np.eye(d)),
+        "bbt_inv": np.linalg.solve(params.noise_cov(), np.eye(d)),
+    }
+
+    def reduce(parts) -> list[CheckResult]:
+        data = _gather(parts)
+        return [
+            _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d), 4.0),
+            _entrywise_check(
+                "fisher_information", data["fisher"], fisher_information(params), 4.0
+            ),
+            _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
+        ]
+
+    want = frozenset({"selfnorm", "score", "fisher"})
+    return Experiment(_chunk_tasks(_trajectory_chunk, trials, params, want, aux, rng), reduce)
+
+
 def identity_checks(
     params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
 ) -> list[CheckResult]:
@@ -521,34 +704,22 @@ def identity_checks(
     closed-form information (checked at 5% relative error), and the zero
     score mean (both entrywise at 4 standard errors).
     """
-    d = params.d
-    aux = {
-        "psi_inv": np.linalg.solve(psi(params), np.eye(d)),
-        "bbt_inv": np.linalg.solve(params.noise_cov(), np.eye(d)),
-    }
-    want = frozenset({"selfnorm", "score", "fisher"})
-    data = _trajectory_stats(params, trials, rng, want, aux, workers)
-    return [
-        _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d), 4.0),
-        _entrywise_check(
-            "fisher_information", data["fisher"], fisher_information(params), 4.0
-        ),
-        _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
-    ]
+    return _run(identity_plan(params, trials, rng), workers)
 
 
-def _prior_identity_chunk(args) -> dict[str, np.ndarray]:
-    spec, rng, start, count = args
-    sample = sample_prior_batch(spec, _chunk_stream(rng, start), count)
-    return {"lhs": score_identity_lhs(sample, spec)}
+def prior_identity_plan(spec: PriorSpec, trials: int, rng: Stream) -> Experiment:
+    """Plan of ``prior_identity_check``."""
+
+    def reduce(parts) -> CheckResult:
+        return _entrywise_check(
+            "prior_score_identity", _gather(parts)["lhs"], spec.d * np.eye(spec.d), 4.0
+        )
+
+    return Experiment(_chunk_tasks(_prior_identity_chunk, trials, spec, rng), reduce)
 
 
 def prior_identity_check(
     spec: PriorSpec, trials: int, rng: Stream, *, workers: int = 1
 ) -> CheckResult:
     """MC check of -E[A (grad log prior)^T] = d * I at 4 standard errors."""
-    args_list = [(spec, rng, start, count) for start, count in _chunk_ranges(trials)]
-    data = _gather(_prior_identity_chunk, args_list, workers)
-    return _entrywise_check(
-        "prior_score_identity", data["lhs"], spec.d * np.eye(spec.d), 4.0
-    )
+    return _run(prior_identity_plan(spec, trials, rng), workers)

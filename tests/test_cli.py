@@ -1,11 +1,18 @@
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltibounds
 import ltibounds.bounds
+import ltibounds.cli
 import ltibounds.montecarlo
 from ltibounds.cli import main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
@@ -247,9 +254,9 @@ def test_verify_computes_l_ab_once_on_the_configured_grid(tmp_path, monkeypatch)
     grids = []
     original = ltibounds.bounds.l_ab
 
-    def recording_l_ab(params, grid_points=4096):
+    def recording_l_ab(params, grid_points=4096, **kwargs):
         grids.append(grid_points)
-        return original(params, grid_points)
+        return original(params, grid_points, **kwargs)
 
     # cr_bound looks l_ab up in bounds, rate_inputs in montecarlo
     monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
@@ -277,3 +284,102 @@ def test_seed_override_changes_report(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["verify", "--config", str(path), "--out", str(out2), "--seed", "10"]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_verify_computes_psi_once(tmp_path, monkeypatch):
+    calls = []
+    original = ltibounds.bounds.psi
+
+    def counting_psi(params):
+        calls.append(params.n)
+        return original(params)
+
+    for module in (ltibounds.bounds, ltibounds.montecarlo, ltibounds.cli):
+        monkeypatch.setattr(module, "psi", counting_psi)
+    out = tmp_path / "v.csv"
+    path = write_config(
+        tmp_path,
+        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+        run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+    )
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    assert calls == [32]
+
+
+def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
+    sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    path = write_config(
+        tmp_path,
+        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+        run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+    )
+    reports = []
+    # one chunk per experiment: identity, prior, bound, risk, Bayes,
+    # concentration and multiplication make 7 tasks
+    for workers, expected in [(8, [7]), (2, [2]), (1, [])]:
+        sizes.clear()
+        out = tmp_path / f"v{workers}.csv"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        assert sizes == expected
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    sizes.clear()
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert sizes == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("trials", [1000, 500])
+def test_verify_errors_do_not_depend_on_workers(tmp_path, capsys, trials):
+    # Psi of this unstable system is too ill-conditioned for Psi^{-1/2}: at
+    # 1000 trials the parent finds out before any task runs, at 500 trials
+    # the cr_bound task does, inside the pool at --workers 2
+    path = write_config(
+        tmp_path,
+        system={"d": 2, "n": 100, "a": {"kind": "diag", "values": [0.5, 1.2]}},
+        run={"trials": trials, "seed": 3},
+    )
+    results = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"v{workers}.csv"
+        code = main(["verify", "--config", str(path), "--out", str(out), "--workers", workers])
+        results.append((code, capsys.readouterr().err, out.exists()))
+    assert results[0] == results[1]
+    code, err, wrote = results[0]
+    assert code == 3 and not wrote
+    assert err.startswith("precondition violation: matrix is not positive definite")
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_module_is_not_imported_by_bounds_or_one_worker(tmp_path):
+    path = write_config(
+        tmp_path,
+        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+        run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+    )
+    script = (
+        "import sys\n"
+        "import ltibounds.cli\n"
+        "seen = ['concurrent.futures.process' in sys.modules]\n"
+        "for cmd in (['bounds'], ['verify', '--workers', '1']):\n"
+        "    code = ltibounds.cli.main(cmd + ['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    assert code == 0, code\n"
+        "    seen.append('concurrent.futures.process' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    src = str(Path(ltibounds.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[False, False, False]"

@@ -1,3 +1,6 @@
+import multiprocessing
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ltibounds.model import SystemParams
 from ltibounds.montecarlo import (
     CHUNK,
     AllTrialsSingularError,
+    Experiment,
     _bayes_chunk,
     _chunk_ranges,
     _gather,
@@ -24,6 +28,7 @@ from ltibounds.montecarlo import (
     multiplication_experiment,
     norm_ineq_fuzz,
     prior_identity_check,
+    run_experiments,
 )
 from ltibounds.rng import Stream
 
@@ -219,9 +224,9 @@ def test_dominance_grid_points_reach_l_ab(monkeypatch):
     grids = []
     original = ltibounds.bounds.l_ab
 
-    def recording_l_ab(params, grid_points=4096):
+    def recording_l_ab(params, grid_points=4096, **kwargs):
         grids.append(grid_points)
-        return original(params, grid_points)
+        return original(params, grid_points, **kwargs)
 
     monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
     dominance_check(scalar_params(0.5, n=64), 200, 0.1, Stream(86), grid_points=128)
@@ -339,7 +344,7 @@ def test_trajectory_stats_trial_prefix_invariance():
 def test_bayes_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     short, long = (
-        _gather(_bayes_chunk, [(spec, 6, Stream(91), s, c) for s, c in _chunk_ranges(t)], 1)
+        _gather([_bayes_chunk(spec, 6, Stream(91), s, c) for s, c in _chunk_ranges(t)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
     _assert_prefix_equal(short, long)
@@ -348,7 +353,7 @@ def test_bayes_chunk_trial_prefix_invariance():
 def test_prior_identity_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=1.0, d=3)
     short, long = (
-        _gather(_prior_identity_chunk, [(spec, Stream(92), s, c) for s, c in _chunk_ranges(t)], 1)
+        _gather([_prior_identity_chunk(spec, Stream(92), s, c) for s, c in _chunk_ranges(t)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
     _assert_prefix_equal(short, long)
@@ -362,3 +367,59 @@ def test_all_singular_raises():
     assert est.failed_trials == 0
     with pytest.raises(AllTrialsSingularError):
         raise AllTrialsSingularError("sentinel")
+
+
+# ---------------------------------------------------------------------------
+# runner: one task list, reducers in order
+# ---------------------------------------------------------------------------
+
+CALLS = []
+
+
+def _square(x):
+    CALLS.append(x)
+    return x * x
+
+
+def _task_error(message):
+    raise ValueError(message)
+
+
+def _reducer_error(parts):
+    raise LookupError(f"reducer saw {parts}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_experiments_reduces_each_experiment_in_order(workers):
+    experiments = [
+        Experiment([partial(_square, 2), partial(_square, 3)], sum),
+        Experiment([], len),
+        Experiment([partial(_square, 4)], list),
+    ]
+    assert run_experiments(experiments, workers) == [13, 0, [16]]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_experiments_runs_a_shared_task_once():
+    CALLS.clear()
+    shared = partial(_square, 5)
+    experiments = [Experiment([shared, partial(_square, 6)], sum), Experiment([shared], sum)]
+    assert run_experiments(experiments, 1) == [61, 25]
+    assert CALLS == [5, 6]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiments_raises_the_first_error_in_report_order(workers):
+    reducer_first = [
+        Experiment([partial(_square, 2)], _reducer_error),
+        Experiment([partial(_task_error, "later task")], sum),
+    ]
+    with pytest.raises(LookupError, match=r"reducer saw \[4\]"):
+        run_experiments(reducer_first, workers)
+    task_first = [
+        Experiment([partial(_square, 2), partial(_task_error, "early task")], sum),
+        Experiment([partial(_square, 3)], _reducer_error),
+    ]
+    with pytest.raises(ValueError, match="early task"):
+        run_experiments(task_first, workers)
+    assert multiprocessing.active_children() == []
