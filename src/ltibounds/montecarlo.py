@@ -18,8 +18,16 @@ generator keyed by ``rng.child(c, kind)``, with one trial-major call per
 kind, so trial k's draws depend only on ``(seed, salt, k)`` (stream layout
 ``RNG_LAYOUT``). Per-trial statistics are written into position-indexed
 arrays, and reductions run over those arrays with numpy's pairwise
-summation. The worker count only decides where tasks run, so reports are
-bit-identical for any ``workers`` value.
+summation. The worker count only decides where tasks run, so under a fixed
+numpy/BLAS build reports are bit-identical for any ``workers`` value.
+
+One kernel serves every trajectory experiment: ``_states_batch`` runs the
+recursion of a whole chunk (one A, or one per trial for the Bayes risk),
+``_gram`` forms each per-trial Gram sum as one BLAS matrix product, and
+``_ls_error`` is the one least-squares estimate with singular-trial
+rejection. A chunk computes each Gram sum once, whatever set of statistics
+it is asked for. Gram sums are BLAS products, so another BLAS build or CPU
+kernel may change their last digits.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -211,14 +219,51 @@ def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndar
     return gen.standard_normal((count, n, d))
 
 
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-trial sums over time of x_n y_n^T: (count, n, i), (count, n, j) -> (count, i, j).
+
+    One BLAS matrix product per trial; ``x`` and ``y`` may be strided views.
+    """
+    return np.matmul(np.swapaxes(x, 1, 2), y)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
 def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """States x_0..x_N of each trial, shape (count, N+1, d), for noise (count, N, d).
+
+    ``a`` is one (d, d) matrix shared by every trial, or one per trial,
+    (count, d, d).
+    """
     count, n, d = noise.shape
     states = np.zeros((count, n + 1, d))
     # shocks B e_i go straight into the state buffer: no second noise-sized array
     np.matmul(noise, b.T, out=states[:, 1:])
-    for i in range(n):
-        states[:, i + 1] += states[:, i] @ a.T
+    if a.ndim == 2:
+        for i in range(n):
+            states[:, i + 1] += states[:, i] @ a.T
+    else:
+        for i in range(n):
+            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
     return states
+
+
+def _ls_error(
+    gamma: np.ndarray, sigma: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials rejected as singular, and the least-squares error A_hat - A of each.
+
+    ``gamma`` and ``sigma`` (symmetric) are per-trial Gram sums and ``a`` the
+    true A, shared or one per trial. A trial is rejected, with error 0, when
+    ``sigma`` has an eigenvalue at most 1e-12 times its largest.
+    """
+    w = np.linalg.eigvalsh(sigma)
+    ok = w[:, 0] > 1e-12 * np.maximum(w[:, -1], 0.0)
+    safe = np.where(ok[:, None, None], sigma, np.eye(sigma.shape[-1]))
+    a_hat = np.swapaxes(np.linalg.solve(safe, np.swapaxes(gamma, 1, 2)), 1, 2)
+    return ~ok, np.where(ok[:, None, None], a_hat - a, 0.0)
 
 
 def _trajectory_chunk(
@@ -233,27 +278,23 @@ def _trajectory_chunk(
     noise = _noise_chunk(rng, start, count, n, d)
     states = _states_batch(a, b, noise)
     x_prev = states[:, :-1]
-    x_next = states[:, 1:]
     out: dict[str, np.ndarray] = {}
 
+    # each Gram sum is computed once per chunk, for every statistic that needs it
+    if want & {"err", "mse", "score", "fisher", "dev"}:
+        sigma = _sym(_gram(x_prev, x_prev))
+    if want & {"err", "mse", "score", "fisher"}:
+        gamma = _gram(states[:, 1:], x_prev)
+    if want & {"selfnorm", "mult"}:
+        # sum_{i=1}^{N-1} e_i x_i^T: noise rows 1..N-1 against states 1..N-1
+        p = _gram(noise[:, 1:], states[:, 1:-1])
+
     if want & {"err", "mse"}:
-        gamma = np.einsum("tni,tnj->tij", x_next, x_prev)
-        sigma = np.einsum("tni,tnj->tij", x_prev, x_prev)
-        sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
-        w = np.linalg.eigvalsh(sigma)
-        ok = w[:, 0] > 1e-12 * np.maximum(w[:, -1], 0.0)
-        safe = np.where(ok[:, None, None], sigma, np.eye(d))
-        a_hat = np.transpose(
-            np.linalg.solve(safe, np.transpose(gamma, (0, 2, 1))), (0, 2, 1)
-        )
-        diff = np.where(ok[:, None, None], a_hat - a, 0.0)
-        out["failed"] = ~ok
+        out["failed"], diff = _ls_error(gamma, sigma, a)
         out["err"] = np.einsum("tij,tkj->tik", diff, diff)
         out["mse"] = np.einsum("tij,tij->t", diff, diff)
 
     if want & {"score", "fisher"}:
-        gamma = np.einsum("tni,tnj->tij", x_next, x_prev)
-        sigma = np.einsum("tni,tnj->tij", x_prev, x_prev)
         a_eval = aux.get("a_eval", a)
         score = np.einsum(
             "ij,tjk->tik", aux["bbt_inv"], gamma - np.einsum("ij,tjk->tik", a_eval, sigma)
@@ -264,20 +305,14 @@ def _trajectory_chunk(
             out["fisher"] = np.einsum("tij,tkj->tik", score, score)
 
     if "selfnorm" in want:
-        # sum_{i=1}^{N-1} e_i x_i^T: noise rows 1..N-1 against states 1..N-1
-        p = np.einsum("tni,tnj->tij", noise[:, 1:], states[:, 1:-1])
-        out["selfnorm"] = np.einsum(
-            "tij,jk,tlk->til", p, aux["psi_inv"], p
-        )
+        out["selfnorm"] = np.einsum("tij,jk,tlk->til", p, aux["psi_inv"], p)
 
     if "dev" in want:
-        m = np.einsum("tni,tnj->tij", states[:, 1:-1], states[:, 1:-1])
-        y = np.einsum("ij,tjk,kl->til", aux["w"], m, aux["w"]) - np.eye(d)
-        y = 0.5 * (y + np.transpose(y, (0, 2, 1)))
-        out["dev"] = np.max(np.abs(np.linalg.eigvalsh(y)), axis=1)
+        # x_0 = 0, so sigma is also sum_{i=1}^{N-1} x_i x_i^T
+        y = np.einsum("ij,tjk,kl->til", aux["w"], sigma, aux["w"]) - np.eye(d)
+        out["dev"] = np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)
 
     if "mult" in want:
-        p = np.einsum("tni,tnj->tij", noise[:, 1:], states[:, 1:-1])
         g = np.einsum("ij,tkj->tik", aux["w"], p)
         out["mult"] = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
 
@@ -289,20 +324,12 @@ def _bayes_chunk(
 ) -> dict[str, np.ndarray]:
     d = spec.d
     a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
-    noise = _noise_chunk(rng, start, count, n, d)
-    states = np.zeros((count, n + 1, d))
-    for i in range(n):
-        states[:, i + 1] = np.einsum("tij,tj->ti", a_stack, states[:, i]) + noise[:, i]
+    states = _states_batch(a_stack, np.eye(d), _noise_chunk(rng, start, count, n, d))
     x_prev = states[:, :-1]
-    gamma = np.einsum("tni,tnj->tij", states[:, 1:], x_prev)
-    sigma = np.einsum("tni,tnj->tij", x_prev, x_prev)
-    sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
-    w = np.linalg.eigvalsh(sigma)
-    ok = w[:, 0] > 1e-12 * np.maximum(w[:, -1], 0.0)
-    safe = np.where(ok[:, None, None], sigma, np.eye(d))
-    a_hat = np.transpose(np.linalg.solve(safe, np.transpose(gamma, (0, 2, 1))), (0, 2, 1))
-    diff = np.where(ok[:, None, None], a_hat - a_stack, 0.0)
-    return {"failed": ~ok, "mse": np.einsum("tij,tij->t", diff, diff)}
+    failed, diff = _ls_error(
+        _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev)), a_stack
+    )
+    return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
 
 
 def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, np.ndarray]:

@@ -6,6 +6,10 @@ chunks per experiment; ``verify_d3_n64`` runs one chunk per experiment.
 A change that alters any Monte Carlo draw or summation order on purpose
 regenerates them with
 ``ltibounds verify --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
+
+The bytes are fixed for a given numpy/BLAS build. The Gram sums are BLAS
+matrix products, so another BLAS build or CPU kernel may change the last
+digits; regenerate the goldens there rather than loosening this check.
 """
 
 from pathlib import Path

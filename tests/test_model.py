@@ -14,6 +14,7 @@ from ltibounds.model import (
     simulate,
     simulate_injected,
 )
+from ltibounds.montecarlo import _states_batch
 from ltibounds.rng import Stream
 
 
@@ -98,10 +99,13 @@ def test_simulate_two_step_covariance():
     # cov(x_2) = BB* + A BB* A* = 1.25 I for A = 0.5 I, B = I
     params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=3)
     trials = 100_000
-    xs = np.empty((trials, 2))
-    root = Stream(12)
-    for k in range(trials):
-        xs[k] = simulate(params, root.child(k)).states[2]
+    noise = Stream(12).generator().standard_normal((trials, params.n, params.d))
+    states = _states_batch(params.a, params.b, noise)
+    # the batched recursion is the one simulate_injected runs, trial by trial
+    for k in range(3):
+        reference = simulate_injected(params, noise[k]).states
+        np.testing.assert_allclose(states[k], reference, rtol=1e-12)
+    xs = states[:, 2]
     prods = np.einsum("ti,tj->tij", xs, xs)
     mean = prods.mean(axis=0)
     se = prods.std(axis=(0,), ddof=1) / np.sqrt(trials)

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 import ltibounds.bounds
+import ltibounds.montecarlo
 from ltibounds.bounds import cr_bound
-from ltibounds.minimax import PriorSpec
-from ltibounds.model import SystemParams
+from ltibounds.minimax import PriorSpec, sample_prior_batch
+from ltibounds.model import SystemParams, least_squares, simulate_injected
 from ltibounds.montecarlo import (
     CHUNK,
     AllTrialsSingularError,
     Experiment,
     _bayes_chunk,
     _chunk_ranges,
+    _chunk_stream,
     _gather,
+    _gram,
+    _noise_chunk,
     _prior_identity_chunk,
+    _states_batch,
+    _trajectory_chunk,
     _trajectory_stats,
     bayes_risk_experiment,
     concentration_experiment,
@@ -357,6 +363,112 @@ def test_prior_identity_chunk_trial_prefix_invariance():
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
     _assert_prefix_equal(short, long)
+
+
+# ---------------------------------------------------------------------------
+# kernel: Gram sums, state recursion, least squares
+# ---------------------------------------------------------------------------
+
+
+def _einsum_gram(x, y):
+    return np.einsum("tni,tnj->tij", x, y)
+
+
+@pytest.mark.parametrize("count, n, d", [(5, 40, 3), (1, 40, 3), (5, 40, 1), (1, 2, 1)])
+def test_gram_matches_einsum_on_strided_views(count, n, d):
+    g = Stream(93).generator()
+    trial_major = g.standard_normal((count, n + 1, d))
+    time_major = np.swapaxes(g.standard_normal((n + 1, count, d)), 0, 1)
+    views = [
+        (trial_major[:, 1:], trial_major[:, :-1]),
+        (time_major[:, 1:], time_major[:, :-1]),
+        (trial_major[:, 1:], time_major[:, :-1]),
+        (trial_major[:, :-1:2], time_major[:, 1::2]),
+        (time_major[:, :-1, ::-1], time_major[:, :-1]),
+    ]
+    for x, y in views:
+        ref = _einsum_gram(x, y)
+        assert _gram(x, y).shape == ref.shape == (count, d, d)
+        np.testing.assert_allclose(_gram(x, y), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def _states_loop(a, b, noise):
+    """The per-step recursion of one shared A, kept as the kernel's reference."""
+    count, n, d = noise.shape
+    states = np.zeros((count, n + 1, d))
+    np.matmul(noise, b.T, out=states[:, 1:])
+    for i in range(n):
+        states[:, i + 1] += states[:, i] @ a.T
+    return states
+
+
+@pytest.mark.parametrize("count, n, d", [(300, 50, 8), (1, 7, 2), (40, 9, 1)])
+def test_states_batch_is_bitwise_the_per_step_loop(count, n, d):
+    g = Stream(94).generator()
+    a = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0]
+    b = np.diag(g.uniform(0.5, 2.0, d)) + 0.1 * g.standard_normal((d, d))
+    noise = g.standard_normal((count, n, d))
+    states = _states_batch(a, b, noise)
+    assert states.shape == (count, n + 1, d)
+    assert np.array_equal(states, _states_loop(a, b, noise))
+
+
+def test_states_batch_one_a_per_trial_matches_simulate_injected():
+    spec = PriorSpec(s=0.5, eps=0.5, d=3)
+    count, n = 20, 30
+    a_stack = sample_prior_batch(spec, Stream(95), count).a
+    noise = Stream(96).generator().standard_normal((count, n, spec.d))
+    states = _states_batch(a_stack, np.eye(spec.d), noise)
+    for a, x, e in zip(a_stack, states, noise):
+        ref = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=n), e).states
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_bayes_chunk_matches_per_trial_least_squares():
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    n, count, rng = 12, 50, Stream(97)
+    out = _bayes_chunk(spec, n, rng, 0, count)
+    a_stack = sample_prior_batch(spec, _chunk_stream(rng, 0), count).a
+    noise = _noise_chunk(rng, 0, count, n, spec.d)
+    ref = []
+    for a, e in zip(a_stack, noise):
+        traj = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=n), e)
+        ref.append(np.sum((least_squares(traj) - a) ** 2))
+    assert not out["failed"].any()
+    np.testing.assert_allclose(out["mse"], ref, rtol=1e-9)
+
+
+ALL_STATS = frozenset({"err", "mse", "score", "fisher", "selfnorm", "dev", "mult"})
+
+
+def _chunk_aux(d):
+    return {"psi_inv": np.eye(d), "bbt_inv": np.eye(d), "w": 0.5 * np.eye(d)}
+
+
+def test_trajectory_chunk_forms_each_gram_sum_once(monkeypatch):
+    calls = []
+    original = ltibounds.montecarlo._gram
+
+    def recording_gram(x, y):
+        calls.append(x.shape)
+        return original(x, y)
+
+    monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    _trajectory_chunk(params, ALL_STATS, _chunk_aux(2), Stream(98), 0, 10)
+    assert len(calls) == 3  # sigma, gamma, and sum e_i x_i^T
+    calls.clear()
+    _trajectory_chunk(params, frozenset({"dev"}), _chunk_aux(2), Stream(98), 0, 10)
+    assert len(calls) == 1
+
+
+def test_trajectory_chunk_statistics_do_not_depend_on_what_else_is_asked():
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    together = _trajectory_chunk(params, ALL_STATS, _chunk_aux(2), Stream(99), 0, 50)
+    for stats in ({"err", "mse"}, {"score"}, {"fisher"}, {"selfnorm"}, {"dev"}, {"mult"}):
+        alone = _trajectory_chunk(params, frozenset(stats), _chunk_aux(2), Stream(99), 0, 50)
+        for key in alone:
+            assert np.array_equal(alone[key], together[key]), key
 
 
 def test_all_singular_raises():
