@@ -207,11 +207,3 @@ def score_identity_lhs(sample: PriorSample, spec: PriorSpec) -> np.ndarray:
     grad = _score(sample.u, sample.sigmas, sample.v, spec.eps)
     return -sample.a @ np.swapaxes(grad, -1, -2)
 
-
-def sample_prior_sigma_batch(spec: PriorSpec, rng: Stream, count: int) -> np.ndarray:
-    """Singular-value draws of ``count`` prior samples, one row per draw.
-
-    Convenience for distribution tests: the sigmas of
-    sample_prior_batch(spec, rng, count).
-    """
-    return sample_prior_batch(spec, rng, count).sigmas

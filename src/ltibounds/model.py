@@ -14,6 +14,10 @@ Index conventions, fixed once for every sum in this package:
 Off-by-one errors between these two families of sums are the main
 correctness hazard here; all other modules reuse these helpers instead of
 re-deriving index ranges.
+
+The underscored kernel (recursion, Gram sums, least squares, score) takes a
+leading trial axis: Monte Carlo chunks run it on whole chunks, and the
+single-trajectory functions are batches of one.
 """
 
 from __future__ import annotations
@@ -109,16 +113,72 @@ class GramStatistics:
     sigma: np.ndarray
 
 
+def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """States x_0..x_N of each trial, shape (count, N+1, d), for noise (count, N, d).
+
+    ``a`` is one (d, d) matrix shared by every trial, or one per trial,
+    (count, d, d).
+    """
+    count, n, d = noise.shape
+    states = np.zeros((count, n + 1, d))
+    # shocks B e_i go straight into the state buffer: no second noise-sized array
+    np.matmul(noise, b.T, out=states[:, 1:])
+    if a.ndim == 2:
+        for i in range(n):
+            states[:, i + 1] += states[:, i] @ a.T
+    else:
+        for i in range(n):
+            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
+    return states
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-trial sums over time of x_n y_n^T: (count, n, i), (count, n, j) -> (count, i, j).
+
+    One BLAS matrix product per trial; ``x`` and ``y`` may be strided views.
+    """
+    return np.matmul(np.swapaxes(x, 1, 2), y)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
+def _gram_sums(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial gamma = sum x_i x_{i-1}^T and symmetric sigma = sum x_{i-1} x_{i-1}^T."""
+    x_prev = states[:, :-1]
+    return _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev))
+
+
+def _ls_error(
+    gamma: np.ndarray, sigma: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials rejected as singular, and the least-squares error A_hat - A of each.
+
+    ``gamma`` and ``sigma`` (symmetric) are per-trial Gram sums and ``a`` the
+    true A, shared or one per trial. A trial is rejected, with error 0, when
+    ``sigma`` has an eigenvalue at most 1e-12 times its largest; the rejection
+    is never papered over with a pseudo-inverse.
+    """
+    w = np.linalg.eigvalsh(sigma)
+    ok = w[:, 0] > 1e-12 * np.maximum(w[:, -1], 0.0)
+    safe = np.where(ok[:, None, None], sigma, np.eye(sigma.shape[-1]))
+    a_hat = np.swapaxes(np.linalg.solve(safe, np.swapaxes(gamma, 1, 2)), 1, 2)
+    return ~ok, np.where(ok[:, None, None], a_hat - a, 0.0)
+
+
+def _data_score(params: SystemParams, gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-trial score of the log-likelihood in A: (BB*)^{-1} (gamma - A sigma)."""
+    bbt_inv = np.linalg.solve(params.noise_cov(), np.eye(params.d))
+    return np.einsum("ij,tjk->tik", bbt_inv, gamma - np.einsum("ij,tjk->tik", params.a, sigma))
+
+
 def simulate_injected(params: SystemParams, noise: np.ndarray) -> Trajectory:
     """Run the recursion x_{i+1} = A x_i + B e_i with supplied noise rows e_i."""
     noise = validate_matrix(noise, "noise")
     if noise.shape != (params.n, params.d):
         raise ValueError(f"noise must have shape {(params.n, params.d)}, got {noise.shape}")
-    states = np.zeros((params.n + 1, params.d))
-    a, b = params.a, params.b
-    for i in range(params.n):
-        states[i + 1] = a @ states[i] + b @ noise[i]
-    return Trajectory(states=states, noise=noise)
+    return Trajectory(states=_states_batch(params.a, params.b, noise[None])[0], noise=noise)
 
 
 def simulate(params: SystemParams, rng, keep_noise: bool = False) -> Trajectory:
@@ -132,27 +192,25 @@ def simulate(params: SystemParams, rng, keep_noise: bool = False) -> Trajectory:
 
 
 def gram_stats(traj: Trajectory) -> GramStatistics:
-    x_prev = traj.states[:-1]
-    x_next = traj.states[1:]
-    gamma = x_next.T @ x_prev
-    sigma = x_prev.T @ x_prev
-    return GramStatistics(gamma=gamma, sigma=0.5 * (sigma + sigma.T))
+    gamma, sigma = _gram_sums(traj.states[None])
+    return GramStatistics(gamma=gamma[0], sigma=sigma[0])
 
 
-def least_squares(traj: Trajectory, rtol: float = 1e-12) -> np.ndarray:
+def least_squares(traj: Trajectory) -> np.ndarray:
     """Least-squares estimate gamma @ sigma^{-1} of the dynamics matrix.
 
     Raises SingularCovarianceError when the sample covariance has an
-    eigenvalue below ``rtol`` times its largest one; the error is never
-    papered over with a pseudo-inverse.
+    eigenvalue at most 1e-12 times its largest one.
     """
-    stats = gram_stats(traj)
-    w = np.linalg.eigvalsh(stats.sigma)
-    if w[0] <= rtol * max(w[-1], 0.0):
+    gamma, sigma = _gram_sums(traj.states[None])
+    # the error against A = 0 is the estimate itself
+    singular, a_hat = _ls_error(gamma, sigma, np.zeros_like(gamma))
+    if singular[0]:
+        w = np.linalg.eigvalsh(sigma[0])
         raise SingularCovarianceError(
             f"sample covariance is singular (eigenvalue range {w[0]:.3e}..{w[-1]:.3e})"
         )
-    return np.linalg.solve(stats.sigma, stats.gamma.T).T
+    return a_hat[0]
 
 
 def sensitivity(params: SystemParams, traj: Trajectory) -> np.ndarray:
@@ -162,8 +220,7 @@ def sensitivity(params: SystemParams, traj: Trajectory) -> np.ndarray:
     ``params`` and carries its noise, it equals (B*)^{-1} sum e_{i-1} x_{i-1}^T
     up to roundoff.
     """
-    stats = gram_stats(traj)
-    return np.linalg.solve(params.noise_cov(), stats.gamma - params.a @ stats.sigma)
+    return _data_score(params, *_gram_sums(traj.states[None]))[0]
 
 
 def information_scalar(params: SystemParams) -> float:

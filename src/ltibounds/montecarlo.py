@@ -21,13 +21,13 @@ arrays, and reductions run over those arrays with numpy's pairwise
 summation. The worker count only decides where tasks run, so under a fixed
 numpy/BLAS build reports are bit-identical for any ``workers`` value.
 
-One kernel serves every trajectory experiment: ``_states_batch`` runs the
-recursion of a whole chunk (one A, or one per trial for the Bayes risk),
-``_gram`` forms each per-trial Gram sum as one BLAS matrix product, and
-``_ls_error`` is the one least-squares estimate with singular-trial
-rejection. A chunk computes each Gram sum once, whatever set of statistics
-it is asked for. Gram sums are BLAS products, so another BLAS build or CPU
-kernel may change their last digits.
+One kernel serves every trajectory experiment: the batched recursion, Gram
+sums, least squares and score of ``model``. Each plan has its own chunk
+function (``_risk_chunk``, ``_identity_chunk``, ``_concentration_chunk``,
+``_multiplication_chunk``, ``_bayes_chunk``) that simulates a whole chunk
+with one call of that kernel, forms each Gram sum it needs once, and
+computes only the statistics its reducer reads. Gram sums are BLAS
+products, so another BLAS build or CPU kernel may change their last digits.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -47,7 +47,16 @@ import numpy as np
 from .bounds import BoundReport, cr_bound, delta1, delta2, l_ab, psi
 from .linalg import sym_inv_sqrt
 from .minimax import PriorSpec, sample_prior_batch, score_identity_lhs, van_trees_bound
-from .model import SystemParams, fisher_information
+from .model import (
+    SystemParams,
+    _data_score,
+    _gram,
+    _gram_sums,
+    _ls_error,
+    _states_batch,
+    _sym,
+    fisher_information,
+)
 from .rng import KIND_NOISE, Stream
 
 CHUNK = 4096
@@ -219,104 +228,61 @@ def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndar
     return gen.standard_normal((count, n, d))
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-trial sums over time of x_n y_n^T: (count, n, i), (count, n, j) -> (count, i, j).
-
-    One BLAS matrix product per trial; ``x`` and ``y`` may be strided views.
-    """
-    return np.matmul(np.swapaxes(x, 1, 2), y)
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
-
-
-def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """States x_0..x_N of each trial, shape (count, N+1, d), for noise (count, N, d).
-
-    ``a`` is one (d, d) matrix shared by every trial, or one per trial,
-    (count, d, d).
-    """
-    count, n, d = noise.shape
-    states = np.zeros((count, n + 1, d))
-    # shocks B e_i go straight into the state buffer: no second noise-sized array
-    np.matmul(noise, b.T, out=states[:, 1:])
-    if a.ndim == 2:
-        for i in range(n):
-            states[:, i + 1] += states[:, i] @ a.T
-    else:
-        for i in range(n):
-            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
-    return states
-
-
-def _ls_error(
-    gamma: np.ndarray, sigma: np.ndarray, a: np.ndarray
+def _simulate_chunk(
+    params: SystemParams, rng: Stream, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials rejected as singular, and the least-squares error A_hat - A of each.
-
-    ``gamma`` and ``sigma`` (symmetric) are per-trial Gram sums and ``a`` the
-    true A, shared or one per trial. A trial is rejected, with error 0, when
-    ``sigma`` has an eigenvalue at most 1e-12 times its largest.
-    """
-    w = np.linalg.eigvalsh(sigma)
-    ok = w[:, 0] > 1e-12 * np.maximum(w[:, -1], 0.0)
-    safe = np.where(ok[:, None, None], sigma, np.eye(sigma.shape[-1]))
-    a_hat = np.swapaxes(np.linalg.solve(safe, np.swapaxes(gamma, 1, 2)), 1, 2)
-    return ~ok, np.where(ok[:, None, None], a_hat - a, 0.0)
+    """Noise (count, N, d) and states (count, N+1, d) of a chunk's trials."""
+    noise = _noise_chunk(rng, start, count, params.n, params.d)
+    return noise, _states_batch(params.a, params.b, noise)
 
 
-def _trajectory_chunk(
-    params: SystemParams,
-    want: frozenset[str],
-    aux: dict[str, np.ndarray],
-    rng: Stream,
-    start: int,
-    count: int,
+def _noise_gram(noise: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Per-trial sum_{i=1}^{N-1} e_i x_i^T: noise rows 1..N-1 against states 1..N-1."""
+    return _gram(noise[:, 1:], states[:, 1:-1])
+
+
+def _risk_chunk(
+    params: SystemParams, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
-    a, b, n, d = params.a, params.b, params.n, params.d
-    noise = _noise_chunk(rng, start, count, n, d)
-    states = _states_batch(a, b, noise)
+    _, states = _simulate_chunk(params, rng, start, count)
+    failed, diff = _ls_error(*_gram_sums(states), params.a)
+    return {
+        "failed": failed,
+        "err": np.einsum("tij,tkj->tik", diff, diff),
+        "mse": np.einsum("tij,tij->t", diff, diff),
+    }
+
+
+def _identity_chunk(
+    params: SystemParams, psi_inv: np.ndarray, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
+    noise, states = _simulate_chunk(params, rng, start, count)
+    score = _data_score(params, *_gram_sums(states))
+    p = _noise_gram(noise, states)
+    return {
+        "selfnorm": np.einsum("tij,jk,tlk->til", p, psi_inv, p),
+        "score": score,
+        "fisher": np.einsum("tij,tkj->tik", score, score),
+    }
+
+
+def _concentration_chunk(
+    params: SystemParams, w: np.ndarray, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
+    _, states = _simulate_chunk(params, rng, start, count)
+    # x_0 = 0, so this is also sum_{i=1}^{N-1} x_i x_i^T
     x_prev = states[:, :-1]
-    out: dict[str, np.ndarray] = {}
+    sigma = _sym(_gram(x_prev, x_prev))
+    y = np.einsum("ij,tjk,kl->til", w, sigma, w) - np.eye(params.d)
+    return {"dev": np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)}
 
-    # each Gram sum is computed once per chunk, for every statistic that needs it
-    if want & {"err", "mse", "score", "fisher", "dev"}:
-        sigma = _sym(_gram(x_prev, x_prev))
-    if want & {"err", "mse", "score", "fisher"}:
-        gamma = _gram(states[:, 1:], x_prev)
-    if want & {"selfnorm", "mult"}:
-        # sum_{i=1}^{N-1} e_i x_i^T: noise rows 1..N-1 against states 1..N-1
-        p = _gram(noise[:, 1:], states[:, 1:-1])
 
-    if want & {"err", "mse"}:
-        out["failed"], diff = _ls_error(gamma, sigma, a)
-        out["err"] = np.einsum("tij,tkj->tik", diff, diff)
-        out["mse"] = np.einsum("tij,tij->t", diff, diff)
-
-    if want & {"score", "fisher"}:
-        a_eval = aux.get("a_eval", a)
-        score = np.einsum(
-            "ij,tjk->tik", aux["bbt_inv"], gamma - np.einsum("ij,tjk->tik", a_eval, sigma)
-        )
-        if "score" in want:
-            out["score"] = score
-        if "fisher" in want:
-            out["fisher"] = np.einsum("tij,tkj->tik", score, score)
-
-    if "selfnorm" in want:
-        out["selfnorm"] = np.einsum("tij,jk,tlk->til", p, aux["psi_inv"], p)
-
-    if "dev" in want:
-        # x_0 = 0, so sigma is also sum_{i=1}^{N-1} x_i x_i^T
-        y = np.einsum("ij,tjk,kl->til", aux["w"], sigma, aux["w"]) - np.eye(d)
-        out["dev"] = np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)
-
-    if "mult" in want:
-        g = np.einsum("ij,tkj->tik", aux["w"], p)
-        out["mult"] = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
-
-    return out
+def _multiplication_chunk(
+    params: SystemParams, w: np.ndarray, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
+    noise, states = _simulate_chunk(params, rng, start, count)
+    g = np.einsum("ij,tkj->tik", w, _noise_gram(noise, states))
+    return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
 def _bayes_chunk(
@@ -325,10 +291,7 @@ def _bayes_chunk(
     d = spec.d
     a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
     states = _states_batch(a_stack, np.eye(d), _noise_chunk(rng, start, count, n, d))
-    x_prev = states[:, :-1]
-    failed, diff = _ls_error(
-        _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev)), a_stack
-    )
+    failed, diff = _ls_error(*_gram_sums(states), a_stack)
     return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
 
 
@@ -349,21 +312,23 @@ def _prior_identity_chunk(
     return {"lhs": score_identity_lhs(sample, spec)}
 
 
-def _trajectory_stats(
-    params: SystemParams,
-    trials: int,
-    rng: Stream,
-    want: frozenset[str],
-    aux: dict[str, np.ndarray],
-    workers: int,
-) -> dict[str, np.ndarray]:
-    tasks = _chunk_tasks(_trajectory_chunk, trials, params, want, aux, rng)
-    return _run(Experiment(tasks, _gather), workers)
-
-
 # ---------------------------------------------------------------------------
 # experiments: a plan (tasks and reducer) and the function that runs it
 # ---------------------------------------------------------------------------
+
+
+def _accepted_trials(failed: np.ndarray, what: str) -> int:
+    """Trials not rejected as singular; raises when all are, or more than 0.1%."""
+    trials, rejected = len(failed), int(np.sum(failed))
+    if rejected == trials:
+        raise AllTrialsSingularError(
+            f"all {what} had singular sample covariance; check N >= d+1 and params"
+        )
+    if rejected > 0.001 * trials:
+        raise TooManySingularTrialsError(
+            f"{rejected} of {trials} {what} had singular sample covariance"
+        )
+    return trials - rejected
 
 
 def risk_plan(params: SystemParams, trials: int, rng: Stream) -> Experiment:
@@ -373,31 +338,20 @@ def risk_plan(params: SystemParams, trials: int, rng: Stream) -> Experiment:
 
     def reduce(parts) -> RiskEstimate:
         data = _gather(parts)
-        failed = int(np.sum(data["failed"]))
-        n_ok = trials - failed
-        if n_ok == 0:
-            raise AllTrialsSingularError(
-                "all trials had singular sample covariance; check N >= d+1 and params"
-            )
-        if failed > 0.001 * trials:
-            raise TooManySingularTrialsError(
-                f"{failed} of {trials} trials had singular sample covariance"
-            )
-        ok = ~data["failed"]
+        n_ok = _accepted_trials(data["failed"], "trials")
         error_matrix = np.sum(data["err"], axis=0) / n_ok
         error_matrix = 0.5 * (error_matrix + error_matrix.T)
-        mses = data["mse"][ok]
+        mses = data["mse"][~data["failed"]]
         std_error = float(mses.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("inf")
         return RiskEstimate(
             error_matrix=error_matrix,
             mse=float(np.trace(error_matrix)),
             trials=n_ok,
             mse_std_error=std_error,
-            failed_trials=failed,
+            failed_trials=trials - n_ok,
         )
 
-    want = frozenset({"err", "mse"})
-    return Experiment(_chunk_tasks(_trajectory_chunk, trials, params, want, {}, rng), reduce)
+    return Experiment(_chunk_tasks(_risk_chunk, trials, params, rng), reduce)
 
 
 def empirical_risk(
@@ -405,53 +359,6 @@ def empirical_risk(
 ) -> RiskEstimate:
     """Monte Carlo mean of (A_hat - A)(A_hat - A)^T over independent trajectories."""
     return _run(risk_plan(params, trials, rng), workers)
-
-
-def mc_selfnorm_identity(
-    params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
-) -> np.ndarray:
-    """MC mean of (sum e_i x_i^T) Psi^{-1} (sum x_i e_i^T); the exact mean is d*I."""
-    aux = {"psi_inv": np.linalg.solve(psi(params), np.eye(params.d))}
-    data = _trajectory_stats(params, trials, rng, frozenset({"selfnorm"}), aux, workers)
-    return data["selfnorm"].mean(axis=0)
-
-
-def mc_fisher_check(
-    params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """MC mean of the score outer product against the closed-form information."""
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    aux = {"bbt_inv": np.linalg.solve(params.noise_cov(), np.eye(params.d))}
-    data = _trajectory_stats(params, trials, rng, frozenset({"fisher"}), aux, workers)
-    mc = data["fisher"].mean(axis=0)
-    closed = fisher_information(params)
-    rel_err = float(np.linalg.norm(mc - closed) / np.linalg.norm(closed))
-    return mc, closed, rel_err
-
-
-def mc_score_mean(
-    params: SystemParams,
-    trials: int,
-    rng: Stream,
-    *,
-    eval_a: np.ndarray | None = None,
-    workers: int = 1,
-) -> np.ndarray:
-    """MC mean of the score; zero at the true parameter.
-
-    ``eval_a`` scores the simulated data at a different dynamics matrix (the
-    misspecification negative control).
-    """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    aux: dict[str, np.ndarray] = {
-        "bbt_inv": np.linalg.solve(params.noise_cov(), np.eye(params.d))
-    }
-    if eval_a is not None:
-        aux["a_eval"] = np.asarray(eval_a, dtype=float)
-    data = _trajectory_stats(params, trials, rng, frozenset({"score"}), aux, workers)
-    return data["score"].mean(axis=0)
 
 
 def concentration_plan(
@@ -497,8 +404,7 @@ def concentration_plan(
             fitted_constant=fitted,
         )
 
-    aux = {"w": psi_inv_sqrt}
-    chunks = _chunk_tasks(_trajectory_chunk, trials, params, frozenset({"dev"}), aux, rng)
+    chunks = _chunk_tasks(_concentration_chunk, trials, params, psi_inv_sqrt, rng)
     return Experiment([rate, *chunks], reduce)
 
 
@@ -543,8 +449,7 @@ def multiplication_plan(
             bound_value=params.d * delta2(params, parts[0].l_ab),
         )
 
-    aux = {"w": psi_inv_sqrt}
-    chunks = _chunk_tasks(_trajectory_chunk, trials, params, frozenset({"mult"}), aux, rng)
+    chunks = _chunk_tasks(_multiplication_chunk, trials, params, psi_inv_sqrt, rng)
     return Experiment([rate, *chunks], reduce)
 
 
@@ -625,14 +530,7 @@ def bayes_plan(spec: PriorSpec, n: int, trials: int, rng: Stream) -> Experiment:
 
     def reduce(parts) -> BayesRiskResult:
         data = _gather(parts)
-        failed = int(np.sum(data["failed"]))
-        n_ok = trials - failed
-        if n_ok == 0:
-            raise AllTrialsSingularError("all Bayes trials had singular sample covariance")
-        if failed > 0.001 * trials:
-            raise TooManySingularTrialsError(
-                f"{failed} of {trials} Bayes trials had singular sample covariance"
-            )
+        n_ok = _accepted_trials(data["failed"], "Bayes trials")
         bayes_mse = float(np.sum(data["mse"]) / n_ok)
         return BayesRiskResult(
             bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
@@ -702,10 +600,7 @@ def identity_plan(
     d = params.d
     if psi_matrix is None:
         psi_matrix = psi(params)
-    aux = {
-        "psi_inv": np.linalg.solve(psi_matrix, np.eye(d)),
-        "bbt_inv": np.linalg.solve(params.noise_cov(), np.eye(d)),
-    }
+    psi_inv = np.linalg.solve(psi_matrix, np.eye(d))
 
     def reduce(parts) -> list[CheckResult]:
         data = _gather(parts)
@@ -717,8 +612,7 @@ def identity_plan(
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 
-    want = frozenset({"selfnorm", "score", "fisher"})
-    return Experiment(_chunk_tasks(_trajectory_chunk, trials, params, want, aux, rng), reduce)
+    return Experiment(_chunk_tasks(_identity_chunk, trials, params, psi_inv, rng), reduce)
 
 
 def identity_checks(
@@ -728,8 +622,8 @@ def identity_checks(
 
     Three exact identities share the same simulated trajectories: the
     self-normalized mean d*I, the score outer-product mean equal to the
-    closed-form information (checked at 5% relative error), and the zero
-    score mean (both entrywise at 4 standard errors).
+    closed-form information, and the zero score mean, each entrywise at 4
+    standard errors.
     """
     return _run(identity_plan(params, trials, rng), workers)
 

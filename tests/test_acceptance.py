@@ -7,13 +7,14 @@ test's FAILED line).
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
-from ltibounds.bounds import geom_sum, l_ab, lab_upper_bound, phi, spectral_split
+from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi, spectral_split
 from ltibounds.cli import main
 from ltibounds.minimax import (
     PriorSpec,
@@ -22,19 +23,23 @@ from ltibounds.minimax import (
     prior_density,
     prior_fisher,
     sample_prior,
-    sample_prior_sigma_batch,
+    sample_prior_batch,
     van_trees_bound,
     z_const,
 )
-from ltibounds.model import SystemParams
+from ltibounds.model import SystemParams, fisher_information
 from ltibounds.montecarlo import (
+    Experiment,
+    _gather,
     bayes_risk_experiment,
-    dominance_check,
+    dominance_plan,
     empirical_risk,
     identity_checks,
-    mc_fisher_check,
+    identity_plan,
     norm_ineq_fuzz,
     prior_identity_check,
+    risk_plan,
+    run_experiments,
 )
 from ltibounds.rng import Stream
 
@@ -75,7 +80,12 @@ def test_criterion_1_exact_identity_suite():
         }
         assert checks["selfnorm_identity"].passed, (label, checks["selfnorm_identity"])
         assert checks["score_mean_zero"].passed, (label, checks["score_mean_zero"])
-        _, _, rel = mc_fisher_check(params, TRIALS_IDENTITY, root.child(11, idx))
+        # the identity plan's chunks on a second stream, their Fisher samples
+        # reduced to a relative Frobenius distance instead of an entrywise check
+        plan = identity_plan(params, TRIALS_IDENTITY, root.child(11, idx))
+        mc = run_experiments([Experiment(plan.tasks, _gather)])[0]["fisher"].mean(axis=0)
+        closed = fisher_information(params)
+        rel = np.linalg.norm(mc - closed) / np.linalg.norm(closed)
         assert rel < 0.05, (label, rel)
         print(f"  criterion 1 [{label}]: selfnorm/score 4-SE ok, fisher rel {rel:.4f}")
     for idx, (d, s) in enumerate([(1, 0.0), (2, 0.0), (3, 0.0), (2, 5.0)]):
@@ -101,7 +111,7 @@ def test_criterion_2_prior_machinery():
         assert abs(integral**d - 1.0) < 1e-10, d
 
     spec = PriorSpec(s=0.0, eps=1.0, d=2)
-    sigmas = sample_prior_sigma_batch(spec, Stream(SEED).child(20), 100_000)
+    sigmas = sample_prior_batch(spec, Stream(SEED).child(20), 100_000).sigmas
     ks = scipy.stats.kstest(sigmas[:, 0], scipy.stats.beta(2, 3).cdf).statistic
     assert ks < 0.01, ks
 
@@ -188,15 +198,26 @@ def test_criterion_4_dominance_suite():
     controls (10x inflated bounds) fail."""
     root = Stream(SEED)
     for idx, (label, params) in enumerate(DOMINANCE_FAMILY):
-        result = dominance_check(params, TRIALS_DOMINANCE, 0.1, root.child(40, idx))
+        # the three checks share one bound and one set of trajectories
+        rng = root.child(40, idx)
+        base = dominance_plan(
+            params, TRIALS_DOMINANCE, 0.1, rng, partial(cr_bound, params, 0.1, 1.0)
+        )
+        inflated_plan = dominance_plan(
+            params, TRIALS_DOMINANCE, 0.1, rng, base.tasks[0], bound_scale=10.0
+        )
+        risk = risk_plan(params, TRIALS_DOMINANCE, rng)
+        result, inflated, est = run_experiments(
+            [
+                base,
+                Experiment(base.tasks, inflated_plan.reduce),
+                Experiment(base.tasks[1:], risk.reduce),
+            ]
+        )
         assert result.holds and result.margin > 0, (label, result)
         print(f"  criterion 4 [{label}]: margin {result.margin:.3e}")
-        inflated = dominance_check(
-            params, TRIALS_DOMINANCE, 0.1, root.child(40, idx), bound_scale=10.0
-        )
         assert not inflated.holds, (label, inflated)
         # scalarized form with the heuristic 1/2 constant
-        est = empirical_risk(params, TRIALS_DOMINANCE, root.child(40, idx))
         floor = 0.5 * params.d**2 / phi(np.linalg.norm(params.a, 2) ** 2, params.n)
         assert est.mse >= floor, (label, est.mse, floor)
 

@@ -14,7 +14,6 @@ from ltibounds.minimax import (
     prior_fisher,
     sample_prior,
     sample_prior_batch,
-    sample_prior_sigma_batch,
     score_identity_lhs,
     van_trees_bound,
     z_const,
@@ -90,7 +89,7 @@ def test_density_normalization_factorized_quadrature():
 
 def test_sample_sigma_mean():
     spec = PriorSpec(s=0.0, eps=1.0, d=2)
-    sigmas = sample_prior_sigma_batch(spec, Stream(42), 100_000)
+    sigmas = sample_prior_batch(spec, Stream(42), 100_000).sigmas
     mean = sigmas.mean()
     se = sigmas.std(ddof=1) / math.sqrt(sigmas.size)
     assert abs(mean - 0.4) < 3 * se  # Beta(2,3) mean = 2/5
@@ -145,7 +144,7 @@ def test_sample_max_singular_value_any_s():
 def test_sample_sigma_ks_matches_beta():
     for d in (1, 2):
         spec = PriorSpec(s=0.0, eps=1.0, d=d)
-        sigmas = sample_prior_sigma_batch(spec, Stream(45).child(d), 100_000)
+        sigmas = sample_prior_batch(spec, Stream(45).child(d), 100_000).sigmas
         stat = scipy.stats.kstest(sigmas[:, 0], scipy.stats.beta(d, 3).cdf).statistic
         assert stat < 0.01
 

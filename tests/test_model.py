@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ltibounds.bounds import psi
 from ltibounds.model import (
     SingularCovarianceError,
     SystemParams,
     Trajectory,
+    _ls_error,
+    _states_batch,
     fisher_information,
     gram_stats,
     information_scalar,
@@ -14,7 +19,6 @@ from ltibounds.model import (
     simulate,
     simulate_injected,
 )
-from ltibounds.montecarlo import _states_batch
 from ltibounds.rng import Stream
 
 
@@ -100,12 +104,7 @@ def test_simulate_two_step_covariance():
     params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=3)
     trials = 100_000
     noise = Stream(12).generator().standard_normal((trials, params.n, params.d))
-    states = _states_batch(params.a, params.b, noise)
-    # the batched recursion is the one simulate_injected runs, trial by trial
-    for k in range(3):
-        reference = simulate_injected(params, noise[k]).states
-        np.testing.assert_allclose(states[k], reference, rtol=1e-12)
-    xs = states[:, 2]
+    xs = _states_batch(params.a, params.b, noise)[:, 2]
     prods = np.einsum("ti,tj->tij", xs, xs)
     mean = prods.mean(axis=0)
     se = prods.std(axis=(0,), ddof=1) / np.sqrt(trials)
@@ -177,8 +176,21 @@ def test_ls_minimizer_property():
 
 
 def test_ls_raises_on_singular():
-    with pytest.raises(SingularCovarianceError):
+    with pytest.raises(SingularCovarianceError, match=r"eigenvalue range 0\.000e\+00\.\.0\.000e\+00"):
         least_squares(Trajectory(states=np.zeros((5, 2))))
+    # states on one line: sigma = diag(1 + 4, 0)
+    line = Trajectory(states=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    with pytest.raises(SingularCovarianceError, match=r"eigenvalue range 0\.000e\+00\.\.5\.000e\+00"):
+        least_squares(line)
+
+
+def test_ls_error_rejects_at_1e12_relative_eigenvalue():
+    sigma = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 2e-12]), np.zeros((2, 2))])
+    gamma = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
+    singular, diff = _ls_error(gamma, sigma, np.eye(2))
+    assert singular.tolist() == [True, False, True]
+    assert np.all(diff[[0, 2]] == 0.0)
+    np.testing.assert_allclose(diff[1], np.diag([2.0, 1.5e12 - 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +257,23 @@ def test_information_scalar_positive_definite_fisher():
     w = np.linalg.eigvalsh(fisher)
     assert w[0] > 0
     assert information_scalar(params) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    radius=st.sampled_from([0.0, 0.5, 0.95, 1.0, 1.05, 1.3]),
+    extra=st.integers(0, 60),
+)
+def test_information_scalar_is_trace_of_psi(seed, d, radius, extra):
+    # A scaled to spectral radius `radius`: stable, limit-stable and unstable
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((d, d))
+    a *= radius / max(np.abs(np.linalg.eigvals(a)))
+    b = np.diag(g.uniform(0.5, 2.0, d)) + np.triu(0.3 * g.standard_normal((d, d)), 1)
+    params = SystemParams(a=a, b=b, n=d + 1 + extra)
+    assert information_scalar(params) == pytest.approx(np.trace(psi(params)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,32 +5,43 @@ import numpy as np
 import pytest
 
 import ltibounds.bounds
+import ltibounds.model
 import ltibounds.montecarlo
 from ltibounds.bounds import cr_bound
 from ltibounds.minimax import PriorSpec, sample_prior_batch
-from ltibounds.model import SystemParams, least_squares, simulate_injected
+from ltibounds.model import (
+    SystemParams,
+    _data_score,
+    _gram,
+    _gram_sums,
+    _states_batch,
+    fisher_information,
+    least_squares,
+    simulate_injected,
+)
 from ltibounds.montecarlo import (
     CHUNK,
     AllTrialsSingularError,
     Experiment,
+    TooManySingularTrialsError,
+    _accepted_trials,
     _bayes_chunk,
     _chunk_ranges,
     _chunk_stream,
+    _concentration_chunk,
     _gather,
-    _gram,
+    _identity_chunk,
+    _multiplication_chunk,
     _noise_chunk,
     _prior_identity_chunk,
-    _states_batch,
-    _trajectory_chunk,
-    _trajectory_stats,
+    _risk_chunk,
+    _simulate_chunk,
     bayes_risk_experiment,
     concentration_experiment,
     dominance_check,
     empirical_risk,
     identity_checks,
-    mc_fisher_check,
-    mc_score_mean,
-    mc_selfnorm_identity,
+    identity_plan,
     multiplication_experiment,
     norm_ineq_fuzz,
     prior_identity_check,
@@ -91,6 +102,18 @@ def test_risk_worker_independence():
 # ---------------------------------------------------------------------------
 
 
+def identity_samples(params, trials, rng):
+    """Per-trial selfnorm, score and Fisher samples of ``identity_checks``' chunks."""
+    return run_experiments([Experiment(identity_plan(params, trials, rng).tasks, _gather)])[0]
+
+
+def fisher_mc(params, trials, rng):
+    """MC information, the closed form, and their relative Frobenius distance."""
+    mc = identity_samples(params, trials, rng)["fisher"].mean(axis=0)
+    closed = fisher_information(params)
+    return mc, closed, float(np.linalg.norm(mc - closed) / np.linalg.norm(closed))
+
+
 def test_selfnorm_identity_rotation():
     params = SystemParams(a=rotation(0.5, 0.6), b=np.eye(2), n=10)
     checks = identity_checks(params, 20_000, Stream(57))
@@ -101,21 +124,21 @@ def test_selfnorm_identity_rotation():
 
 def test_selfnorm_identity_scalar_memoryless():
     params = scalar_params(0.0, n=5)
-    mean = mc_selfnorm_identity(params, 20_000, Stream(58))
+    mean = identity_samples(params, 20_000, Stream(58))["selfnorm"].mean(axis=0)
     assert mean[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_selfnorm_noise_scale_exact_invariance():
     params1 = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=8)
     params3 = SystemParams(a=0.5 * np.eye(2), b=3.0 * np.eye(2), n=8)
-    m1 = mc_selfnorm_identity(params1, 2000, Stream(59))
-    m3 = mc_selfnorm_identity(params3, 2000, Stream(59))
+    m1 = identity_samples(params1, 2000, Stream(59))["selfnorm"].mean(axis=0)
+    m3 = identity_samples(params3, 2000, Stream(59))["selfnorm"].mean(axis=0)
     assert np.allclose(m1, m3, rtol=1e-10)
 
 
 def test_fisher_check_memoryless():
     params = SystemParams(a=np.zeros((2, 2)), b=np.eye(2), n=6)
-    mc, closed, rel = mc_fisher_check(params, 10_000, Stream(60))
+    mc, closed, rel = fisher_mc(params, 10_000, Stream(60))
     assert np.allclose(closed, 10.0 * np.eye(2))
     assert rel < 0.05
 
@@ -124,14 +147,14 @@ def test_fisher_check_stable_random():
     g = Stream(61).generator()
     a = 0.4 * g.standard_normal((2, 2))
     params = SystemParams(a=a, b=np.eye(2), n=12)
-    _, _, rel = mc_fisher_check(params, 10_000, Stream(62))
+    _, _, rel = fisher_mc(params, 10_000, Stream(62))
     assert rel < 0.05
 
 
 def test_fisher_noise_scale_invariance_mc():
     a = 0.5 * np.eye(2)
-    m1, c1, _ = mc_fisher_check(SystemParams(a=a, b=np.eye(2), n=8), 2000, Stream(63))
-    m3, c3, _ = mc_fisher_check(SystemParams(a=a, b=3 * np.eye(2), n=8), 2000, Stream(63))
+    m1, c1, _ = fisher_mc(SystemParams(a=a, b=np.eye(2), n=8), 2000, Stream(63))
+    m3, c3, _ = fisher_mc(SystemParams(a=a, b=3 * np.eye(2), n=8), 2000, Stream(63))
     assert np.allclose(m1, m3, rtol=1e-10)
     assert np.allclose(c1, c3, rtol=1e-10)
 
@@ -141,8 +164,14 @@ def test_score_mean_zero_and_negative_control():
     checks = identity_checks(params, 20_000, Stream(64))
     score = [c for c in checks if c.name == "score_mean_zero"][0]
     assert score.passed
-    # misspecified parameter: the mean is visibly nonzero
-    wrong = mc_score_mean(params, 5000, Stream(65), eval_a=np.array([[0.8]]))
+    # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
+    at_wrong_a = scalar_params(0.8, n=16)
+    wrong = np.concatenate(
+        [
+            _data_score(at_wrong_a, *_gram_sums(_simulate_chunk(params, Stream(65), s, c)[1]))
+            for s, c in _chunk_ranges(5000)
+        ]
+    ).mean(axis=0)
     data_se = score.std_error
     assert abs(wrong[0, 0]) > 10 * data_se
 
@@ -331,20 +360,24 @@ def _assert_prefix_equal(short: dict, long: dict) -> None:
         assert np.array_equal(short[key], long[key][:PREFIX_TRIALS]), key
 
 
-def test_trajectory_stats_trial_prefix_invariance():
+def _statistic_chunks(params, w):
+    """Each trajectory plan's chunk function, as ``chunk(rng, start, count)``."""
+    return [
+        partial(_risk_chunk, params),
+        partial(_identity_chunk, params, w),
+        partial(_concentration_chunk, params, w),
+        partial(_multiplication_chunk, params, w),
+    ]
+
+
+def test_statistic_chunks_trial_prefix_invariance():
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    aux = {
-        "psi_inv": np.eye(2),
-        "bbt_inv": np.eye(2),
-        "w": np.eye(2),
-        "a_eval": 0.5 * np.eye(2),
-    }
-    want = frozenset({"err", "mse", "score", "fisher", "selfnorm", "dev", "mult"})
-    short, long = (
-        _trajectory_stats(params, trials, Stream(90), want, aux, 1)
-        for trials in (PREFIX_TRIALS, LONGER_TRIALS)
-    )
-    _assert_prefix_equal(short, long)
+    for chunk in _statistic_chunks(params, np.eye(2)):
+        short, long = (
+            _gather([chunk(Stream(90), s, c) for s, c in _chunk_ranges(t)])
+            for t in (PREFIX_TRIALS, LONGER_TRIALS)
+        )
+        _assert_prefix_equal(short, long)
 
 
 def test_bayes_chunk_trial_prefix_invariance():
@@ -366,7 +399,7 @@ def test_prior_identity_chunk_trial_prefix_invariance():
 
 
 # ---------------------------------------------------------------------------
-# kernel: Gram sums, state recursion, least squares
+# the model kernel as the chunks use it: Gram sums, state recursion, least squares
 # ---------------------------------------------------------------------------
 
 
@@ -438,47 +471,46 @@ def test_bayes_chunk_matches_per_trial_least_squares():
     np.testing.assert_allclose(out["mse"], ref, rtol=1e-9)
 
 
-ALL_STATS = frozenset({"err", "mse", "score", "fisher", "selfnorm", "dev", "mult"})
-
-
-def _chunk_aux(d):
-    return {"psi_inv": np.eye(d), "bbt_inv": np.eye(d), "w": 0.5 * np.eye(d)}
-
-
-def test_trajectory_chunk_forms_each_gram_sum_once(monkeypatch):
+def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkeypatch):
     calls = []
-    original = ltibounds.montecarlo._gram
+    original = ltibounds.model._gram
 
     def recording_gram(x, y):
         calls.append(x.shape)
         return original(x, y)
 
+    monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
     monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    _trajectory_chunk(params, ALL_STATS, _chunk_aux(2), Stream(98), 0, 10)
-    assert len(calls) == 3  # sigma, gamma, and sum e_i x_i^T
-    calls.clear()
-    _trajectory_chunk(params, frozenset({"dev"}), _chunk_aux(2), Stream(98), 0, 10)
-    assert len(calls) == 1
-
-
-def test_trajectory_chunk_statistics_do_not_depend_on_what_else_is_asked():
-    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    together = _trajectory_chunk(params, ALL_STATS, _chunk_aux(2), Stream(99), 0, 50)
-    for stats in ({"err", "mse"}, {"score"}, {"fisher"}, {"selfnorm"}, {"dev"}, {"mult"}):
-        alone = _trajectory_chunk(params, frozenset(stats), _chunk_aux(2), Stream(99), 0, 50)
-        for key in alone:
-            assert np.array_equal(alone[key], together[key]), key
+    risk, identity, concentration, multiplication = _statistic_chunks(params, 0.5 * np.eye(2))
+    bayes = partial(_bayes_chunk, PriorSpec(s=0.5, eps=0.5, d=2), 6)
+    expected = [
+        (identity, 3, {"selfnorm", "score", "fisher"}),  # sigma, gamma, sum e_i x_i^T
+        (risk, 2, {"failed", "err", "mse"}),
+        (bayes, 2, {"failed", "mse"}),
+        (concentration, 1, {"dev"}),
+        (multiplication, 1, {"mult"}),
+    ]
+    for chunk, sums, keys in expected:
+        calls.clear()
+        assert set(chunk(Stream(98), 0, 10)) == keys
+        assert len(calls) == sums, keys
 
 
 def test_all_singular_raises():
-    # d=2 with N=3 leaves just enough data; a degenerate case cannot happen
-    # with genuine noise, so force it via trials below the audit threshold
+    # N = d+1 leaves just enough data; genuine noise never makes a trial
+    # singular, so the rejection audit is driven with rejection flags
     params = SystemParams(a=np.zeros((1, 1)), b=np.eye(1), n=2)
     est = empirical_risk(params, 200, Stream(85))
     assert est.failed_trials == 0
-    with pytest.raises(AllTrialsSingularError):
-        raise AllTrialsSingularError("sentinel")
+    flags = np.zeros(2000, dtype=bool)
+    flags[:2] = True  # 0.1%: at the audit threshold, still accepted
+    assert _accepted_trials(flags, "trials") == 1998
+    flags[2] = True
+    with pytest.raises(TooManySingularTrialsError, match="3 of 2000 trials"):
+        _accepted_trials(flags, "trials")
+    with pytest.raises(AllTrialsSingularError, match="all Bayes trials"):
+        _accepted_trials(np.ones(5, dtype=bool), "Bayes trials")
 
 
 # ---------------------------------------------------------------------------
