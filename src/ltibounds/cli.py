@@ -46,6 +46,7 @@ from .montecarlo import (
     multiplication_plan,
     prior_identity_plan,
     run_experiments,
+    trajectory_experiments,
 )
 from .rng import Stream
 
@@ -54,15 +55,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 
-# stream salts keep every experiment on its own substream family
+# stream salts, one substream family each; the identity, dominance,
+# concentration and multiplication experiments of a verify op share the
+# trajectories simulated under SALT_IDENTITY
 SALT_IDENTITY = 0
 SALT_PRIOR = 1
-SALT_DOMINANCE = 2
 SALT_BAYES = 3
 SALT_RISK = 4
 SALT_SAMPLES = 5
-SALT_CONCENTRATION = 6
-SALT_MULTIPLICATION = 7
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,11 @@ def _row(cfg: ExperimentConfig, quantity: str, value: float, eq_tag: str, **extr
         seed=cfg.seed,
         extra=extra,
     )
+
+
+def _skipped_row(cfg: ExperimentConfig, quantity: str, eq_tag: str, minimum: int) -> ReportRow:
+    skipped = f"trials below the {minimum}-trial minimum"
+    return _row(cfg, quantity, 0.0, eq_tag, status="inconclusive", skipped=skipped)
 
 
 def rows_to_csv(rows: list[ReportRow], cfg: ExperimentConfig) -> str:
@@ -256,40 +261,25 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     # every experiment of the op, and the bound, run in one call of the runner;
     # Psi is computed once here and shared by the tasks that need it
     psi_m = psi(params)
-    plans = [
-        identity_plan(params, cfg.trials, root.child(SALT_IDENTITY), psi_m),
-        prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR)),
-    ]
+    on_trajectories = [identity_plan(params, psi_m)]
     if cfg.trials >= 100:
         bound = partial(
             cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points, psi_matrix=psi_m
         )
-        plans.append(
-            dominance_plan(
-                params,
-                cfg.trials,
-                cfg.epsilon,
-                root.child(SALT_DOMINANCE),
-                bound,
-                bound_scale=cfg.constant_c,
-            )
+        on_trajectories.append(
+            dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
         )
     if cfg.trials >= 1000:
         psi_inv_sqrt = sym_inv_sqrt(psi_m)
-        plans += [
-            bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES)),
-            concentration_plan(
-                params,
-                cfg.trials,
-                list(cfg.t_levels),
-                root.child(SALT_CONCENTRATION),
-                psi_inv_sqrt,
-                bound,
-            ),
-            multiplication_plan(
-                params, cfg.trials, root.child(SALT_MULTIPLICATION), psi_inv_sqrt, bound
-            ),
+        on_trajectories += [
+            concentration_plan(params, cfg.trials, list(cfg.t_levels), psi_inv_sqrt, bound),
+            multiplication_plan(params, cfg.trials, psi_inv_sqrt, bound),
         ]
+    plans = trajectory_experiments(params, cfg.trials, root.child(SALT_IDENTITY), on_trajectories)
+    # in report order: the prior check after the identities, Bayes after dominance
+    plans.insert(1, prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR)))
+    if cfg.trials >= 1000:
+        plans.insert(3, bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES)))
     results = iter(run_experiments(plans, workers))
 
     rows: list[ReportRow] = []
@@ -349,16 +339,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
     else:
-        rows.append(
-            _row(
-                cfg,
-                "risk_dominance",
-                0.0,
-                "risk-dominance",
-                status="inconclusive",
-                skipped="trials below the 100-trial minimum",
-            )
-        )
+        rows.append(_skipped_row(cfg, "risk_dominance", "risk-dominance", 100))
 
     if cfg.trials >= 1000:
         bayes = next(results)
@@ -378,16 +359,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
     else:
-        rows.append(
-            _row(
-                cfg,
-                "bayes_dominance",
-                0.0,
-                "bayes-risk-lower-bound",
-                status="inconclusive",
-                skipped="trials below the 1000-trial minimum",
-            )
-        )
+        rows.append(_skipped_row(cfg, "bayes_dominance", "bayes-risk-lower-bound", 1000))
 
     # constant-dependent experiments: descriptive, never drive the exit code
     if cfg.trials >= 1000:

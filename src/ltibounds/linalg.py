@@ -111,9 +111,12 @@ def sym_inv_sqrt(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     m = require_symmetric(m, "sym_inv_sqrt input")
     w, v = np.linalg.eigh(m)
-    if w[0] <= rtol * max(w[-1], 0.0) or w[0] <= 0.0:
+    if w[0] <= 0.0:
+        raise ValueError(f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}")
+    if w[0] <= rtol * w[-1]:
         raise ValueError(
-            f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}"
+            f"matrix is too ill-conditioned: smallest/largest eigenvalue ratio "
+            f"{w[0] / w[-1]:.3e} <= rtol {rtol:.1e} (eigenvalues {w[0]:.3e}..{w[-1]:.3e})"
         )
     r = (v / np.sqrt(w)) @ v.T
     return 0.5 * (r + r.T)

@@ -22,12 +22,14 @@ summation. The worker count only decides where tasks run, so under a fixed
 numpy/BLAS build reports are bit-identical for any ``workers`` value.
 
 One kernel serves every trajectory experiment: the batched recursion, Gram
-sums, least squares and score of ``model``. Each plan has its own chunk
-function (``_risk_chunk``, ``_identity_chunk``, ``_concentration_chunk``,
-``_multiplication_chunk``, ``_bayes_chunk``) that simulates a whole chunk
-with one call of that kernel, forms each Gram sum it needs once, and
-computes only the statistics its reducer reads. Gram sums are BLAS
-products, so another BLAS build or CPU kernel may change their last digits.
+sums, least squares and score of ``model``. A ``TrajectoryPlan`` is a
+statistic of a ``SimulatedChunk`` and a reducer. ``trajectory_experiments``
+gives several plans one task per chunk that simulates it once, forms each
+Gram sum at most once and computes every plan's statistic; ``verify`` runs
+its identity, dominance, concentration and multiplication experiments so.
+``_bayes_chunk`` draws one A per trial and simulates its own chunks. Gram
+sums are BLAS products, so another BLAS build or CPU kernel may change their
+last digits.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -228,24 +230,34 @@ def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndar
     return gen.standard_normal((count, n, d))
 
 
-def _simulate_chunk(
-    params: SystemParams, rng: Stream, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise (count, N, d) and states (count, N+1, d) of a chunk's trials."""
-    noise = _noise_chunk(rng, start, count, params.n, params.d)
-    return noise, _states_batch(params.a, params.b, noise)
+class SimulatedChunk:
+    """Noise (count, N, d), states (count, N+1, d) and Gram sums of a chunk's trials.
+
+    ``gamma`` and ``sigma`` are those of ``_gram_sums``; ``noise_gram``, the
+    per-trial sum_{i=1}^{N-1} e_i x_i^T, is formed on first use.
+    """
+
+    def __init__(self, params: SystemParams, rng: Stream, start: int, count: int) -> None:
+        self.params = params
+        self.noise = _noise_chunk(rng, start, count, params.n, params.d)
+        self.states = _states_batch(params.a, params.b, self.noise)
+        self.gamma, self.sigma = _gram_sums(self.states)
+
+    @cached_property
+    def noise_gram(self) -> np.ndarray:
+        return _gram(self.noise[:, 1:], self.states[:, 1:-1])
 
 
-def _noise_gram(noise: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Per-trial sum_{i=1}^{N-1} e_i x_i^T: noise rows 1..N-1 against states 1..N-1."""
-    return _gram(noise[:, 1:], states[:, 1:-1])
-
-
-def _risk_chunk(
-    params: SystemParams, rng: Stream, start: int, count: int
+def _trajectory_chunk(
+    params: SystemParams, stats: tuple, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
-    _, states = _simulate_chunk(params, rng, start, count)
-    failed, diff = _ls_error(*_gram_sums(states), params.a)
+    """Every statistic in ``stats`` of one simulation of the chunk, in one dict."""
+    chunk = SimulatedChunk(params, rng, start, count)
+    return {key: value for stat in stats for key, value in stat(chunk).items()}
+
+
+def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    failed, diff = _ls_error(chunk.gamma, chunk.sigma, chunk.params.a)
     return {
         "failed": failed,
         "err": np.einsum("tij,tkj->tik", diff, diff),
@@ -253,12 +265,9 @@ def _risk_chunk(
     }
 
 
-def _identity_chunk(
-    params: SystemParams, psi_inv: np.ndarray, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    noise, states = _simulate_chunk(params, rng, start, count)
-    score = _data_score(params, *_gram_sums(states))
-    p = _noise_gram(noise, states)
+def _identity_stats(psi_inv: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    score = _data_score(chunk.params, chunk.gamma, chunk.sigma)
+    p = chunk.noise_gram
     return {
         "selfnorm": np.einsum("tij,jk,tlk->til", p, psi_inv, p),
         "score": score,
@@ -266,22 +275,14 @@ def _identity_chunk(
     }
 
 
-def _concentration_chunk(
-    params: SystemParams, w: np.ndarray, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    _, states = _simulate_chunk(params, rng, start, count)
-    # x_0 = 0, so this is also sum_{i=1}^{N-1} x_i x_i^T
-    x_prev = states[:, :-1]
-    sigma = _sym(_gram(x_prev, x_prev))
-    y = np.einsum("ij,tjk,kl->til", w, sigma, w) - np.eye(params.d)
+def _concentration_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    # x_0 = 0, so sigma is also sum_{i=1}^{N-1} x_i x_i^T
+    y = np.einsum("ij,tjk,kl->til", w, chunk.sigma, w) - np.eye(chunk.params.d)
     return {"dev": np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)}
 
 
-def _multiplication_chunk(
-    params: SystemParams, w: np.ndarray, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    noise, states = _simulate_chunk(params, rng, start, count)
-    g = np.einsum("ij,tkj->tik", w, _noise_gram(noise, states))
+def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    g = np.einsum("ij,tkj->tik", w, chunk.noise_gram)
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
@@ -317,6 +318,32 @@ def _prior_identity_chunk(
 # ---------------------------------------------------------------------------
 
 
+class TrajectoryPlan(NamedTuple):
+    """An experiment on simulated trajectories, before they are chunked.
+
+    ``statistic`` maps a ``SimulatedChunk`` to the arrays the reducer reads;
+    ``reduce`` gets the results of the ``inputs`` tasks, then the chunks'.
+    """
+
+    statistic: Callable[[SimulatedChunk], dict]
+    inputs: list[Callable[[], Any]]
+    reduce: Callable[[list], Any]
+
+
+def trajectory_experiments(
+    params: SystemParams, trials: int, rng: Stream, plans: Sequence[TrajectoryPlan]
+) -> list[Experiment]:
+    """The experiments of ``plans``, all on one set of trajectories.
+
+    One task per chunk simulates its trials once and computes every plan's
+    statistic; every experiment lists those same task objects, so
+    ``run_experiments`` runs each once.
+    """
+    stats = tuple(plan.statistic for plan in plans)
+    chunks = _chunk_tasks(_trajectory_chunk, trials, params, stats, rng)
+    return [Experiment([*plan.inputs, *chunks], plan.reduce) for plan in plans]
+
+
 def _accepted_trials(failed: np.ndarray, what: str) -> int:
     """Trials not rejected as singular; raises when all are, or more than 0.1%."""
     trials, rejected = len(failed), int(np.sum(failed))
@@ -331,7 +358,7 @@ def _accepted_trials(failed: np.ndarray, what: str) -> int:
     return trials - rejected
 
 
-def risk_plan(params: SystemParams, trials: int, rng: Stream) -> Experiment:
+def risk_plan(params: SystemParams, trials: int) -> TrajectoryPlan:
     """Plan of ``empirical_risk``."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -351,29 +378,29 @@ def risk_plan(params: SystemParams, trials: int, rng: Stream) -> Experiment:
             failed_trials=trials - n_ok,
         )
 
-    return Experiment(_chunk_tasks(_risk_chunk, trials, params, rng), reduce)
+    return TrajectoryPlan(_risk_stats, [], reduce)
 
 
 def empirical_risk(
     params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
 ) -> RiskEstimate:
     """Monte Carlo mean of (A_hat - A)(A_hat - A)^T over independent trajectories."""
-    return _run(risk_plan(params, trials, rng), workers)
+    plan = risk_plan(params, trials)
+    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def concentration_plan(
     params: SystemParams,
     trials: int,
     t_levels: list[float],
-    rng: Stream,
     psi_inv_sqrt: np.ndarray,
     rate: Callable[[], Any],
-) -> Experiment:
+) -> TrajectoryPlan:
     """Plan of ``concentration_experiment``.
 
-    The chunks need only ``psi_inv_sqrt``. ``rate`` is the task whose result
-    carries ``l_ab`` (a ``BoundReport`` or ``RateInputs``); only the reducer
-    reads it, so the chunks need not wait for it.
+    The statistic needs only ``psi_inv_sqrt``. ``rate`` is the task whose
+    result carries ``l_ab`` (a ``BoundReport`` or ``RateInputs``); only the
+    reducer reads it, so the chunks need not wait for it.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
@@ -404,8 +431,7 @@ def concentration_plan(
             fitted_constant=fitted,
         )
 
-    chunks = _chunk_tasks(_concentration_chunk, trials, params, psi_inv_sqrt, rng)
-    return Experiment([rate, *chunks], reduce)
+    return TrajectoryPlan(partial(_concentration_stats, psi_inv_sqrt), [rate], reduce)
 
 
 def concentration_experiment(
@@ -425,19 +451,16 @@ def concentration_experiment(
     itself.
     """
     inputs = rate_inputs(params, grid_points)
-    plan = concentration_plan(
-        params, trials, t_levels, rng, inputs.psi_inv_sqrt, partial(_known, inputs)
-    )
-    return _run(plan, workers)
+    plan = concentration_plan(params, trials, t_levels, inputs.psi_inv_sqrt, partial(_known, inputs))
+    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def multiplication_plan(
     params: SystemParams,
     trials: int,
-    rng: Stream,
     psi_inv_sqrt: np.ndarray,
     rate: Callable[[], Any],
-) -> Experiment:
+) -> TrajectoryPlan:
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
@@ -449,8 +472,7 @@ def multiplication_plan(
             bound_value=params.d * delta2(params, parts[0].l_ab),
         )
 
-    chunks = _chunk_tasks(_multiplication_chunk, trials, params, psi_inv_sqrt, rng)
-    return Experiment([rate, *chunks], reduce)
+    return TrajectoryPlan(partial(_multiplication_stats, psi_inv_sqrt), [rate], reduce)
 
 
 def multiplication_experiment(
@@ -463,21 +485,20 @@ def multiplication_experiment(
 ) -> MultiplicationResult:
     """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L."""
     inputs = rate_inputs(params, grid_points)
-    plan = multiplication_plan(params, trials, rng, inputs.psi_inv_sqrt, partial(_known, inputs))
-    return _run(plan, workers)
+    plan = multiplication_plan(params, trials, inputs.psi_inv_sqrt, partial(_known, inputs))
+    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def dominance_plan(
     params: SystemParams,
     trials: int,
     epsilon: float,
-    rng: Stream,
     bound: Callable[[], BoundReport],
     *,
     bound_scale: float = 1.0,
-) -> Experiment:
+) -> TrajectoryPlan:
     """Plan of ``dominance_check``; ``bound`` is the task returning the bound."""
-    risk = risk_plan(params, trials, rng)
+    risk = risk_plan(params, trials)
 
     def reduce(parts) -> DominanceResult:
         estimate = risk.reduce(parts[1:])
@@ -491,7 +512,7 @@ def dominance_plan(
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
         return DominanceResult(holds=margin >= 0.0, margin=margin)
 
-    return Experiment([bound, *risk.tasks], reduce)
+    return TrajectoryPlan(risk.statistic, [bound], reduce)
 
 
 def dominance_check(
@@ -518,7 +539,8 @@ def dominance_check(
         task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
     else:
         task = partial(_known, bound)
-    return _run(dominance_plan(params, trials, epsilon, rng, task, bound_scale=bound_scale), workers)
+    plan = dominance_plan(params, trials, epsilon, task, bound_scale=bound_scale)
+    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def bayes_plan(spec: PriorSpec, n: int, trials: int, rng: Stream) -> Experiment:
@@ -590,12 +612,7 @@ def _entrywise_check(
     )
 
 
-def identity_plan(
-    params: SystemParams,
-    trials: int,
-    rng: Stream,
-    psi_matrix: np.ndarray | None = None,
-) -> Experiment:
+def identity_plan(params: SystemParams, psi_matrix: np.ndarray | None = None) -> TrajectoryPlan:
     """Plan of ``identity_checks``; ``psi_matrix`` defaults to ``psi(params)``."""
     d = params.d
     if psi_matrix is None:
@@ -612,7 +629,7 @@ def identity_plan(
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 
-    return Experiment(_chunk_tasks(_identity_chunk, trials, params, psi_inv, rng), reduce)
+    return TrajectoryPlan(partial(_identity_stats, psi_inv), [], reduce)
 
 
 def identity_checks(
@@ -625,7 +642,7 @@ def identity_checks(
     closed-form information, and the zero score mean, each entrywise at 4
     standard errors.
     """
-    return _run(identity_plan(params, trials, rng), workers)
+    return _run(trajectory_experiments(params, trials, rng, [identity_plan(params)])[0], workers)
 
 
 def prior_identity_plan(spec: PriorSpec, trials: int, rng: Stream) -> Experiment:

@@ -12,7 +12,9 @@ block of that array. Numpy fills arrays in order, so they depend only on
 spread over workers, and, because every kind has its own stream, never on
 how many variates a rejection sampler of another kind consumed. This is the
 counter-based design of Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3" (SC'11).
+1, 2, 3" (SC'11). A salt names a family of draws, not one experiment:
+experiments that read the same quantity of the same trials share its draws
+(the trajectory experiments of a ``verify`` op share one noise stream).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # version of the mapping from (seed, config) to draws; bumped whenever the
-# same seed starts producing different draws
-RNG_LAYOUT = 2
+# same seed starts producing different draws (3: the trajectory experiments
+# of a verify op share one set of trajectories)
+RNG_LAYOUT = 3
 
 # draw kinds, the last index of a stream path
 KIND_NOISE = 0  # standard normal noise, or any other plain Gaussian block

@@ -34,12 +34,12 @@ from ltibounds.montecarlo import (
     bayes_risk_experiment,
     dominance_plan,
     empirical_risk,
-    identity_checks,
     identity_plan,
     norm_ineq_fuzz,
     prior_identity_check,
     risk_plan,
     run_experiments,
+    trajectory_experiments,
 )
 from ltibounds.rng import Stream
 
@@ -74,16 +74,16 @@ def test_criterion_1_exact_identity_suite():
     t0 = time.perf_counter()
     root = Stream(SEED)
     for idx, (label, params) in enumerate(IDENTITY_FAMILY):
-        checks = {
-            c.name: c
-            for c in identity_checks(params, TRIALS_IDENTITY, root.child(10, idx))
-        }
+        # one run of the identity chunks: the checks, and the Fisher samples
+        # reduced to a relative Frobenius distance instead of an entrywise check
+        (identity,) = trajectory_experiments(
+            params, TRIALS_IDENTITY, root.child(10, idx), [identity_plan(params)]
+        )
+        checks, samples = run_experiments([identity, Experiment(identity.tasks, _gather)])
+        checks = {c.name: c for c in checks}
         assert checks["selfnorm_identity"].passed, (label, checks["selfnorm_identity"])
         assert checks["score_mean_zero"].passed, (label, checks["score_mean_zero"])
-        # the identity plan's chunks on a second stream, their Fisher samples
-        # reduced to a relative Frobenius distance instead of an entrywise check
-        plan = identity_plan(params, TRIALS_IDENTITY, root.child(11, idx))
-        mc = run_experiments([Experiment(plan.tasks, _gather)])[0]["fisher"].mean(axis=0)
+        mc = samples["fisher"].mean(axis=0)
         closed = fisher_information(params)
         rel = np.linalg.norm(mc - closed) / np.linalg.norm(closed)
         assert rel < 0.05, (label, rel)
@@ -199,20 +199,14 @@ def test_criterion_4_dominance_suite():
     root = Stream(SEED)
     for idx, (label, params) in enumerate(DOMINANCE_FAMILY):
         # the three checks share one bound and one set of trajectories
-        rng = root.child(40, idx)
-        base = dominance_plan(
-            params, TRIALS_DOMINANCE, 0.1, rng, partial(cr_bound, params, 0.1, 1.0)
-        )
-        inflated_plan = dominance_plan(
-            params, TRIALS_DOMINANCE, 0.1, rng, base.tasks[0], bound_scale=10.0
-        )
-        risk = risk_plan(params, TRIALS_DOMINANCE, rng)
+        bound = partial(cr_bound, params, 0.1, 1.0)
+        plans = [
+            dominance_plan(params, TRIALS_DOMINANCE, 0.1, bound),
+            dominance_plan(params, TRIALS_DOMINANCE, 0.1, bound, bound_scale=10.0),
+            risk_plan(params, TRIALS_DOMINANCE),
+        ]
         result, inflated, est = run_experiments(
-            [
-                base,
-                Experiment(base.tasks, inflated_plan.reduce),
-                Experiment(base.tasks[1:], risk.reduce),
-            ]
+            trajectory_experiments(params, TRIALS_DOMINANCE, root.child(40, idx), plans)
         )
         assert result.holds and result.margin > 0, (label, result)
         print(f"  criterion 4 [{label}]: margin {result.margin:.3e}")

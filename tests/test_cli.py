@@ -321,9 +321,9 @@ def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
         run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
     )
     reports = []
-    # one chunk per experiment: identity, prior, bound, risk, Bayes,
-    # concentration and multiplication make 7 tasks
-    for workers, expected in [(8, [7]), (2, [2]), (1, [])]:
+    # one chunk each: the shared trajectories (identity, risk, concentration
+    # and multiplication), prior, bound and Bayes make 4 tasks
+    for workers, expected in [(8, [4]), (2, [2]), (1, [])]:
         sizes.clear()
         out = tmp_path / f"v{workers}.csv"
         assert main(["verify", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
@@ -336,11 +336,46 @@ def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("trials", [1000, 500])
+@pytest.mark.parametrize("trials", [100, 500, 1000, 5000])
+def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, trials):
+    draws = []
+    original = ltibounds.montecarlo._noise_chunk
+
+    def recording_noise_chunk(rng, start, count, n, d):
+        draws.append((rng.path, start))
+        return original(rng, start, count, n, d)
+
+    monkeypatch.setattr(ltibounds.montecarlo, "_noise_chunk", recording_noise_chunk)
+    path = write_config(tmp_path, system={"a": {"kind": "identity", "scale": 0.5}}, run={"trials": trials})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    # one noise draw per trajectory chunk, shared by every trajectory check,
+    # and one per Bayes chunk; Bayes needs 1000 trials
+    starts = list(range(0, trials, ltibounds.montecarlo.CHUNK))
+    expected = [((ltibounds.cli.SALT_IDENTITY,), s) for s in starts]
+    if trials >= 1000:
+        expected += [((ltibounds.cli.SALT_BAYES,), s) for s in starts]
+    assert draws == expected
+    quantities = [r["quantity"] for r in read_rows(out)]
+    checks = [
+        "selfnorm_identity",
+        "fisher_information",
+        "score_mean_zero",
+        "prior_score_identity",
+        "risk_dominance",
+        "bayes_dominance",
+    ]
+    if trials < 1000:
+        assert quantities == ["config", "warning_low_trials", *checks]
+    else:
+        assert quantities == ["config", *checks, "concentration_constant", "multiplication_ratio"]
+
+
+@pytest.mark.parametrize("trials", [1000, 500, 100])
 def test_verify_errors_do_not_depend_on_workers(tmp_path, capsys, trials):
     # Psi of this unstable system is too ill-conditioned for Psi^{-1/2}: at
-    # 1000 trials the parent finds out before any task runs, at 500 trials
-    # the cr_bound task does, inside the pool at --workers 2
+    # 1000 trials the parent finds out before any task runs, at 500 and 100
+    # trials the cr_bound task does, inside the pool at --workers 2
     path = write_config(
         tmp_path,
         system={"d": 2, "n": 100, "a": {"kind": "diag", "values": [0.5, 1.2]}},
@@ -354,7 +389,10 @@ def test_verify_errors_do_not_depend_on_workers(tmp_path, capsys, trials):
     assert results[0] == results[1]
     code, err, wrote = results[0]
     assert code == 3 and not wrote
-    assert err.startswith("precondition violation: matrix is not positive definite")
+    assert err.startswith(
+        "precondition violation: matrix is too ill-conditioned: "
+        "smallest/largest eigenvalue ratio"
+    )
     assert multiprocessing.active_children() == []
 
 

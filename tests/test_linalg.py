@@ -173,6 +173,15 @@ def test_sym_inv_sqrt_rejects_indefinite():
         sym_inv_sqrt(np.diag([1.0, -1.0]))
 
 
+def test_sym_inv_sqrt_error_names_the_failed_condition():
+    with pytest.raises(ValueError, match=r"not positive definite: smallest eigenvalue -1\.000e\+00"):
+        sym_inv_sqrt(np.diag([1.0, -1.0]))
+    # positive definite, but the eigenvalue ratio is at the rtol cut
+    with pytest.raises(ValueError, match=r"eigenvalue ratio 1\.000e-12 <= rtol 1\.0e-12"):
+        sym_inv_sqrt(np.diag([1e-12, 1.0]))
+    assert np.isfinite(sym_inv_sqrt(np.diag([2e-12, 1.0]))).all()
+
+
 # ---------------------------------------------------------------------------
 # haar_orthogonal
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ import ltibounds.model
 import ltibounds.montecarlo
 from ltibounds.bounds import cr_bound
 from ltibounds.minimax import PriorSpec, sample_prior_batch
+from ltibounds.bounds import psi
+from ltibounds.linalg import sym_inv_sqrt
 from ltibounds.model import (
     SystemParams,
     _data_score,
     _gram,
     _gram_sums,
+    _ls_error,
     _states_batch,
+    _sym,
     fisher_information,
     least_squares,
     simulate_injected,
@@ -28,14 +32,15 @@ from ltibounds.montecarlo import (
     _bayes_chunk,
     _chunk_ranges,
     _chunk_stream,
-    _concentration_chunk,
+    _concentration_stats,
     _gather,
-    _identity_chunk,
-    _multiplication_chunk,
+    _identity_stats,
+    _multiplication_stats,
     _noise_chunk,
     _prior_identity_chunk,
-    _risk_chunk,
-    _simulate_chunk,
+    SimulatedChunk,
+    _risk_stats,
+    _trajectory_chunk,
     bayes_risk_experiment,
     concentration_experiment,
     dominance_check,
@@ -46,6 +51,7 @@ from ltibounds.montecarlo import (
     norm_ineq_fuzz,
     prior_identity_check,
     run_experiments,
+    trajectory_experiments,
 )
 from ltibounds.rng import Stream
 
@@ -104,7 +110,8 @@ def test_risk_worker_independence():
 
 def identity_samples(params, trials, rng):
     """Per-trial selfnorm, score and Fisher samples of ``identity_checks``' chunks."""
-    return run_experiments([Experiment(identity_plan(params, trials, rng).tasks, _gather)])[0]
+    identity = trajectory_experiments(params, trials, rng, [identity_plan(params)])[0]
+    return run_experiments([Experiment(identity.tasks, _gather)])[0]
 
 
 def fisher_mc(params, trials, rng):
@@ -166,11 +173,9 @@ def test_score_mean_zero_and_negative_control():
     assert score.passed
     # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
     at_wrong_a = scalar_params(0.8, n=16)
+    chunks = [SimulatedChunk(params, Stream(65), s, c) for s, c in _chunk_ranges(5000)]
     wrong = np.concatenate(
-        [
-            _data_score(at_wrong_a, *_gram_sums(_simulate_chunk(params, Stream(65), s, c)[1]))
-            for s, c in _chunk_ranges(5000)
-        ]
+        [_data_score(at_wrong_a, chunk.gamma, chunk.sigma) for chunk in chunks]
     ).mean(axis=0)
     data_se = score.std_error
     assert abs(wrong[0, 0]) > 10 * data_se
@@ -360,24 +365,94 @@ def _assert_prefix_equal(short: dict, long: dict) -> None:
         assert np.array_equal(short[key], long[key][:PREFIX_TRIALS]), key
 
 
-def _statistic_chunks(params, w):
-    """Each trajectory plan's chunk function, as ``chunk(rng, start, count)``."""
-    return [
-        partial(_risk_chunk, params),
-        partial(_identity_chunk, params, w),
-        partial(_concentration_chunk, params, w),
-        partial(_multiplication_chunk, params, w),
-    ]
+def _statistics(psi_inv, w):
+    """Every trajectory statistic ``verify`` computes, as ``verify`` orders them."""
+    return (
+        partial(_identity_stats, psi_inv),
+        _risk_stats,
+        partial(_concentration_stats, w),
+        partial(_multiplication_stats, w),
+    )
 
 
-def test_statistic_chunks_trial_prefix_invariance():
+def test_trajectory_chunk_trial_prefix_invariance():
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    for chunk in _statistic_chunks(params, np.eye(2)):
-        short, long = (
-            _gather([chunk(Stream(90), s, c) for s, c in _chunk_ranges(t)])
-            for t in (PREFIX_TRIALS, LONGER_TRIALS)
-        )
-        _assert_prefix_equal(short, long)
+    chunk = partial(_trajectory_chunk, params, _statistics(np.eye(2), 0.5 * np.eye(2)))
+    short, long = (
+        _gather([chunk(Stream(90), s, c) for s, c in _chunk_ranges(t)])
+        for t in (PREFIX_TRIALS, LONGER_TRIALS)
+    )
+    assert short.keys() == {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"}
+    _assert_prefix_equal(short, long)
+
+
+# the per-plan chunk functions of RNG layout 2, each simulating its own
+# trajectories: the references the statistics of a shared chunk must equal
+
+
+def _simulate_chunk(params, rng, start, count):
+    noise = _noise_chunk(rng, start, count, params.n, params.d)
+    return noise, _states_batch(params.a, params.b, noise)
+
+
+def _layout2_risk_chunk(params, rng, start, count):
+    _, states = _simulate_chunk(params, rng, start, count)
+    failed, diff = _ls_error(*_gram_sums(states), params.a)
+    return {
+        "failed": failed,
+        "err": np.einsum("tij,tkj->tik", diff, diff),
+        "mse": np.einsum("tij,tij->t", diff, diff),
+    }
+
+
+def _layout2_identity_chunk(params, psi_inv, rng, start, count):
+    noise, states = _simulate_chunk(params, rng, start, count)
+    score = _data_score(params, *_gram_sums(states))
+    p = _gram(noise[:, 1:], states[:, 1:-1])
+    return {
+        "selfnorm": np.einsum("tij,jk,tlk->til", p, psi_inv, p),
+        "score": score,
+        "fisher": np.einsum("tij,tkj->tik", score, score),
+    }
+
+
+def _layout2_concentration_chunk(params, w, rng, start, count):
+    _, states = _simulate_chunk(params, rng, start, count)
+    x_prev = states[:, :-1]
+    sigma = _sym(_gram(x_prev, x_prev))
+    y = np.einsum("ij,tjk,kl->til", w, sigma, w) - np.eye(params.d)
+    return {"dev": np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)}
+
+
+def _layout2_multiplication_chunk(params, w, rng, start, count):
+    noise, states = _simulate_chunk(params, rng, start, count)
+    g = np.einsum("ij,tkj->tik", w, _gram(noise[:, 1:], states[:, 1:-1]))
+    return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
+
+
+@pytest.mark.parametrize(
+    "a, b, n",
+    [
+        (np.array([[0.5]]), np.array([[2.0]]), 32),
+        (rotation(0.5, 0.8), np.diag([1.0, 2.0]), 6),
+        (np.diag([0.3, 0.9, 1.05]), np.eye(3) + 0.2 * np.triu(np.ones((3, 3)), 1), 40),
+    ],
+)
+def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
+    params = SystemParams(a=a, b=b, n=n)
+    psi_m = psi(params)
+    psi_inv, w = np.linalg.solve(psi_m, np.eye(params.d)), sym_inv_sqrt(psi_m)
+    references = [
+        partial(_layout2_identity_chunk, params, psi_inv),
+        partial(_layout2_risk_chunk, params),
+        partial(_layout2_concentration_chunk, params, w),
+        partial(_layout2_multiplication_chunk, params, w),
+    ]
+    for start, count in _chunk_ranges(CHUNK + 300):
+        shared = _trajectory_chunk(params, _statistics(psi_inv, w), Stream(99), start, count)
+        for reference in references:
+            for key, value in reference(Stream(99), start, count).items():
+                assert np.array_equal(shared[key], value), (key, start)
 
 
 def test_bayes_chunk_trial_prefix_invariance():
@@ -482,19 +557,24 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
     monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
     monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    risk, identity, concentration, multiplication = _statistic_chunks(params, 0.5 * np.eye(2))
-    bayes = partial(_bayes_chunk, PriorSpec(s=0.5, eps=0.5, d=2), 6)
+    identity, risk, concentration, multiplication = _statistics(np.eye(2), 0.5 * np.eye(2))
+    identity_keys = {"selfnorm", "score", "fisher"}
+    risk_keys = {"failed", "err", "mse"}
+    # every trajectory chunk forms gamma and sigma; sum e_i x_i^T only on demand
     expected = [
-        (identity, 3, {"selfnorm", "score", "fisher"}),  # sigma, gamma, sum e_i x_i^T
-        (risk, 2, {"failed", "err", "mse"}),
-        (bayes, 2, {"failed", "mse"}),
-        (concentration, 1, {"dev"}),
-        (multiplication, 1, {"mult"}),
+        ((identity, risk, concentration, multiplication), 3, identity_keys | risk_keys | {"dev", "mult"}),
+        ((identity,), 3, identity_keys),
+        ((risk,), 2, risk_keys),
+        ((concentration,), 2, {"dev"}),
+        ((multiplication,), 3, {"mult"}),
     ]
-    for chunk, sums, keys in expected:
+    for stats, sums, keys in expected:
         calls.clear()
-        assert set(chunk(Stream(98), 0, 10)) == keys
+        assert set(_trajectory_chunk(params, stats, Stream(98), 0, 10)) == keys
         assert len(calls) == sums, keys
+    calls.clear()
+    bayes = _bayes_chunk(PriorSpec(s=0.5, eps=0.5, d=2), 6, Stream(98), 0, 10)
+    assert set(bayes) == {"failed", "mse"} and len(calls) == 2
 
 
 def test_all_singular_raises():
