@@ -100,6 +100,23 @@ def _freq_norm_sq(
     return np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
 
 
+def _grid_freq_norm_sq(
+    w: np.ndarray, powers: np.ndarray, b: np.ndarray, grid_points: int
+) -> np.ndarray:
+    """``_freq_norm_sq`` at s = m / grid_points for every m, by one FFT.
+
+    e^{j 2 pi k m / M} depends on k mod M only, so powers beyond M are folded
+    onto their residues first; M * ifft then gives sum_k A^k e^{+j 2 pi k m/M}.
+    """
+    count = powers.shape[0]
+    if count > grid_points:
+        pad = np.zeros((-count % grid_points,) + powers.shape[1:])
+        powers = np.concatenate([powers, pad])
+        powers = powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
+    f = grid_points * np.fft.ifft(powers, n=grid_points, axis=0)
+    return np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
+
+
 def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:
     """Golden-section maximization with a fixed iteration count."""
     a, b = lo, hi
@@ -123,24 +140,27 @@ def l_ab(
 ) -> float:
     """Frequency supremum sup_s |Psi^{-1/2} (sum_{k=0}^{N-2} A^k e^{j2pi ks}) B|^2.
 
-    Evaluated on a uniform grid of ``grid_points`` frequencies followed by one
-    golden-section refinement around the grid argmax. The result is a lower
-    approximation of the true supremum; the grid-convergence tests guard the
-    resolution. ``psi_matrix`` is a precomputed ``psi(params)``.
+    The uniform grid s = m / ``grid_points`` is evaluated as one zero-padded
+    FFT of the power sequence A^0 .. A^{N-2}; when N-1 exceeds ``grid_points``
+    the powers are first folded modulo ``grid_points``. One golden-section
+    refinement around the grid argmax then evaluates the direct sum at single
+    frequencies. The result is a lower approximation of the true supremum;
+    the grid-convergence tests guard the resolution. ``psi_matrix`` is a
+    precomputed ``psi(params)``.
     """
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
     w = sym_inv_sqrt(psi(params) if psi_matrix is None else psi_matrix)
     powers = _matrix_powers(params.a, params.n - 1)
-    grid = np.arange(grid_points) / grid_points
-    vals = _freq_norm_sq(w, powers, params.b, grid)
+    vals = _grid_freq_norm_sq(w, powers, params.b, grid_points)
     best = int(np.argmax(vals))
     step = 1.0 / grid_points
 
     def fn(s: float) -> float:
         return float(_freq_norm_sq(w, powers, params.b, np.array([s]))[0])
 
-    refined = _golden_max(fn, grid[best] - step, grid[best] + step)
+    center = best / grid_points
+    refined = _golden_max(fn, center - step, center + step)
     return max(float(vals[best]), refined)
 
 

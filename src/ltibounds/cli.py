@@ -223,6 +223,10 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
     regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha if cfg.s != 1.0 else None)
     for name in ("stable", "limit", "unstable"):
         applicable = name == regime.regime
+        # the unstable rate underflows to 0.0 at large N; its log does not
+        logged = {}
+        if applicable and regime.log_value is not None:
+            logged["log_value"] = regime.log_value
         rows.append(
             _row(
                 cfg,
@@ -233,6 +237,7 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
                 valid=bool(regime.valid) if applicable else False,
                 s=cfg.s,
                 alpha=cfg.alpha,
+                **logged,
             )
         )
     return rows, EXIT_OK
@@ -390,6 +395,9 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 trials=cfg.trials,
             )
         )
+    else:
+        rows.append(_skipped_row(cfg, "concentration_constant", "gram-deviation-rate", 1000))
+        rows.append(_skipped_row(cfg, "multiplication_ratio", "multiplication-rate", 1000))
     return rows, (EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 

@@ -161,9 +161,12 @@ def van_trees_bound(d: int, n: int, s: float, eps: float) -> float:
 
 
 class RegimeBound(NamedTuple):
+    """One regime's rate; ``log_value`` is its natural log (unstable regime only)."""
+
     regime: str
     valid: bool
     value: float
+    log_value: float | None = None
 
 
 def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> RegimeBound:
@@ -194,8 +197,8 @@ def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> Reg
         math.log(d**2 * ((s + 1.0) ** 2 - 1.0) ** 2 / (1.0 + alpha))
         - 2.0 * n * math.log(s + 1.0)
     )
-    value = math.exp(log_value)  # underflows to 0.0 for huge N
-    return RegimeBound(regime="unstable", valid=valid, value=value)
+    value = math.exp(log_value)  # underflows to 0.0 for huge N; log_value does not
+    return RegimeBound(regime="unstable", valid=valid, value=value, log_value=log_value)
 
 
 def score_identity_lhs(sample: PriorSample, spec: PriorSpec) -> np.ndarray:

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ltibounds.bounds import (
     NotDiagonalizableError,
+    _freq_norm_sq,
+    _grid_freq_norm_sq,
+    _matrix_powers,
     cr_bound,
     delta1,
     delta2,
@@ -18,7 +22,7 @@ from ltibounds.bounds import (
     psi,
     spectral_split,
 )
-from ltibounds.linalg import is_psd_dominated
+from ltibounds.linalg import haar_orthogonal, is_psd_dominated, sym_inv_sqrt
 from ltibounds.model import SystemParams
 from ltibounds.rng import Stream
 
@@ -123,6 +127,110 @@ def test_lab_rotation_stays_bounded_below():
     for n in (16, 32, 64):
         params = SystemParams(a=rotation(0.7), b=np.eye(2), n=n)
         assert l_ab(params) > 1.0
+
+
+# the uniform l_ab grid: one FFT of the power sequence against the direct sum
+
+
+def direct_grid(w, powers, b, grid_points, stride=1, block=256):
+    """Reference: the direct sum ``_freq_norm_sq`` at s = m / grid_points, m = 0, stride, ..."""
+    grid = np.arange(0, grid_points, stride) / grid_points
+    return np.concatenate(
+        [_freq_norm_sq(w, powers, b, grid[i : i + block]) for i in range(0, len(grid), block)]
+    )
+
+
+def random_system(d: int, kind: str, count: int, seed: int):
+    """(W, A^0..A^{count-1}, B) with A stable, on the unit circle or unstable."""
+    g = np.random.default_rng([seed, d, count])
+    if kind == "limit":
+        a, _ = np.linalg.qr(g.standard_normal((d, d)))  # every |lambda| = 1
+    else:
+        # unstable growth capped at e^3 over the whole sequence
+        radius = 0.9 if kind == "stable" else math.exp(3.0 / max(count, 30))
+        a = g.standard_normal((d, d))
+        a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
+    w = g.standard_normal((d, d))
+    b = g.standard_normal((d, d))
+    return w, _matrix_powers(a, count), b
+
+
+def assert_grid_matches(w, powers, b, grid_points, stride=1):
+    want = direct_grid(w, powers, b, grid_points, stride)
+    got = _grid_freq_norm_sq(w, powers, b, grid_points)
+    assert got.shape == (grid_points,)
+    np.testing.assert_allclose(got[::stride], want, rtol=0, atol=1e-12 * want.max())
+
+
+@pytest.mark.parametrize("grid_points", [64, 1000, 4096])
+@pytest.mark.parametrize("kind", ["stable", "limit", "unstable"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_lab_fft_grid_matches_direct_sum(d, kind, grid_points):
+    assert_grid_matches(*random_system(d, kind, 39, seed=1), grid_points)
+
+
+FOLD_SYSTEMS = [(1, "limit"), (2, "unstable"), (3, "stable"), (8, "limit")]
+# the direct-sum reference costs grid_points * count phases: at 4096 points
+# each length gets one of the systems instead of all four, checked at every
+# 4th frequency (a misplaced fold moves the values at almost every one)
+FOLD_CASES = [
+    (m, count, *system)
+    for m in (64, 1000, 4096)
+    for i, count in enumerate((1, m - 1, m, m + 1, 3 * m + 5))
+    for system in (FOLD_SYSTEMS if m < 4096 else FOLD_SYSTEMS[i % 4 : i % 4 + 1])
+]
+
+
+@pytest.mark.parametrize("grid_points,count,d,kind", FOLD_CASES)
+def test_lab_fft_grid_folds_long_power_sequences(grid_points, count, d, kind):
+    # N = 2 (one power) and N - 1 around and beyond the grid, where the powers
+    # are folded modulo grid_points before the FFT
+    stride = 4 if grid_points == 4096 else 1
+    assert_grid_matches(*random_system(d, kind, count, seed=2), grid_points, stride)
+
+
+def d8_similarity(seed: int) -> np.ndarray:
+    q = haar_orthogonal(8, Stream(seed))
+    return (q * np.linspace(0.3, 0.95, 8)) @ q.T
+
+
+# the bounds_sweep benchmark systems that do not exit 3
+SWEEP_SYSTEMS = [
+    (np.diag([0.5, 0.9]), np.diag([1.0, 3.0]), 256),
+    (np.diag([0.3, 0.95]), np.eye(2), 2048),
+    (d8_similarity(37), np.eye(8), 256),
+    (d8_similarity(38), np.eye(8), 2048),
+    (np.diag([1.0, 0.5]), np.eye(2), 512),
+    (np.diag([1.0, 0.5]), np.eye(2), 2048),
+    (rotation(0.5), np.eye(2), 512),
+    (np.diag([0.5, 1.2]), np.eye(2), 16),
+    (np.diag([0.5, 1.2]), np.eye(2), 64),
+    (np.diag([0.5, 1.02]), np.eye(2), 512),
+]
+
+
+@pytest.mark.parametrize("a,b,n", SWEEP_SYSTEMS)
+def test_lab_fft_grid_keeps_the_argmax(a, b, n):
+    # the golden-section refinement starts from the same grid point
+    params = SystemParams(a=a, b=b, n=n)
+    w = sym_inv_sqrt(psi(params))
+    powers = _matrix_powers(params.a, n - 1)
+    want = direct_grid(w, powers, params.b, 4096)
+    got = _grid_freq_norm_sq(w, powers, params.b, 4096)
+    assert np.argmax(got) == np.argmax(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+
+def test_lab_grid_memory_stays_small():
+    params = SystemParams(a=np.diag([0.3, 0.95]), b=np.eye(2), n=2048)
+    psi_m = psi(params)
+    tracemalloc.start()
+    try:
+        l_ab(params, 4096, psi_matrix=psi_m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

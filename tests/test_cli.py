@@ -168,6 +168,22 @@ def test_minimax_limit_regime(tmp_path):
     )
 
 
+def test_minimax_unstable_row_carries_log_value(tmp_path):
+    out = tmp_path / "mm.csv"
+    path = write_config(tmp_path, system={"n": 1000}, run={"s": 1.5, "alpha": 0.5})
+    assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
+    rows = {r["quantity"]: r for r in read_rows(out)}
+    unstable = rows["minimax_rate_unstable"]
+    assert unstable["value"] == "0.0"  # underflows; the log keeps the number
+    extra = json.loads(unstable["extra"])
+    assert extra["applicable"] is True
+    assert extra["log_value"] == pytest.approx(
+        math.log(4.0 * (2.5**2 - 1.0) ** 2 / 1.5) - 2000.0 * math.log(2.5), rel=1e-12
+    )
+    for name in ("stable", "limit"):
+        assert "log_value" not in json.loads(rows[f"minimax_rate_{name}"]["extra"])
+
+
 def test_minimax_invalid_row_still_present(tmp_path):
     out = tmp_path / "mm.csv"
     path = write_config(tmp_path, run={"s": 0.5, "alpha": 0.5})
@@ -356,7 +372,8 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
     if trials >= 1000:
         expected += [((ltibounds.cli.SALT_BAYES,), s) for s in starts]
     assert draws == expected
-    quantities = [r["quantity"] for r in read_rows(out)]
+    rows = read_rows(out)
+    quantities = [r["quantity"] for r in rows]
     checks = [
         "selfnorm_identity",
         "fisher_information",
@@ -364,11 +381,21 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
         "prior_score_identity",
         "risk_dominance",
         "bayes_dominance",
+        "concentration_constant",
+        "multiplication_ratio",
     ]
     if trials < 1000:
         assert quantities == ["config", "warning_low_trials", *checks]
+        # every experiment that needs 1000 trials still has its row
+        for row in rows[-3:]:
+            extra = json.loads(row["extra"])
+            assert extra == {
+                "skipped": "trials below the 1000-trial minimum",
+                "status": "inconclusive",
+            }
+            assert float(row["value"]) == 0.0
     else:
-        assert quantities == ["config", *checks, "concentration_constant", "multiplication_ratio"]
+        assert quantities == ["config", *checks]
 
 
 @pytest.mark.parametrize("trials", [1000, 500, 100])
@@ -405,6 +432,8 @@ def test_pool_module_is_not_imported_by_bounds_or_one_worker(tmp_path):
     script = (
         "import sys\n"
         "import ltibounds.cli\n"
+        "# numpy.fft (first used by l_ab) and scipy stay out of the start-up\n"
+        "assert 'numpy.fft' not in sys.modules and 'scipy' not in sys.modules\n"
         "seen = ['concurrent.futures.process' in sys.modules]\n"
         "for cmd in (['bounds'], ['verify', '--workers', '1']):\n"
         "    code = ltibounds.cli.main(cmd + ['--config', sys.argv[1], '--out', sys.argv[2]])\n"

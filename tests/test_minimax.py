@@ -305,6 +305,18 @@ def test_score_identity_mc(d, s):
     assert np.all(np.abs(mean - target) < 4 * se + 1e-12)
 
 
+def test_regime_unstable_carries_its_log_through_underflow():
+    d, n, s, alpha = 2, 1000, 1.5, 0.5
+    out = minimax_regimes(d, n, s, alpha)
+    assert out.regime == "unstable" and out.value == 0.0
+    expected = math.log(d**2 * ((s + 1) ** 2 - 1) ** 2 / (1 + alpha)) - 2 * n * math.log(s + 1)
+    assert out.log_value == pytest.approx(expected, rel=1e-12)
+    small = minimax_regimes(2, 10, 3.0, 0.5)
+    assert math.exp(small.log_value) == pytest.approx(small.value, rel=1e-12)
+    assert minimax_regimes(2, 10, 1.0).log_value is None
+    assert minimax_regimes(2, 2048, 0.0, 0.5).log_value is None
+
+
 def test_regime_unstable_large_horizon_underflows_to_zero():
     out = minimax_regimes(2, 2000, 3.0, 0.5)
     assert out.regime == "unstable" and out.valid
