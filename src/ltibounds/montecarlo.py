@@ -14,8 +14,8 @@ opens at most one pool.
 
 Determinism contract: chunk c draws each kind of randomness (noise, the two
 Haar Gaussian stacks, the Beta singular values; see ``rng``) from its own
-generator keyed by ``rng.child(c, kind)``, with one trial-major call per
-kind, so trial k's draws depend only on ``(seed, salt, k)`` (stream layout
+generator keyed by ``rng.child(c, kind)``, in trial-major calls in trial
+order, so trial k's draws depend only on ``(seed, salt, k)`` (stream layout
 ``RNG_LAYOUT``). Per-trial statistics are written into position-indexed
 arrays, and reductions run over those arrays with numpy's pairwise
 summation. The worker count only decides where tasks run, so under a fixed
@@ -31,6 +31,14 @@ its identity, dominance, concentration and multiplication experiments so.
 sums are BLAS products, so another BLAS build or CPU kernel may change their
 last digits.
 
+A chunk task simulates its trials in consecutive blocks of at most
+``BLOCK_ELEMENTS`` noise numbers (``_noise_blocks``) and computes each
+block's per-trial statistics before it draws the next, so a worker holds
+one block's noise and states, not the whole chunk's: its memory is set by
+the block size, not by ``CHUNK``. The blocks come in order from the chunk's
+one noise generator and each trial's statistics depend only on its own
+data, so the block size changes no draw and no report byte.
+
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
 outright if they exceed one per thousand.
@@ -39,7 +47,7 @@ outright if they exceed one per thousand.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, NamedTuple
@@ -62,6 +70,8 @@ from .model import (
 from .rng import KIND_NOISE, Stream
 
 CHUNK = 4096
+# numbers per noise block (32 MB of float64); see _noise_blocks
+BLOCK_ELEMENTS = 2**22
 MIN_CONCLUSIVE_TRIALS = 1000
 
 
@@ -172,9 +182,13 @@ def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list
     listed by several experiments runs once. With ``workers`` > 1 and more
     than one task, one process pool of ``min(workers, tasks)`` processes runs
     the whole list; otherwise the list runs in this process, in order.
-    Reducers run here, each once its tasks are done, in order, so the first
-    exception in (tasks, reducer) order is the one raised whatever the
-    worker count; the pool is then shut down with its queued tasks cancelled.
+    The pool gets the chunks that simulate trajectories, the longest tasks
+    of an op, first and the short tasks after them, so the short ones run
+    beside the long ones instead of holding one back to the end. Reducers
+    run here, each once its tasks are done, in order, so the first exception
+    in (tasks, reducer) order is the one raised whatever the worker count or
+    submission order; the pool is then shut down with its queued tasks
+    cancelled.
     """
     tasks = list(dict.fromkeys(t for e in experiments for t in e.tasks))
     size = min(workers, len(tasks))
@@ -192,10 +206,15 @@ def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list
 
     pool = ProcessPoolExecutor(max_workers=size)
     try:
-        futures = {task: pool.submit(task) for task in tasks}
+        futures = {task: pool.submit(task) for task in sorted(tasks, key=_short)}
         return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _short(task: Callable[[], Any]) -> bool:
+    """False for the chunk tasks that simulate trajectories, True for the rest."""
+    return getattr(task, "func", None) not in (_trajectory_chunk, _bayes_chunk)
 
 
 def _run(experiment: Experiment, workers: int):
@@ -217,6 +236,9 @@ def _chunk_tasks(fn, trials: int, *args) -> list[Callable[[], Any]]:
 
 
 def _gather(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The parts' arrays joined along the trial axis; one part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
@@ -225,22 +247,43 @@ def _chunk_stream(rng: Stream, start: int) -> Stream:
     return rng.child(start // CHUNK)
 
 
+def _noise_generator(rng: Stream, start: int) -> np.random.Generator:
+    """The one generator of the noise of the chunk that starts at trial ``start``."""
+    return _chunk_stream(rng, start).child(KIND_NOISE).generator()
+
+
 def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndarray:
-    gen = _chunk_stream(rng, start).child(KIND_NOISE).generator()
-    return gen.standard_normal((count, n, d))
+    return _noise_generator(rng, start).standard_normal((count, n, d))
+
+
+def _noise_blocks(
+    rng: Stream, start: int, count: int, n: int, d: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The chunk's noise in consecutive blocks: (first trial, noise (size, n, d)).
+
+    A block holds ``max(1, BLOCK_ELEMENTS // (n * d))`` trials, the last one
+    fewer. Every block comes from the chunk's one noise generator, which
+    fills arrays in order, so trial k gets the draws of ``_noise_chunk``.
+    """
+    gen = _noise_generator(rng, start)
+    size = max(1, BLOCK_ELEMENTS // (n * d))
+    for first in range(0, count, size):
+        yield first, gen.standard_normal((min(size, count - first), n, d))
 
 
 class SimulatedChunk:
-    """Noise (count, N, d), states (count, N+1, d) and Gram sums of a chunk's trials.
+    """Noise (count, N, d), states (count, N+1, d) and Gram sums of one block of trials.
 
-    ``gamma`` and ``sigma`` are those of ``_gram_sums``; ``noise_gram``, the
-    per-trial sum_{i=1}^{N-1} e_i x_i^T, is formed on first use.
+    A chunk is simulated one block of ``_noise_blocks`` at a time, so only
+    one block's noise and states are alive at once. ``gamma`` and ``sigma``
+    are those of ``_gram_sums``; ``noise_gram``, the per-trial
+    sum_{i=1}^{N-1} e_i x_i^T, is formed on first use.
     """
 
-    def __init__(self, params: SystemParams, rng: Stream, start: int, count: int) -> None:
+    def __init__(self, params: SystemParams, noise: np.ndarray) -> None:
         self.params = params
-        self.noise = _noise_chunk(rng, start, count, params.n, params.d)
-        self.states = _states_batch(params.a, params.b, self.noise)
+        self.noise = noise
+        self.states = _states_batch(params.a, params.b, noise)
         self.gamma, self.sigma = _gram_sums(self.states)
 
     @cached_property
@@ -248,12 +291,18 @@ class SimulatedChunk:
         return _gram(self.noise[:, 1:], self.states[:, 1:-1])
 
 
+def _trajectory_block(params: SystemParams, stats: tuple, noise: np.ndarray) -> dict:
+    """The statistics of one block; its states die when this returns."""
+    chunk = SimulatedChunk(params, noise)
+    return {key: value for stat in stats for key, value in stat(chunk).items()}
+
+
 def _trajectory_chunk(
     params: SystemParams, stats: tuple, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
     """Every statistic in ``stats`` of one simulation of the chunk, in one dict."""
-    chunk = SimulatedChunk(params, rng, start, count)
-    return {key: value for stat in stats for key, value in stat(chunk).items()}
+    blocks = _noise_blocks(rng, start, count, params.n, params.d)
+    return _gather([_trajectory_block(params, stats, noise) for _, noise in blocks])
 
 
 def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
@@ -286,14 +335,21 @@ def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
+def _bayes_block(a: np.ndarray, noise: np.ndarray) -> dict[str, np.ndarray]:
+    """Least-squares error of one block, A one per trial; its states die when this returns."""
+    states = _states_batch(a, np.eye(a.shape[-1]), noise)
+    failed, diff = _ls_error(*_gram_sums(states), a)
+    return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
+
+
 def _bayes_chunk(
     spec: PriorSpec, n: int, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
-    d = spec.d
     a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
-    states = _states_batch(a_stack, np.eye(d), _noise_chunk(rng, start, count, n, d))
-    failed, diff = _ls_error(*_gram_sums(states), a_stack)
-    return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
+    blocks = _noise_blocks(rng, start, count, n, spec.d)
+    return _gather(
+        [_bayes_block(a_stack[first : first + len(noise)], noise) for first, noise in blocks]
+    )
 
 
 def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, np.ndarray]:

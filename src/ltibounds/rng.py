@@ -6,8 +6,9 @@ yields the same draws, and child streams are addressed by ``(seed, path)``.
 Stream layout (version :data:`RNG_LAYOUT`): Monte Carlo code splits trials
 into fixed chunks and keys one generator by ``(seed, salt, chunk, kind)``,
 where ``kind`` is one of the ``KIND_*`` draw kinds below. Each chunk draws
-each kind with a single trial-major call, so trial k's draws are the k-th
-block of that array. Numpy fills arrays in order, so they depend only on
+each kind in trial-major calls in trial order (one call, or one per block of
+trials), and numpy fills arrays in order, so trial k's draws are the k-th
+run of draws of that stream whatever the calls. They depend only on
 ``(seed, salt, k)``: not on the total trial count, not on how chunks are
 spread over workers, and, because every kind has its own stream, never on
 how many variates a rejection sampler of another kind consumed. This is the

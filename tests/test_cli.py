@@ -16,6 +16,7 @@ import ltibounds.cli
 import ltibounds.montecarlo
 from ltibounds.cli import main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
+from ltibounds.rng import KIND_NOISE, Stream
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -352,26 +353,80 @@ def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_verify_submits_the_simulation_chunks_first(tmp_path, monkeypatch):
+    submitted = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class RecordingPool(real_pool):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn.func.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path = write_config(
+        tmp_path,
+        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+        run={"trials": ltibounds.montecarlo.CHUNK + 1, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+    )
+    reports = []
+    for workers in (2, 1):
+        out = tmp_path / f"v{workers}.csv"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        reports.append(out.read_bytes())
+    # two chunks each: the long simulation chunks go to the pool before the
+    # prior chunks and the bound, whatever the report order
+    assert submitted == [
+        "_trajectory_chunk",
+        "_trajectory_chunk",
+        "_bayes_chunk",
+        "_bayes_chunk",
+        "_prior_identity_chunk",
+        "_prior_identity_chunk",
+        "cr_bound",
+    ]
+    assert reports[0] == reports[1]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("trials", [100, 500, 1000, 5000])
 def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, trials):
-    draws = []
-    original = ltibounds.montecarlo._noise_chunk
+    opened, drawn = [], {}
+    original = Stream.generator
 
-    def recording_noise_chunk(rng, start, count, n, d):
-        draws.append((rng.path, start))
-        return original(rng, start, count, n, d)
+    class NoiseRecorder:
+        def __init__(self, path, gen):
+            self.path, self.gen = path, gen
 
-    monkeypatch.setattr(ltibounds.montecarlo, "_noise_chunk", recording_noise_chunk)
+        def standard_normal(self, size):
+            drawn[self.path] += math.prod(size)
+            return self.gen.standard_normal(size)
+
+    def recording_generator(stream):
+        gen = original(stream)
+        if stream.path[-1:] != (KIND_NOISE,):
+            return gen
+        opened.append(stream.path)
+        drawn.setdefault(stream.path, 0)
+        return NoiseRecorder(stream.path, gen)
+
+    monkeypatch.setattr(Stream, "generator", recording_generator)
     path = write_config(tmp_path, system={"a": {"kind": "identity", "scale": 0.5}}, run={"trials": trials})
     out = tmp_path / "v.csv"
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-    # one noise draw per trajectory chunk, shared by every trajectory check,
-    # and one per Bayes chunk; Bayes needs 1000 trials
-    starts = list(range(0, trials, ltibounds.montecarlo.CHUNK))
-    expected = [((ltibounds.cli.SALT_IDENTITY,), s) for s in starts]
+    # each trajectory chunk's noise stream is opened once and draws count*N*d
+    # normals, shared by every trajectory check; so is each Bayes chunk's,
+    # and Bayes needs 1000 trials; no other noise stream is opened
+    chunks = ltibounds.montecarlo._chunk_ranges(trials)
+    salts = [ltibounds.cli.SALT_IDENTITY]
     if trials >= 1000:
-        expected += [((ltibounds.cli.SALT_BAYES,), s) for s in starts]
-    assert draws == expected
+        salts.append(ltibounds.cli.SALT_BAYES)
+    expected = {
+        (salt, start // ltibounds.montecarlo.CHUNK, KIND_NOISE): count * 10 * 2  # N = 10, d = 2
+        for salt in salts
+        for start, count in chunks
+    }
+    assert opened == list(expected)
+    assert drawn == expected
     rows = read_rows(out)
     quantities = [r["quantity"] for r in rows]
     checks = [

@@ -1,4 +1,5 @@
-"""Golden ``verify`` reports: the bytes must not depend on the worker count.
+"""Golden ``verify`` reports: the bytes must not depend on the worker count
+or on the number of trials a chunk simulates at once (``BLOCK_ELEMENTS``).
 
 Each ``tests/golden/<name>.json`` config has its report committed next to it
 as ``<name>.csv``. ``verify_readme_rotation`` runs three ``CHUNK``-sized
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import ltibounds.montecarlo
 from ltibounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -32,4 +34,14 @@ def test_verify_report_equals_golden(tmp_path, name, workers):
     out = tmp_path / f"{name}.csv"
     config = GOLDEN / f"{name}.json"
     assert main(["verify", "--config", str(config), "--out", str(out), "--workers", str(workers)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_verify_report_does_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
+    # ragged blocks of 93 trials (readme_rotation) and 15 trials (d3_n64)
+    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 3000)
+    out = tmp_path / f"{name}.csv"
+    config = GOLDEN / f"{name}.json"
+    assert main(["verify", "--config", str(config), "--out", str(out), "--workers", "1"]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

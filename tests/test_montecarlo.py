@@ -1,4 +1,5 @@
 import multiprocessing
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -36,6 +37,7 @@ from ltibounds.montecarlo import (
     _gather,
     _identity_stats,
     _multiplication_stats,
+    _noise_blocks,
     _noise_chunk,
     _prior_identity_chunk,
     SimulatedChunk,
@@ -173,7 +175,10 @@ def test_score_mean_zero_and_negative_control():
     assert score.passed
     # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
     at_wrong_a = scalar_params(0.8, n=16)
-    chunks = [SimulatedChunk(params, Stream(65), s, c) for s, c in _chunk_ranges(5000)]
+    chunks = [
+        SimulatedChunk(params, _noise_chunk(Stream(65), s, c, params.n, params.d))
+        for s, c in _chunk_ranges(5000)
+    ]
     wrong = np.concatenate(
         [_data_score(at_wrong_a, chunk.gamma, chunk.sigma) for chunk in chunks]
     ).mean(axis=0)
@@ -453,6 +458,64 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
         for reference in references:
             for key, value in reference(Stream(99), start, count).items():
                 assert np.array_equal(shared[key], value), (key, start)
+
+
+# ---------------------------------------------------------------------------
+# blocks: a chunk is simulated a block of trials at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocks_change_no_bit(monkeypatch, d):
+    a = np.diag(np.linspace(0.3, 0.9, d)) + 0.1 * np.triu(np.ones((d, d)), 1)
+    params = SystemParams(a=a, b=np.eye(d) + 0.2 * np.triu(np.ones((d, d)), 1), n=12)
+    psi_m = psi(params)
+    stats = _statistics(np.linalg.solve(psi_m, np.eye(d)), sym_inv_sqrt(psi_m))
+    spec = PriorSpec(s=0.5, eps=0.5, d=d)
+
+    def chunks():
+        return [
+            _trajectory_chunk(params, stats, Stream(100), 0, 37),
+            _bayes_chunk(spec, params.n, Stream(101), 0, 37),
+        ]
+
+    one_block = chunks()
+    # blocks of 8 trials, the last of 5
+    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 8 * params.n * d)
+    blocks = list(_noise_blocks(Stream(100), 0, 37, params.n, d))
+    assert [(first, len(noise)) for first, noise in blocks] == [(0, 8), (8, 8), (16, 8), (24, 8), (32, 5)]
+    noise = np.concatenate([noise for _, noise in blocks])
+    assert np.array_equal(noise, _noise_chunk(Stream(100), 0, 37, params.n, d))
+    for whole, blocked in zip(one_block, chunks()):
+        assert whole.keys() == blocked.keys()
+        for key in whole:
+            assert whole[key].shape[0] == 37
+            assert np.array_equal(whole[key], blocked[key]), key
+    assert one_block[0].keys() == {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"}
+
+
+def _peak_bytes(task) -> int:
+    tracemalloc.start()
+    try:
+        task()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
+    # d = 8, N = 512 and blocks of 128 trials: a block's noise is 4 MB, while
+    # a whole chunk of 1024 trials would hold 32 MB of noise and 32 MB of states
+    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 2**19)
+    d, n = 8, 512
+    params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
+    tasks = [
+        partial(_trajectory_chunk, params, _statistics(np.eye(d), np.eye(d)), Stream(102), 0),
+        partial(_bayes_chunk, PriorSpec(s=0.5, eps=0.5, d=d), n, Stream(103), 0),
+    ]
+    for task in tasks:
+        small, large = (_peak_bytes(partial(task, count)) for count in (256, 1024))
+        assert large < 1.5 * small, task.func.__name__
 
 
 def test_bayes_chunk_trial_prefix_invariance():
