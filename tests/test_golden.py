@@ -1,12 +1,17 @@
-"""Golden ``verify`` reports: the bytes must not depend on the worker count
-or on the number of trials a chunk simulates at once (``BLOCK_ELEMENTS``).
+"""Golden reports: the bytes must not depend on the worker count or, for
+``verify``, on the number of trials a chunk simulates at once
+(``BLOCK_ELEMENTS``).
 
-Each ``tests/golden/<name>.json`` config has its report committed next to it
-as ``<name>.csv``. ``verify_readme_rotation`` runs three ``CHUNK``-sized
-chunks per experiment; ``verify_d3_n64`` runs one chunk per experiment.
-A change that alters any Monte Carlo draw or summation order on purpose
-regenerates them with
-``ltibounds verify --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
+Each ``tests/golden/<command>_<name>.json`` config has the report of
+``ltibounds <command>`` committed next to it as ``<command>_<name>.csv``.
+``verify_readme_rotation`` runs three ``CHUNK``-sized chunks per experiment;
+``verify_d3_n64`` runs one chunk per experiment; ``verify_d3_n64_t50`` and
+``verify_d3_n64_t500`` pin the skipped and inconclusive rows below the 100-
+and 1000-trial minimums. The ``bounds`` goldens are the seed-1 configs of a
+stable, a limit-stable, an unstable and a d=8 system of the benchmark's
+``bounds_sweep`` workload. A change that alters any Monte Carlo draw,
+summation order or bound value on purpose regenerates them with
+``ltibounds <command> --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
 
 The bytes are fixed for a given numpy/BLAS build. The Gram sums are BLAS
 matrix products, so another BLAS build or CPU kernel may change the last
@@ -22,26 +27,43 @@ from ltibounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.json"))
+VERIFY = [name for name in CONFIGS if name.startswith("verify_")]
 
 
 def test_goldens_exist():
-    assert CONFIGS == ["verify_d3_n64", "verify_readme_rotation"]
+    assert CONFIGS == [
+        "bounds_d8_n256",
+        "bounds_limit_n512",
+        "bounds_stable_n256",
+        "bounds_unstable_n64",
+        "verify_d3_n64",
+        "verify_d3_n64_t50",
+        "verify_d3_n64_t500",
+        "verify_readme_rotation",
+    ]
+
+
+def _report(tmp_path, name: str, *options: str) -> bytes:
+    out = tmp_path / f"{name}.csv"
+    command = name.split("_", 1)[0]
+    config = GOLDEN / f"{name}.json"
+    assert main([command, "--config", str(config), "--out", str(out), *options]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", [name for name in CONFIGS if name.startswith("bounds_")])
+def test_bounds_report_equals_golden(tmp_path, name):
+    assert _report(tmp_path, name) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", VERIFY)
 def test_verify_report_equals_golden(tmp_path, name, workers):
-    out = tmp_path / f"{name}.csv"
-    config = GOLDEN / f"{name}.json"
-    assert main(["verify", "--config", str(config), "--out", str(out), "--workers", str(workers)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert _report(tmp_path, name, "--workers", str(workers)) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", VERIFY)
 def test_verify_report_does_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
     # ragged blocks of 93 trials (readme_rotation) and 15 trials (d3_n64)
     monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 3000)
-    out = tmp_path / f"{name}.csv"
-    config = GOLDEN / f"{name}.json"
-    assert main(["verify", "--config", str(config), "--out", str(out), "--workers", "1"]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert _report(tmp_path, name, "--workers", "1") == (GOLDEN / f"{name}.csv").read_bytes()
