@@ -16,9 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import sym_inv_sqrt, validate_square
-from .model import SystemParams, information_scalar
+from .model import SystemParams, expected_gram, information_scalar
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 60  # golden-section steps of the l_ab refinement
+# spectral_split's largest eigenvector-basis condition number and reconstruction error
+SPLIT_COND_MAX = 1e8
+SPLIT_RECON_RTOL = 1e-8
 
 
 class NotDiagonalizableError(ValueError):
@@ -71,12 +75,7 @@ class WithLimitBound(NamedTuple):
 
 def psi(params: SystemParams) -> np.ndarray:
     """Expected Gram matrix: sum_{k=1}^{N-1} (N-k) A^{k-1} BB* A*^{k-1}."""
-    out = np.zeros((params.d, params.d))
-    c = params.b.copy()
-    for k in range(1, params.n):
-        out += (params.n - k) * (c @ c.T)
-        c = params.a @ c
-    return 0.5 * (out + out.T)
+    return expected_gram(params)[0]
 
 
 def _matrix_powers(a: np.ndarray, count: int) -> np.ndarray:
@@ -117,13 +116,13 @@ def _grid_freq_norm_sq(
     return np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization with a fixed iteration count."""
+def _golden_max(fn, lo: float, hi: float) -> float:
+    """Golden-section maximization in ``GOLDEN_ITERS`` steps."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -242,7 +241,6 @@ def cr_bound(
     constant: float = 1.0,
     *,
     grid_points: int = 4096,
-    delta_variant: str = "statement",
     psi_matrix: np.ndarray | None = None,
 ) -> BoundReport:
     """Cramer-Rao-type lower bound on the least-squares estimation error.
@@ -252,27 +250,24 @@ def cr_bound(
     mse_lower = (1-eps)^2 / (1 + C Delta)^2 * d^2 / phi(|A|^2, N).
 
     ``constant`` is the unknown universal constant multiplying Delta; it is
-    echoed in the report so no number masquerades as constant-free.
-    ``delta_variant`` picks the argument of the deviation rate: "statement"
-    uses t = log(L/eps), "proof" uses t = log(C d L / eps). Negative logs are
-    clamped to zero. ``psi_matrix`` is a precomputed ``psi(params)``.
+    echoed in the report so no number masquerades as constant-free. The
+    deviation rate is taken at t = log(L/eps), clamped to zero when negative.
+    Psi and the information scalar come from one ``expected_gram`` walk, or,
+    when ``psi_matrix`` (a precomputed ``psi(params)``) is given, the scalar
+    alone from ``information_scalar``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if constant <= 0:
         raise ValueError(f"constant must be > 0, got {constant}")
-    if delta_variant not in ("statement", "proof"):
-        raise ValueError(f"unknown delta_variant {delta_variant!r}")
-    psi_m = psi(params) if psi_matrix is None else psi_matrix
-    l_val = l_ab(params, grid_points, psi_matrix=psi_m)
-    if delta_variant == "statement":
-        t = math.log(l_val / epsilon) if l_val > 0 else 0.0
+    if psi_matrix is None:
+        psi_m, info = expected_gram(params)
     else:
-        t = math.log(constant * params.d * l_val / epsilon) if l_val > 0 else 0.0
-    t = max(t, 0.0)
+        psi_m, info = psi_matrix, information_scalar(params)
+    l_val = l_ab(params, grid_points, psi_matrix=psi_m)
+    t = max(math.log(l_val / epsilon) if l_val > 0 else 0.0, 0.0)
     d1 = delta1(params, t, l_val)
     d2 = delta2(params, l_val)
-    info = information_scalar(params)
     d = params.d
     shrink = (1.0 - epsilon) ** 2 / (1.0 + constant * d1) ** 2
     cr_matrix = (d**2) * shrink * params.noise_cov() / info
@@ -291,19 +286,13 @@ def cr_bound(
     )
 
 
-def spectral_split(
-    a: np.ndarray,
-    tol: float,
-    b: np.ndarray | None = None,
-    *,
-    cond_threshold: float = 1e8,
-    recon_rtol: float = 1e-8,
-) -> SpectralSplit:
+def spectral_split(a: np.ndarray, tol: float, b: np.ndarray | None = None) -> SpectralSplit:
     """Diagonalize A and classify eigenvalues by modulus against 1 +- tol.
 
     ``b`` is the noise-shaping matrix used to form b_tilde = S^{-1} B
     (identity when omitted). Raises NotDiagonalizableError when the
-    eigenvector basis is too ill-conditioned or does not reconstruct A.
+    eigenvector basis has condition number above ``SPLIT_COND_MAX`` or
+    reconstructs A only to a relative error above ``SPLIT_RECON_RTOL``.
     """
     a = validate_square(a, "a")
     if tol <= 0:
@@ -316,16 +305,16 @@ def spectral_split(
         raise ValueError(f"b must match a's shape {a.shape}, got {b.shape}")
     eigvals, basis = np.linalg.eig(a)
     sv = np.linalg.svd(basis, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > cond_threshold:
+    if sv[-1] <= 0 or sv[0] / sv[-1] > SPLIT_COND_MAX:
         raise NotDiagonalizableError(
             f"eigenvector basis condition number {sv[0] / max(sv[-1], 1e-300):.3e} "
-            f"exceeds {cond_threshold:.1e}; matrix is not reliably diagonalizable"
+            f"exceeds {SPLIT_COND_MAX:.1e}; matrix is not reliably diagonalizable"
         )
     recon = (basis * eigvals) @ np.linalg.inv(basis)
     rel = np.linalg.norm(recon - a) / (1.0 + np.linalg.norm(a))
-    if rel > recon_rtol:
+    if rel > SPLIT_RECON_RTOL:
         raise NotDiagonalizableError(
-            f"eigendecomposition reconstruction error {rel:.3e} exceeds {recon_rtol:.1e}"
+            f"eigendecomposition reconstruction error {rel:.3e} exceeds {SPLIT_RECON_RTOL:.1e}"
         )
     moduli = np.abs(eigvals)
     stable = tuple(int(i) for i in np.flatnonzero(moduli < 1.0 - tol))

@@ -36,6 +36,7 @@ from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_b
 from .model import SystemParams
 from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
+    MIN_RISK_TRIALS,
     AllTrialsSingularError,
     TooManySingularTrialsError,
     bayes_plan,
@@ -90,7 +91,9 @@ def _row(cfg: ExperimentConfig, quantity: str, value: float, eq_tag: str, **extr
     )
 
 
-def _skipped_row(cfg: ExperimentConfig, quantity: str, eq_tag: str, minimum: int) -> ReportRow:
+def _skipped_row(
+    cfg: ExperimentConfig, quantity: str, eq_tag: str, minimum: int = MIN_CONCLUSIVE_TRIALS
+) -> ReportRow:
     skipped = f"trials below the {minimum}-trial minimum"
     return _row(cfg, quantity, 0.0, eq_tag, status="inconclusive", skipped=skipped)
 
@@ -263,34 +266,31 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     params = _system(cfg)
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
+    conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
     # every experiment of the op, and the bound, run in one call of the runner;
-    # Psi is computed once here and shared by the tasks that need it
+    # Psi is computed once here and shared by the tasks that need it. An
+    # experiment below its trial minimum is None and gets a skipped row.
     psi_m = psi(params)
-    on_trajectories = [identity_plan(params, psi_m)]
-    if cfg.trials >= 100:
-        bound = partial(
-            cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points, psi_matrix=psi_m
-        )
-        on_trajectories.append(
-            dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
-        )
-    if cfg.trials >= 1000:
+    bound = partial(cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points, psi_matrix=psi_m)
+    dominance = concentration = multiplication = bayes = None
+    if cfg.trials >= MIN_RISK_TRIALS:
+        dominance = dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
+    if conclusive:
         psi_inv_sqrt = sym_inv_sqrt(psi_m)
-        on_trajectories += [
-            concentration_plan(params, cfg.trials, list(cfg.t_levels), psi_inv_sqrt, bound),
-            multiplication_plan(params, cfg.trials, psi_inv_sqrt, bound),
-        ]
-    plans = trajectory_experiments(params, cfg.trials, root.child(SALT_IDENTITY), on_trajectories)
-    # in report order: the prior check after the identities, Bayes after dominance
-    plans.insert(1, prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR)))
-    if cfg.trials >= 1000:
-        plans.insert(3, bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES)))
-    results = iter(run_experiments(plans, workers))
+        concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), psi_inv_sqrt, bound)
+        multiplication = multiplication_plan(params, cfg.trials, psi_inv_sqrt, bound)
+        bayes = bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES))
+    plans = [identity_plan(params, psi_m), dominance, concentration, multiplication]
+    identity, dominance, concentration, multiplication = trajectory_experiments(
+        params, cfg.trials, root.child(SALT_IDENTITY), plans
+    )
+    prior = prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR))
+    checks, prior, dom, bayes, fit, mult = run_experiments(
+        [identity, prior, dominance, bayes, concentration, multiplication], workers
+    )
 
     rows: list[ReportRow] = []
-    failed = False
-    inconclusive = cfg.trials < MIN_CONCLUSIVE_TRIALS
-    if inconclusive:
+    if not conclusive:
         rows.append(
             _row(
                 cfg,
@@ -301,17 +301,14 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
 
-    checks = next(results)
-    checks.append(next(results))
     tag = {
         "selfnorm_identity": "selfnorm-identity",
         "fisher_information": "information-identity",
         "score_mean_zero": "score-mean-zero",
         "prior_score_identity": "prior-score-identity",
     }
-    for check in checks:
+    for check in [*checks, prior]:
         status = "inconclusive" if check.passed is None else ("pass" if check.passed else "fail")
-        failed |= check.passed is False
         rows.append(
             _row(
                 cfg,
@@ -327,48 +324,43 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
 
-    if cfg.trials >= 100:
-        dom = next(results)
-        dom_status = "inconclusive" if inconclusive else ("pass" if dom.holds else "fail")
-        failed |= dom_status == "fail"
+    if dom is None:
+        rows.append(_skipped_row(cfg, "risk_dominance", "risk-dominance", MIN_RISK_TRIALS))
+    else:
         rows.append(
             _row(
                 cfg,
                 "risk_dominance",
                 dom.margin,
                 "risk-dominance",
-                status=dom_status,
+                status=("pass" if dom.holds else "fail") if conclusive else "inconclusive",
                 bound_scale=cfg.constant_c,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,
             )
         )
-    else:
-        rows.append(_skipped_row(cfg, "risk_dominance", "risk-dominance", 100))
 
-    if cfg.trials >= 1000:
-        bayes = next(results)
-        bayes_status = "pass" if bayes.bayes_mse >= bayes.vt_bound else "fail"
-        failed |= bayes_status == "fail"
+    if bayes is None:
+        rows.append(_skipped_row(cfg, "bayes_dominance", "bayes-risk-lower-bound"))
+    else:
         rows.append(
             _row(
                 cfg,
                 "bayes_dominance",
                 bayes.bayes_mse,
                 "bayes-risk-lower-bound",
-                status=bayes_status,
+                status="pass" if bayes.bayes_mse >= bayes.vt_bound else "fail",
                 vt_bound=bayes.vt_bound,
                 s=cfg.s,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,
             )
         )
-    else:
-        rows.append(_skipped_row(cfg, "bayes_dominance", "bayes-risk-lower-bound", 1000))
 
-    # constant-dependent experiments: descriptive, never drive the exit code
-    if cfg.trials >= 1000:
-        fit = next(results)
+    # constant-dependent experiments: descriptive ("info"), never drive the exit code
+    if fit is None:
+        rows.append(_skipped_row(cfg, "concentration_constant", "gram-deviation-rate"))
+    else:
         rows.append(
             _row(
                 cfg,
@@ -382,7 +374,9 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 trials=cfg.trials,
             )
         )
-        mult = next(results)
+    if mult is None:
+        rows.append(_skipped_row(cfg, "multiplication_ratio", "multiplication-rate"))
+    else:
         rows.append(
             _row(
                 cfg,
@@ -395,9 +389,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 trials=cfg.trials,
             )
         )
-    else:
-        rows.append(_skipped_row(cfg, "concentration_constant", "gram-deviation-rate", 1000))
-        rows.append(_skipped_row(cfg, "multiplication_ratio", "multiplication-rate", 1000))
+    failed = any(row.extra.get("status") == "fail" for row in rows)
     return rows, (EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 

@@ -14,12 +14,14 @@ A matrix spec is either explicit row-major entries (list of rows) or one of
 {"kind": "diag", "values": [...]}, {"kind": "identity", "scale": c},
 {"kind": "rotation", "angle": theta, "scale": rho} (2x2 blocks repeated along
 the diagonal, so d must be even). ``seed`` has no default: reports must never
-be silently nondeterministic.
+be silently nondeterministic. Integer fields reject booleans; every real
+number, matrix entries included, must be a finite JSON number.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,15 +66,20 @@ class ExperimentConfig:
     echo: dict = field(repr=False, default_factory=dict)
 
 
+def _number(value: Any, name: str) -> float:
+    """``value`` as a float; ConfigError naming ``name`` unless a finite JSON number."""
+    # type() rejects booleans; the bound rejects NaN, inf and too large integers
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(name, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def build_matrix(spec: Any, d: int, name: str) -> np.ndarray:
     """Materialize a matrix spec into a d x d array."""
     if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != (d, d):
-            raise ConfigError(name, f"explicit entries must form a {d}x{d} matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(name, "entries must be finite")
-        return arr
+        if len(spec) != d or not all(isinstance(row, list) and len(row) == d for row in spec):
+            raise ConfigError(name, f"explicit entries must form a {d}x{d} matrix")
+        return np.array([[_number(x, name) for x in row] for row in spec])
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(name, "must be a list of rows or an object with a 'kind' key")
     kind = spec["kind"]
@@ -80,17 +87,16 @@ def build_matrix(spec: Any, d: int, name: str) -> np.ndarray:
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != d:
             raise ConfigError(name, f"'diag' needs a 'values' list of length {d}")
-        return np.diag(np.asarray(values, dtype=float))
+        return np.diag([_number(v, f"{name}.values") for v in values])
     if kind == "identity":
-        scale = float(spec.get("scale", 1.0))
-        return scale * np.eye(d)
+        return _number(spec.get("scale", 1.0), f"{name}.scale") * np.eye(d)
     if kind == "rotation":
         if d % 2 != 0:
             raise ConfigError(name, "'rotation' needs an even dimension")
         if "angle" not in spec:
             raise ConfigError(name, "'rotation' needs an 'angle'")
-        theta = float(spec["angle"])
-        rho = float(spec.get("scale", 1.0))
+        theta = _number(spec["angle"], f"{name}.angle")
+        rho = _number(spec.get("scale", 1.0), f"{name}.scale")
         block = rho * np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
@@ -126,10 +132,10 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         raise ConfigError("output", "must be an object")
 
     d = _require(system, "d", "system")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ConfigError("system.d", f"must be a positive integer, got {d!r}")
     n = _require(system, "n", "system")
-    if not isinstance(n, int) or n < d + 1:
+    if type(n) is not int or n < d + 1:
         raise ConfigError("system.n", f"must be an integer >= d + 1 = {d + 1}, got {n!r}")
     a = build_matrix(_require(system, "a", "system"), d, "system.a")
     b = build_matrix(_require(system, "b", "system"), d, "system.b")
@@ -146,31 +152,31 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if "seed" not in merged:
         raise ConfigError("run.seed", "is required (pass it in config or with --seed)")
     seed = merged["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError("run.seed", f"must be a nonnegative integer, got {seed!r}")
     trials = merged["trials"]
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ConfigError("run.trials", f"must be a positive integer, got {trials!r}")
-    epsilon = float(merged["epsilon"])
+    epsilon = _number(merged["epsilon"], "run.epsilon")
     if epsilon <= 0:
         raise ConfigError("run.epsilon", f"must be > 0, got {epsilon}")
-    alpha = float(merged["alpha"])
+    alpha = _number(merged["alpha"], "run.alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("run.alpha", f"must be in (0, 1), got {alpha}")
-    constant_c = float(merged["constant_c"])
+    constant_c = _number(merged["constant_c"], "run.constant_c")
     if constant_c <= 0:
         raise ConfigError("run.constant_c", f"must be > 0, got {constant_c}")
     grid_points = merged["grid_points"]
-    if not isinstance(grid_points, int) or grid_points < 64:
+    if type(grid_points) is not int or grid_points < 64:
         raise ConfigError("run.grid_points", f"must be an integer >= 64, got {grid_points!r}")
-    s = float(merged["s"])
+    s = _number(merged["s"], "run.s")
     if s < 0:
         raise ConfigError("run.s", f"must be >= 0, got {s}")
     t_levels = merged["t_levels"]
     if (
         not isinstance(t_levels, list)
         or not t_levels
-        or any((not isinstance(t, (int, float))) or t <= 0 for t in t_levels)
+        or min(_number(t, "run.t_levels") for t in t_levels) <= 0
     ):
         raise ConfigError("run.t_levels", f"must be a nonempty list of positive reals, got {t_levels!r}")
 
@@ -179,18 +185,20 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if out["format"] not in ("csv", "json"):
         raise ConfigError("output.format", f"must be 'csv' or 'json', got {out['format']!r}")
 
+    # the resolved run section: echoed (JSON writes the tuple as a list) and carried
+    run_values = {
+        "trials": trials,
+        "seed": seed,
+        "epsilon": epsilon,
+        "alpha": alpha,
+        "constant_c": constant_c,
+        "grid_points": grid_points,
+        "s": s,
+        "t_levels": tuple(float(t) for t in t_levels),
+    }
     echo = {
         "system": {"d": d, "n": n, "a": _matrix_echo(a), "b": _matrix_echo(b)},
-        "run": {
-            "trials": trials,
-            "seed": seed,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "constant_c": constant_c,
-            "grid_points": grid_points,
-            "s": s,
-            "t_levels": [float(t) for t in t_levels],
-        },
+        "run": run_values,
         "output": {"format": out["format"], "path": out["path"]},
     }
     return ExperimentConfig(
@@ -198,14 +206,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         n=n,
         a=a,
         b=b,
-        trials=trials,
-        seed=seed,
-        epsilon=epsilon,
-        alpha=alpha,
-        constant_c=constant_c,
-        grid_points=grid_points,
-        s=s,
-        t_levels=tuple(float(t) for t in t_levels),
+        **run_values,
         out_format=out["format"],
         out_path=out["path"],
         echo=echo,

@@ -16,6 +16,7 @@ import numpy as np
 from .rng import as_generator
 
 SYMMETRY_RTOL = 1e-10
+INV_SQRT_RTOL = 1e-12  # sym_inv_sqrt needs smallest/largest eigenvalue above this
 
 
 def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -107,16 +108,16 @@ def is_psd_dominated(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
 
 
-def sym_inv_sqrt(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     m = require_symmetric(m, "sym_inv_sqrt input")
     w, v = np.linalg.eigh(m)
     if w[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}")
-    if w[0] <= rtol * w[-1]:
+    if w[0] <= INV_SQRT_RTOL * w[-1]:
         raise ValueError(
             f"matrix is too ill-conditioned: smallest/largest eigenvalue ratio "
-            f"{w[0] / w[-1]:.3e} <= rtol {rtol:.1e} (eigenvalues {w[0]:.3e}..{w[-1]:.3e})"
+            f"{w[0] / w[-1]:.3e} <= rtol {INV_SQRT_RTOL:.1e} (eigenvalues {w[0]:.3e}..{w[-1]:.3e})"
         )
     r = (v / np.sqrt(w)) @ v.T
     return 0.5 * (r + r.T)

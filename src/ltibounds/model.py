@@ -9,7 +9,8 @@ Index conventions, fixed once for every sum in this package:
   ``i = 1..N`` pairing ``x_i`` with ``x_{i-1}``;
 * expectation-side sums (information scalar, expected Gram) run over
   ``k = 1..N-1`` with weight ``N - k`` on the ``A^(k-1) B`` term — the
-  ``x_0 = 0`` start removes one term from every expectation.
+  ``x_0 = 0`` start removes one term from every expectation. Both come from
+  the one walk of ``expected_gram``.
 
 Off-by-one errors between these two families of sums are the main
 correctness hazard here; all other modules reuse these helpers instead of
@@ -223,14 +224,21 @@ def sensitivity(params: SystemParams, traj: Trajectory) -> np.ndarray:
     return _data_score(params, *_gram_sums(traj.states[None]))[0]
 
 
-def information_scalar(params: SystemParams) -> float:
-    """sum_{k=1}^{N-1} (N-k) |A^{k-1} B|_F^2, the scalar information weight."""
+def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
+    """Psi = sum_{k=1}^{N-1} (N-k) c c^T and its trace sum (N-k) |c|_F^2, c = A^(k-1) B."""
+    out = np.zeros((params.d, params.d))
     total = 0.0
     c = params.b.copy()
     for k in range(1, params.n):
+        out += (params.n - k) * (c @ c.T)
         total += (params.n - k) * float(np.sum(c * c))
         c = params.a @ c
-    return total
+    return 0.5 * (out + out.T), total
+
+
+def information_scalar(params: SystemParams) -> float:
+    """sum_{k=1}^{N-1} (N-k) |A^{k-1} B|_F^2, the scalar information weight."""
+    return expected_gram(params)[1]
 
 
 def fisher_information(params: SystemParams) -> np.ndarray:

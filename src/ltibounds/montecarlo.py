@@ -27,9 +27,9 @@ statistic of a ``SimulatedChunk`` and a reducer. ``trajectory_experiments``
 gives several plans one task per chunk that simulates it once, forms each
 Gram sum at most once and computes every plan's statistic; ``verify`` runs
 its identity, dominance, concentration and multiplication experiments so.
-``_bayes_chunk`` draws one A per trial and simulates its own chunks. Gram
-sums are BLAS products, so another BLAS build or CPU kernel may change their
-last digits.
+``_bayes_chunk`` draws one A per trial and runs the same block loop with one
+statistic, the squared least-squares error. Gram sums are BLAS products, so
+another BLAS build or CPU kernel may change their last digits.
 
 A chunk task simulates its trials in consecutive blocks of at most
 ``BLOCK_ELEMENTS`` noise numbers (``_noise_blocks``) and computes each
@@ -72,6 +72,9 @@ from .rng import KIND_NOISE, Stream
 CHUNK = 4096
 # numbers per noise block (32 MB of float64); see _noise_blocks
 BLOCK_ELEMENTS = 2**22
+# fewest trials: of the risk experiment, and of a conclusive 4-SE check and
+# every other experiment
+MIN_RISK_TRIALS = 100
 MIN_CONCLUSIVE_TRIALS = 1000
 
 
@@ -175,8 +178,8 @@ def _known(value: Any) -> Any:
     return value
 
 
-def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list:
-    """The reduced result of each experiment, in order.
+def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) -> list:
+    """The reduced result of each experiment, in order; None for a None experiment.
 
     The tasks of all ``experiments`` form one list, in order; a task object
     listed by several experiments runs once. With ``workers`` > 1 and more
@@ -190,7 +193,11 @@ def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list
     submission order; the pool is then shut down with its queued tasks
     cancelled.
     """
-    tasks = list(dict.fromkeys(t for e in experiments for t in e.tasks))
+    tasks = list(dict.fromkeys(t for e in experiments if e is not None for t in e.tasks))
+
+    def reduced(result: Callable[[Callable[[], Any]], Any]) -> list:
+        return [None if e is None else e.reduce([result(t) for t in e.tasks]) for e in experiments]
+
     size = min(workers, len(tasks))
     if size <= 1:
         done: dict = {}
@@ -200,14 +207,14 @@ def run_experiments(experiments: Sequence[Experiment], workers: int = 1) -> list
                 done[task] = task()
             return done[task]
 
-        return [e.reduce([result(t) for t in e.tasks]) for e in experiments]
+        return reduced(result)
     # imported here: bounds and single-process runs never load it
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=size)
     try:
         futures = {task: pool.submit(task) for task in sorted(tasks, key=_short)}
-        return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
+        return reduced(lambda task: futures[task].result())
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -235,11 +242,11 @@ def _chunk_tasks(fn, trials: int, *args) -> list[Callable[[], Any]]:
     return [partial(fn, *args, start, count) for start, count in _chunk_ranges(trials)]
 
 
-def _gather(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """The parts' arrays joined along the trial axis; one part is returned as is."""
+def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndarray]:
+    """The parts' arrays ``keys`` (default all) joined on the trial axis; one part as is."""
     if len(parts) == 1:
         return parts[0]
-    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in keys or parts[0]}
 
 
 def _chunk_stream(rng: Stream, start: int) -> Stream:
@@ -274,48 +281,64 @@ def _noise_blocks(
 class SimulatedChunk:
     """Noise (count, N, d), states (count, N+1, d) and Gram sums of one block of trials.
 
-    A chunk is simulated one block of ``_noise_blocks`` at a time, so only
-    one block's noise and states are alive at once. ``gamma`` and ``sigma``
-    are those of ``_gram_sums``; ``noise_gram``, the per-trial
-    sum_{i=1}^{N-1} e_i x_i^T, is formed on first use.
+    ``a`` is shared by every trial or one per trial, (count, d, d). A chunk is
+    simulated one block of ``_noise_blocks`` at a time, so only one block's
+    noise and states are alive at once. ``gamma`` and ``sigma`` are those of
+    ``_gram_sums``; ``ls_error`` (``_ls_error``) and ``noise_gram``, the
+    per-trial sum_{i=1}^{N-1} e_i x_i^T, are formed on first use.
     """
 
-    def __init__(self, params: SystemParams, noise: np.ndarray) -> None:
-        self.params = params
+    def __init__(self, a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> None:
+        self.a = a
         self.noise = noise
-        self.states = _states_batch(params.a, params.b, noise)
+        self.states = _states_batch(a, b, noise)
         self.gamma, self.sigma = _gram_sums(self.states)
+
+    @cached_property
+    def ls_error(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ls_error(self.gamma, self.sigma, self.a)
 
     @cached_property
     def noise_gram(self) -> np.ndarray:
         return _gram(self.noise[:, 1:], self.states[:, 1:-1])
 
 
-def _trajectory_block(params: SystemParams, stats: tuple, noise: np.ndarray) -> dict:
-    """The statistics of one block; its states die when this returns."""
-    chunk = SimulatedChunk(params, noise)
-    return {key: value for stat in stats for key, value in stat(chunk).items()}
+def _chunk_stats(
+    a: np.ndarray, b: np.ndarray, n: int, stats: tuple, rng: Stream, start: int, count: int
+) -> dict[str, np.ndarray]:
+    """Every statistic in ``stats`` of the chunk, simulated a block at a time.
+
+    ``a`` is shared, or one per trial of the chunk and sliced per block.
+    """
+    parts = []
+    for first, noise in _noise_blocks(rng, start, count, n, b.shape[0]):
+        chunk = SimulatedChunk(a if a.ndim == 2 else a[first : first + len(noise)], b, noise)
+        parts.append({key: value for stat in stats for key, value in stat(chunk).items()})
+        del chunk  # the block's states die before the next block is drawn
+    return _gather(parts)
 
 
 def _trajectory_chunk(
     params: SystemParams, stats: tuple, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
     """Every statistic in ``stats`` of one simulation of the chunk, in one dict."""
-    blocks = _noise_blocks(rng, start, count, params.n, params.d)
-    return _gather([_trajectory_block(params, stats, noise) for _, noise in blocks])
+    return _chunk_stats(params.a, params.b, params.n, stats, rng, start, count)
+
+
+def _mse_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    failed, diff = chunk.ls_error
+    return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
 
 
 def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
-    failed, diff = _ls_error(chunk.gamma, chunk.sigma, chunk.params.a)
-    return {
-        "failed": failed,
-        "err": np.einsum("tij,tkj->tik", diff, diff),
-        "mse": np.einsum("tij,tij->t", diff, diff),
-    }
+    diff = chunk.ls_error[1]
+    return {**_mse_stats(chunk), "err": np.einsum("tij,tkj->tik", diff, diff)}
 
 
-def _identity_stats(psi_inv: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
-    score = _data_score(chunk.params, chunk.gamma, chunk.sigma)
+def _identity_stats(
+    params: SystemParams, psi_inv: np.ndarray, chunk: SimulatedChunk
+) -> dict[str, np.ndarray]:
+    score = _data_score(params, chunk.gamma, chunk.sigma)
     p = chunk.noise_gram
     return {
         "selfnorm": np.einsum("tij,jk,tlk->til", p, psi_inv, p),
@@ -326,7 +349,7 @@ def _identity_stats(psi_inv: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.
 
 def _concentration_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
     # x_0 = 0, so sigma is also sum_{i=1}^{N-1} x_i x_i^T
-    y = np.einsum("ij,tjk,kl->til", w, chunk.sigma, w) - np.eye(chunk.params.d)
+    y = np.einsum("ij,tjk,kl->til", w, chunk.sigma, w) - np.eye(len(w))
     return {"dev": np.max(np.abs(np.linalg.eigvalsh(_sym(y))), axis=1)}
 
 
@@ -335,21 +358,12 @@ def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
-def _bayes_block(a: np.ndarray, noise: np.ndarray) -> dict[str, np.ndarray]:
-    """Least-squares error of one block, A one per trial; its states die when this returns."""
-    states = _states_batch(a, np.eye(a.shape[-1]), noise)
-    failed, diff = _ls_error(*_gram_sums(states), a)
-    return {"failed": failed, "mse": np.einsum("tij,tij->t", diff, diff)}
-
-
 def _bayes_chunk(
     spec: PriorSpec, n: int, rng: Stream, start: int, count: int
 ) -> dict[str, np.ndarray]:
+    """``_mse_stats`` of the chunk's trials, each with its own prior draw of A and B = I."""
     a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
-    blocks = _noise_blocks(rng, start, count, n, spec.d)
-    return _gather(
-        [_bayes_block(a_stack[first : first + len(noise)], noise) for first, noise in blocks]
-    )
+    return _chunk_stats(a_stack, np.eye(spec.d), n, (_mse_stats,), rng, start, count)
 
 
 def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, np.ndarray]:
@@ -393,11 +407,19 @@ def trajectory_experiments(
 
     One task per chunk simulates its trials once and computes every plan's
     statistic; every experiment lists those same task objects, so
-    ``run_experiments`` runs each once.
+    ``run_experiments`` runs each once. A None plan gives a None experiment.
     """
-    stats = tuple(plan.statistic for plan in plans)
+    stats = tuple(plan.statistic for plan in plans if plan is not None)
     chunks = _chunk_tasks(_trajectory_chunk, trials, params, stats, rng)
-    return [Experiment([*plan.inputs, *chunks], plan.reduce) for plan in plans]
+    return [
+        None if plan is None else Experiment([*plan.inputs, *chunks], plan.reduce)
+        for plan in plans
+    ]
+
+
+def _require_trials(trials: int, minimum: int) -> None:
+    if trials < minimum:
+        raise ValueError(f"trials must be >= {minimum}, got {trials}")
 
 
 def _accepted_trials(failed: np.ndarray, what: str) -> int:
@@ -416,11 +438,10 @@ def _accepted_trials(failed: np.ndarray, what: str) -> int:
 
 def risk_plan(params: SystemParams, trials: int) -> TrajectoryPlan:
     """Plan of ``empirical_risk``."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    _require_trials(trials, MIN_RISK_TRIALS)
 
     def reduce(parts) -> RiskEstimate:
-        data = _gather(parts)
+        data = _gather(parts, "failed", "err", "mse")
         n_ok = _accepted_trials(data["failed"], "trials")
         error_matrix = np.sum(data["err"], axis=0) / n_ok
         error_matrix = 0.5 * (error_matrix + error_matrix.T)
@@ -458,15 +479,13 @@ def concentration_plan(
     result carries ``l_ab`` (a ``BoundReport`` or ``RateInputs``); only the
     reducer reads it, so the chunks need not wait for it.
     """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
     levels = tuple(sorted(float(t) for t in t_levels))
     if not levels or levels[0] <= 0:
         raise ValueError(f"t_levels must be positive, got {t_levels}")
 
     def reduce(parts) -> ConcentrationReport:
-        data = _gather(parts[1:])
-        devs = np.sort(data["dev"])
+        devs = np.sort(_gather(parts[1:], "dev")["dev"])
         deltas = tuple(delta1(params, t, parts[0].l_ab) for t in levels)
         fitted = 0.0
         for t, delta in zip(levels, deltas):
@@ -518,13 +537,11 @@ def multiplication_plan(
     rate: Callable[[], Any],
 ) -> TrajectoryPlan:
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
 
     def reduce(parts) -> MultiplicationResult:
-        data = _gather(parts[1:])
         return MultiplicationResult(
-            mc_value=float(data["mult"].mean()),
+            mc_value=float(_gather(parts[1:], "mult")["mult"].mean()),
             bound_value=params.d * delta2(params, parts[0].l_ab),
         )
 
@@ -579,30 +596,23 @@ def dominance_check(
     *,
     bound_scale: float = 1.0,
     grid_points: int = 4096,
-    bound: BoundReport | None = None,
     workers: int = 1,
 ) -> DominanceResult:
     """Loewner check of the empirical error matrix against the error bound.
 
-    The bound is evaluated with universal constant 1; ``bound_scale``
-    multiplies it and exists for negative controls (a 10x inflated bound must
-    fail). ``bound`` defaults to
-    ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``,
-    evaluated beside the trials. ``margin`` is the smallest eigenvalue of
-    (empirical - bound).
+    The bound, ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``,
+    is evaluated beside the trials; ``bound_scale`` multiplies it and exists
+    for negative controls (a 10x inflated bound must fail). ``margin`` is the
+    smallest eigenvalue of (empirical - bound).
     """
-    if bound is None:
-        task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
-    else:
-        task = partial(_known, bound)
+    task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
     plan = dominance_plan(params, trials, epsilon, task, bound_scale=bound_scale)
     return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def bayes_plan(spec: PriorSpec, n: int, trials: int, rng: Stream) -> Experiment:
     """Plan of ``bayes_risk_experiment``."""
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
     if n < spec.d + 1:
         raise ValueError(f"n must be >= d + 1 = {spec.d + 1}, got {n}")
 
@@ -654,12 +664,9 @@ def _entrywise_check(
         units = np.abs(mean - target) / se
     units = np.where(np.abs(mean - target) == 0.0, 0.0, units)
     worst = float(np.max(units))
-    passed: bool | None = bool(worst <= n_se)
-    if trials < MIN_CONCLUSIVE_TRIALS:
-        passed = None
     return CheckResult(
         name=name,
-        passed=passed,
+        passed=bool(worst <= n_se) if trials >= MIN_CONCLUSIVE_TRIALS else None,
         statistic=worst,
         threshold=n_se,
         value=float(np.trace(np.atleast_2d(mean))),
@@ -676,7 +683,7 @@ def identity_plan(params: SystemParams, psi_matrix: np.ndarray | None = None) ->
     psi_inv = np.linalg.solve(psi_matrix, np.eye(d))
 
     def reduce(parts) -> list[CheckResult]:
-        data = _gather(parts)
+        data = _gather(parts, "selfnorm", "fisher", "score")
         return [
             _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d), 4.0),
             _entrywise_check(
@@ -685,7 +692,7 @@ def identity_plan(params: SystemParams, psi_matrix: np.ndarray | None = None) ->
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 
-    return TrajectoryPlan(partial(_identity_stats, psi_inv), [], reduce)
+    return TrajectoryPlan(partial(_identity_stats, params, psi_inv), [], reduce)
 
 
 def identity_checks(

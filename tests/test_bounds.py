@@ -358,14 +358,6 @@ def test_cr_bound_epsilon_validation():
         cr_bound(scalar_params(0.5), 1.5)
 
 
-def test_cr_bound_proof_variant_differs_with_large_l():
-    # rotation keeps L of order one, so log(L/eps) and log(C d L/eps) differ
-    params = SystemParams(a=rotation(0.6), b=np.eye(2), n=16)
-    stated = cr_bound(params, 0.1, delta_variant="statement")
-    proof = cr_bound(params, 0.1, delta_variant="proof")
-    assert proof.delta1 > stated.delta1
-
-
 # ---------------------------------------------------------------------------
 # spectral_split
 # ---------------------------------------------------------------------------

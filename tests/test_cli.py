@@ -90,6 +90,41 @@ def test_schema_violation_exit_2(tmp_path):
     assert main(["bounds", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify", "sample-prior"])
+@pytest.mark.parametrize(
+    "section, values, field",
+    [
+        ("run", {"trials": True}, "run.trials"),
+        ("run", {"seed": False}, "run.seed"),
+        ("run", {"grid_points": True}, "run.grid_points"),
+        ("system", {"d": True}, "system.d"),
+        ("run", {"epsilon": "abc"}, "run.epsilon"),
+        ("run", {"epsilon": "0.5"}, "run.epsilon"),
+        ("run", {"epsilon": None}, "run.epsilon"),
+        ("run", {"alpha": True}, "run.alpha"),
+        ("run", {"constant_c": "NaN"}, "run.constant_c"),
+        ("run", {"s": "1e400"}, "run.s"),
+        ("run", {"t_levels": [1, True]}, "run.t_levels"),
+        ("run", {"t_levels": [1, "1e400"]}, "run.t_levels"),
+        ("system", {"a": {"kind": "diag", "values": ["x", 0.5]}}, "system.a"),
+        ("system", {"a": {"kind": "diag", "values": ["1e400", 0.5]}}, "system.a"),
+        ("system", {"a": [[0.5, 0.0], [0.0, False]]}, "system.a"),
+        ("system", {"a": [[0.5, 0.0], ["NaN", 0.5]]}, "system.a"),
+        ("system", {"a": [[0.5, 0.0], [0.0]]}, "system.a"),
+        ("system", {"a": {"kind": "rotation", "angle": None}}, "system.a"),
+        ("system", {"b": {"kind": "identity", "scale": "2"}}, "system.b"),
+    ],
+)
+def test_config_rejects_malformed_numbers_with_exit_2(tmp_path, capsys, command, section, values, field):
+    path = write_config(tmp_path, **{section: values})
+    # JSON literals json.dumps does not write: an overflowing number and NaN
+    path.write_text(path.read_text().replace('"1e400"', "1e400").replace('"NaN"', "NaN"))
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config field '{field}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bounds command
 # ---------------------------------------------------------------------------

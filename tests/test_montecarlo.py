@@ -46,6 +46,7 @@ from ltibounds.montecarlo import (
     bayes_risk_experiment,
     concentration_experiment,
     dominance_check,
+    dominance_plan,
     empirical_risk,
     identity_checks,
     identity_plan,
@@ -176,7 +177,7 @@ def test_score_mean_zero_and_negative_control():
     # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
     at_wrong_a = scalar_params(0.8, n=16)
     chunks = [
-        SimulatedChunk(params, _noise_chunk(Stream(65), s, c, params.n, params.d))
+        SimulatedChunk(params.a, params.b, _noise_chunk(Stream(65), s, c, params.n, params.d))
         for s, c in _chunk_ranges(5000)
     ]
     wrong = np.concatenate(
@@ -280,8 +281,10 @@ def test_dominance_grid_points_reach_l_ab(monkeypatch):
 
 def test_dominance_rejects_bound_for_other_epsilon():
     params = scalar_params(0.5, n=64)
-    with pytest.raises(ValueError):
-        dominance_check(params, 200, 0.1, Stream(87), bound=cr_bound(params, 0.2))
+    plan = dominance_plan(params, 200, 0.1, partial(cr_bound, params, 0.2))
+    experiment = trajectory_experiments(params, 200, Stream(87), [plan])[0]
+    with pytest.raises(ValueError, match="bound was computed at epsilon=0.2"):
+        run_experiments([experiment])
 
 
 def test_dominance_negative_control():
@@ -370,10 +373,10 @@ def _assert_prefix_equal(short: dict, long: dict) -> None:
         assert np.array_equal(short[key], long[key][:PREFIX_TRIALS]), key
 
 
-def _statistics(psi_inv, w):
+def _statistics(params, psi_inv, w):
     """Every trajectory statistic ``verify`` computes, as ``verify`` orders them."""
     return (
-        partial(_identity_stats, psi_inv),
+        partial(_identity_stats, params, psi_inv),
         _risk_stats,
         partial(_concentration_stats, w),
         partial(_multiplication_stats, w),
@@ -382,7 +385,7 @@ def _statistics(psi_inv, w):
 
 def test_trajectory_chunk_trial_prefix_invariance():
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    chunk = partial(_trajectory_chunk, params, _statistics(np.eye(2), 0.5 * np.eye(2)))
+    chunk = partial(_trajectory_chunk, params, _statistics(params, np.eye(2), 0.5 * np.eye(2)))
     short, long = (
         _gather([chunk(Stream(90), s, c) for s, c in _chunk_ranges(t)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
@@ -454,7 +457,7 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
         partial(_layout2_multiplication_chunk, params, w),
     ]
     for start, count in _chunk_ranges(CHUNK + 300):
-        shared = _trajectory_chunk(params, _statistics(psi_inv, w), Stream(99), start, count)
+        shared = _trajectory_chunk(params, _statistics(params, psi_inv, w), Stream(99), start, count)
         for reference in references:
             for key, value in reference(Stream(99), start, count).items():
                 assert np.array_equal(shared[key], value), (key, start)
@@ -470,7 +473,7 @@ def test_blocks_change_no_bit(monkeypatch, d):
     a = np.diag(np.linspace(0.3, 0.9, d)) + 0.1 * np.triu(np.ones((d, d)), 1)
     params = SystemParams(a=a, b=np.eye(d) + 0.2 * np.triu(np.ones((d, d)), 1), n=12)
     psi_m = psi(params)
-    stats = _statistics(np.linalg.solve(psi_m, np.eye(d)), sym_inv_sqrt(psi_m))
+    stats = _statistics(params, np.linalg.solve(psi_m, np.eye(d)), sym_inv_sqrt(psi_m))
     spec = PriorSpec(s=0.5, eps=0.5, d=d)
 
     def chunks():
@@ -510,7 +513,7 @@ def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     d, n = 8, 512
     params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
     tasks = [
-        partial(_trajectory_chunk, params, _statistics(np.eye(d), np.eye(d)), Stream(102), 0),
+        partial(_trajectory_chunk, params, _statistics(params, np.eye(d), np.eye(d)), Stream(102), 0),
         partial(_bayes_chunk, PriorSpec(s=0.5, eps=0.5, d=d), n, Stream(103), 0),
     ]
     for task in tasks:
@@ -620,7 +623,7 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
     monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
     monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    identity, risk, concentration, multiplication = _statistics(np.eye(2), 0.5 * np.eye(2))
+    identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     identity_keys = {"selfnorm", "score", "fisher"}
     risk_keys = {"failed", "err", "mse"}
     # every trajectory chunk forms gamma and sigma; sum e_i x_i^T only on demand
