@@ -285,7 +285,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         params, cfg.trials, root.child(SALT_IDENTITY), plans
     )
     prior = prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR))
-    checks, prior, dom, bayes, fit, mult = run_experiments(
+    checks, prior_check, dom, bayes_risk, fit, mult = run_experiments(
         [identity, prior, dominance, bayes, concentration, multiplication], workers
     )
 
@@ -307,7 +307,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         "score_mean_zero": "score-mean-zero",
         "prior_score_identity": "prior-score-identity",
     }
-    for check in [*checks, prior]:
+    for check in [*checks, prior_check]:
         status = "inconclusive" if check.passed is None else ("pass" if check.passed else "fail")
         rows.append(
             _row(
@@ -340,17 +340,17 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             )
         )
 
-    if bayes is None:
+    if bayes_risk is None:
         rows.append(_skipped_row(cfg, "bayes_dominance", "bayes-risk-lower-bound"))
     else:
         rows.append(
             _row(
                 cfg,
                 "bayes_dominance",
-                bayes.bayes_mse,
+                bayes_risk.bayes_mse,
                 "bayes-risk-lower-bound",
-                status="pass" if bayes.bayes_mse >= bayes.vt_bound else "fail",
-                vt_bound=bayes.vt_bound,
+                status="pass" if bayes_risk.bayes_mse >= bayes_risk.vt_bound else "fail",
+                vt_bound=bayes_risk.vt_bound,
                 s=cfg.s,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,

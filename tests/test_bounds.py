@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ltibounds.bounds
 from ltibounds.bounds import (
     NotDiagonalizableError,
     _freq_norm_sq,
@@ -23,7 +24,7 @@ from ltibounds.bounds import (
     spectral_split,
 )
 from ltibounds.linalg import haar_orthogonal, is_psd_dominated, sym_inv_sqrt
-from ltibounds.model import SystemParams
+from ltibounds.model import SystemParams, expected_gram
 from ltibounds.rng import Stream
 
 
@@ -351,6 +352,27 @@ def test_cr_bound_noise_scale_invariance():
     r3 = cr_bound(SystemParams(a=a, b=3.0 * b, n=9), 0.1)
     assert r1.mse_lower == pytest.approx(r3.mse_lower, rel=1e-10)
     assert np.allclose(r1.cr_matrix, r3.cr_matrix, rtol=1e-10)
+
+
+def test_cr_bound_walks_a_k_b_once(monkeypatch):
+    walks = []
+
+    def counting_walk(params):
+        walks.append(params.n)
+        return expected_gram(params)
+
+    def second_walk(params):
+        raise AssertionError("information_scalar walks A^(k-1) B a second time")
+
+    monkeypatch.setattr(ltibounds.bounds, "expected_gram", counting_walk)
+    monkeypatch.setattr(ltibounds.bounds, "information_scalar", second_walk)
+    params = SystemParams(a=rotation(0.6, 0.8), b=np.diag([1.0, 2.0]), n=40)
+    report = cr_bound(params, 0.1, grid_points=128)
+    assert walks == [40]
+    monkeypatch.undo()
+    precomputed = cr_bound(params, 0.1, grid_points=128, psi_matrix=psi(params))
+    assert np.array_equal(report.psi, precomputed.psi)
+    assert np.array_equal(report.cr_matrix, precomputed.cr_matrix)
 
 
 def test_cr_bound_epsilon_validation():

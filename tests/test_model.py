@@ -10,6 +10,7 @@ from ltibounds.model import (
     Trajectory,
     _ls_error,
     _states_batch,
+    expected_gram,
     fisher_information,
     gram_stats,
     information_scalar,
@@ -259,21 +260,51 @@ def test_information_scalar_positive_definite_fisher():
     assert information_scalar(params) > 0
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+RANDOM_SYSTEMS = given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 4),
     radius=st.sampled_from([0.0, 0.5, 0.95, 1.0, 1.05, 1.3]),
     extra=st.integers(0, 60),
 )
-def test_information_scalar_is_trace_of_psi(seed, d, radius, extra):
+
+
+def random_params(seed, d, radius, extra) -> SystemParams:
     # A scaled to spectral radius `radius`: stable, limit-stable and unstable
     g = np.random.default_rng(seed)
     a = g.standard_normal((d, d))
     a *= radius / max(np.abs(np.linalg.eigvals(a)))
     b = np.diag(g.uniform(0.5, 2.0, d)) + np.triu(0.3 * g.standard_normal((d, d)), 1)
-    params = SystemParams(a=a, b=b, n=d + 1 + extra)
+    return SystemParams(a=a, b=b, n=d + 1 + extra)
+
+
+@settings(max_examples=80, deadline=None)
+@RANDOM_SYSTEMS
+def test_information_scalar_is_trace_of_psi(seed, d, radius, extra):
+    params = random_params(seed, d, radius, extra)
     assert information_scalar(params) == pytest.approx(np.trace(psi(params)), rel=1e-12)
+
+
+def separate_walks(params: SystemParams) -> tuple[np.ndarray, float]:
+    """Psi and the information scalar as two walks of A^(k-1) B, the reference."""
+    out, c = np.zeros((params.d, params.d)), params.b.copy()
+    for k in range(1, params.n):
+        out += (params.n - k) * (c @ c.T)
+        c = params.a @ c
+    total, c = 0.0, params.b.copy()
+    for k in range(1, params.n):
+        total += (params.n - k) * float(np.sum(c * c))
+        c = params.a @ c
+    return 0.5 * (out + out.T), total
+
+
+@settings(max_examples=80, deadline=None)
+@RANDOM_SYSTEMS
+def test_expected_gram_is_bitwise_the_separate_walks(seed, d, radius, extra):
+    params = random_params(seed, d, radius, extra)
+    psi_m, info = expected_gram(params)
+    ref_psi, ref_info = separate_walks(params)
+    assert np.array_equal(psi_m, ref_psi) and info == ref_info
+    assert np.array_equal(psi(params), psi_m) and information_scalar(params) == info
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,15 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
     assert set(bayes) == {"failed", "mse"} and len(calls) == 2
 
 
+def test_gather_joins_only_the_named_arrays():
+    parts = [{"x": np.arange(2), "y": np.zeros(2)}, {"x": np.arange(2, 5), "y": np.ones(3)}]
+    assert _gather(parts, "x").keys() == {"x"}
+    assert np.array_equal(_gather(parts, "x")["x"], np.arange(5))
+    assert _gather(parts).keys() == {"x", "y"}
+    # one part is returned as is, whatever it holds besides
+    assert _gather(parts[:1], "x") is parts[0]
+
+
 def test_all_singular_raises():
     # N = d+1 leaves just enough data; genuine noise never makes a trial
     # singular, so the rejection audit is driven with rejection flags
@@ -684,9 +693,10 @@ def test_run_experiments_reduces_each_experiment_in_order(workers):
     experiments = [
         Experiment([partial(_square, 2), partial(_square, 3)], sum),
         Experiment([], len),
+        None,
         Experiment([partial(_square, 4)], list),
     ]
-    assert run_experiments(experiments, workers) == [13, 0, [16]]
+    assert run_experiments(experiments, workers) == [13, 0, None, [16]]
     assert multiprocessing.active_children() == []
 
 
