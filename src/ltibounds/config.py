@@ -67,8 +67,7 @@ class ExperimentConfig:
 
 
 def _number(value: Any, name: str) -> float:
-    """``value`` as a float; ConfigError naming ``name`` unless a finite JSON number."""
-    # type() rejects booleans; the bound rejects NaN, inf and too large integers
+    """``value`` as a float if a finite JSON number: no bool, NaN, inf or overflowing int."""
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ConfigError(name, f"must be a finite number, got {value!r}")
     return float(value)

@@ -193,11 +193,9 @@ def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) 
     submission order; the pool is then shut down with its queued tasks
     cancelled.
     """
-    tasks = list(dict.fromkeys(t for e in experiments if e is not None for t in e.tasks))
-
-    def reduced(result: Callable[[Callable[[], Any]], Any]) -> list:
-        return [None if e is None else e.reduce([result(t) for t in e.tasks]) for e in experiments]
-
+    # a None experiment has no task and reduces to None
+    experiments = [Experiment([], lambda parts: None) if e is None else e for e in experiments]
+    tasks = list(dict.fromkeys(t for e in experiments for t in e.tasks))
     size = min(workers, len(tasks))
     if size <= 1:
         done: dict = {}
@@ -207,14 +205,14 @@ def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) 
                 done[task] = task()
             return done[task]
 
-        return reduced(result)
+        return [e.reduce([result(t) for t in e.tasks]) for e in experiments]
     # imported here: bounds and single-process runs never load it
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=size)
     try:
         futures = {task: pool.submit(task) for task in sorted(tasks, key=_short)}
-        return reduced(lambda task: futures[task].result())
+        return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -332,8 +330,7 @@ def _mse_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
 
 def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
     diff = chunk.ls_error[1]
-    # err is formed before mse: in the other order a pool worker of a d=2, N=8
-    # verify op peaks about 1.2 MB higher (heap layout, not live data)
+    # err before mse: the other order lifts a d=2 pool worker's peak RSS 1.2 MB (heap layout)
     return {"err": np.einsum("tij,tkj->tik", diff, diff), **_mse_stats(chunk)}
 
 
