@@ -67,7 +67,7 @@ class ExperimentConfig:
 
 
 def _number(value: Any, name: str) -> float:
-    """``value`` as a float if a finite JSON number: no bool, NaN, inf or overflowing int."""
+    """``value`` as a float; ConfigError unless a finite JSON number (no bool, NaN, inf, huge int)."""
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ConfigError(name, f"must be a finite number, got {value!r}")
     return float(value)
