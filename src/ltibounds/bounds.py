@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import sym_inv_sqrt, validate_square
-from .model import SystemParams, expected_gram, information_scalar
+from .model import SystemParams, expected_gram
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 60  # golden-section steps of the l_ab refinement
@@ -241,7 +241,6 @@ def cr_bound(
     constant: float = 1.0,
     *,
     grid_points: int = 4096,
-    psi_matrix: np.ndarray | None = None,
 ) -> BoundReport:
     """Cramer-Rao-type lower bound on the least-squares estimation error.
 
@@ -252,18 +251,13 @@ def cr_bound(
     ``constant`` is the unknown universal constant multiplying Delta; it is
     echoed in the report so no number masquerades as constant-free. The
     deviation rate is taken at t = log(L/eps), clamped to zero when negative.
-    Psi and the information scalar come from one ``expected_gram`` walk, or,
-    when ``psi_matrix`` (a precomputed ``psi(params)``) is given, the scalar
-    alone from ``information_scalar``.
+    Psi and the information scalar come from one ``expected_gram`` walk.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if constant <= 0:
         raise ValueError(f"constant must be > 0, got {constant}")
-    if psi_matrix is None:
-        psi_m, info = expected_gram(params)
-    else:
-        psi_m, info = psi_matrix, information_scalar(params)
+    psi_m, info = expected_gram(params)
     l_val = l_ab(params, grid_points, psi_matrix=psi_m)
     t = max(math.log(l_val / epsilon) if l_val > 0 else 0.0, 0.0)
     d1 = delta1(params, t, l_val)

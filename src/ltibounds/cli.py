@@ -268,10 +268,11 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     root = Stream(cfg.seed)
     conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
     # every experiment of the op, and the bound, run in one call of the runner;
-    # Psi is computed once here and shared by the tasks that need it. An
-    # experiment below its trial minimum is None and gets a skipped row.
+    # the parent's Psi feeds the identity plan and Psi^{-1/2}, and the bound
+    # task walks its own. An experiment below its trial minimum is None and
+    # gets a skipped row.
     psi_m = psi(params)
-    bound = partial(cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points, psi_matrix=psi_m)
+    bound = partial(cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points)
     dominance = concentration = multiplication = bayes = None
     if cfg.trials >= MIN_RISK_TRIALS:
         dominance = dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
