@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import sym_inv_sqrt, validate_square
-from .model import SystemParams, expected_gram
+from .linalg import validate_square
+from .model import SystemParams
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 60  # golden-section steps of the l_ab refinement
@@ -74,8 +74,8 @@ class WithLimitBound(NamedTuple):
 
 
 def psi(params: SystemParams) -> np.ndarray:
-    """Expected Gram matrix: sum_{k=1}^{N-1} (N-k) A^{k-1} BB* A*^{k-1}."""
-    return expected_gram(params)[0]
+    """Expected Gram matrix: sum_{k=1}^{N-1} (N-k) A^{k-1} BB* A*^{k-1} (read-only)."""
+    return params.psi_info[0]
 
 
 def _matrix_powers(a: np.ndarray, count: int) -> np.ndarray:
@@ -134,9 +134,7 @@ def _golden_max(fn, lo: float, hi: float) -> float:
     return max(fc, fd)
 
 
-def l_ab(
-    params: SystemParams, grid_points: int = 4096, *, psi_matrix: np.ndarray | None = None
-) -> float:
+def l_ab(params: SystemParams, grid_points: int = 4096) -> float:
     """Frequency supremum sup_s |Psi^{-1/2} (sum_{k=0}^{N-2} A^k e^{j2pi ks}) B|^2.
 
     The uniform grid s = m / ``grid_points`` is evaluated as one zero-padded
@@ -144,12 +142,12 @@ def l_ab(
     the powers are first folded modulo ``grid_points``. One golden-section
     refinement around the grid argmax then evaluates the direct sum at single
     frequencies. The result is a lower approximation of the true supremum;
-    the grid-convergence tests guard the resolution. ``psi_matrix`` is a
-    precomputed ``psi(params)``.
+    the grid-convergence tests guard the resolution. Psi^{-1/2} is
+    ``params.psi_inv_sqrt``.
     """
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    w = sym_inv_sqrt(psi(params) if psi_matrix is None else psi_matrix)
+    w = params.psi_inv_sqrt
     powers = _matrix_powers(params.a, params.n - 1)
     vals = _grid_freq_norm_sq(w, powers, params.b, grid_points)
     best = int(np.argmax(vals))
@@ -251,14 +249,15 @@ def cr_bound(
     ``constant`` is the unknown universal constant multiplying Delta; it is
     echoed in the report so no number masquerades as constant-free. The
     deviation rate is taken at t = log(L/eps), clamped to zero when negative.
-    Psi and the information scalar come from one ``expected_gram`` walk.
+    Psi, Psi^{-1/2} and the information scalar are the ones cached on
+    ``params``, so a system walks A^(k-1)B once however often it is bounded.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if constant <= 0:
         raise ValueError(f"constant must be > 0, got {constant}")
-    psi_m, info = expected_gram(params)
-    l_val = l_ab(params, grid_points, psi_matrix=psi_m)
+    psi_m, info = params.psi_info
+    l_val = l_ab(params, grid_points)
     t = max(math.log(l_val / epsilon) if l_val > 0 else 0.0, 0.0)
     d1 = delta1(params, t, l_val)
     d2 = delta2(params, l_val)

@@ -5,7 +5,7 @@ Subcommands: ``bounds`` (deterministic bound quantities), ``minimax``
 squares), ``verify`` (the seeded identity and dominance check suite), and
 ``sample-prior`` (draws from the operator-ball prior).
 
-Exit codes: 0 success, 1 check failure, 2 config parse error,
+Exit codes: 0 success, 1 check failure, 2 config error or unwritable report,
 3 precondition violation.
 """
 
@@ -27,11 +27,9 @@ from .bounds import (
     lab_upper_bound,
     prop_bound_no_limit,
     prop_bound_with_limit,
-    psi,
     spectral_split,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .linalg import sym_inv_sqrt
 from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
 from .model import SystemParams
 from .montecarlo import (
@@ -267,21 +265,21 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
     conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
-    # every experiment of the op, and the bound, run in one call of the runner;
-    # the parent's Psi feeds the identity plan and Psi^{-1/2}, and the bound
-    # task walks its own. An experiment below its trial minimum is None and
-    # gets a skipped row.
-    psi_m = psi(params)
+    # every experiment of the op, and the bound, run in one call of the runner.
+    # Building the plans fills params' cached Psi and (BB*)^{-1} here, and
+    # Psi^{-1/2} when the concentration plan exists, so an ill-conditioned Psi
+    # stops the op before any task runs and the pickled params carries the one
+    # walk into the bound task. An experiment below its trial minimum is None
+    # and gets a skipped row.
     bound = partial(cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points)
     dominance = concentration = multiplication = bayes = None
     if cfg.trials >= MIN_RISK_TRIALS:
         dominance = dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
     if conclusive:
-        psi_inv_sqrt = sym_inv_sqrt(psi_m)
-        concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), psi_inv_sqrt, bound)
-        multiplication = multiplication_plan(params, cfg.trials, psi_inv_sqrt, bound)
+        concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), bound)
+        multiplication = multiplication_plan(params, cfg.trials, bound)
         bayes = bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES))
-    plans = [identity_plan(params, psi_m), dominance, concentration, multiplication]
+    plans = [identity_plan(params), dominance, concentration, multiplication]
     identity, dominance, concentration, multiplication = trajectory_experiments(
         params, cfg.trials, root.child(SALT_IDENTITY), plans
     )
@@ -492,7 +490,12 @@ def main(argv: list[str] | None = None) -> int:
 
     fmt = args.format or cfg.out_format
     text = rows_to_csv(rows, cfg) if fmt == "csv" else rows_to_json(rows, cfg)
-    _emit(text, args.out if args.out is not None else cfg.out_path)
+    path = args.out if args.out is not None else cfg.out_path
+    try:
+        _emit(text, path)
+    except OSError as exc:
+        print(f"cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

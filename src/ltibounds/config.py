@@ -15,7 +15,9 @@ A matrix spec is either explicit row-major entries (list of rows) or one of
 {"kind": "rotation", "angle": theta, "scale": rho} (2x2 blocks repeated along
 the diagonal, so d must be even). ``seed`` has no default: reports must never
 be silently nondeterministic. Integer fields reject booleans; every real
-number, matrix entries included, must be a finite JSON number.
+number, matrix entries included, must be a finite JSON number. A key that
+``system``, ``run`` or ``output`` does not know is an error, and
+``output.path`` is a non-empty string or null (stdout).
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def build_matrix(spec: Any, d: int, name: str) -> np.ndarray:
     raise ConfigError(name, f"unknown matrix kind {kind!r}")
 
 
+def _reject_unknown(section: dict, known, where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}", f"is not a recognized {where} option")
+
+
 def _require(section: dict, key: str, where: str) -> Any:
     if key not in section:
         raise ConfigError(f"{where}.{key}", "is required")
@@ -130,6 +138,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     if not isinstance(output, dict):
         raise ConfigError("output", "must be an object")
 
+    _reject_unknown(system, ("d", "n", "a", "b"), "system")
     d = _require(system, "d", "system")
     if type(d) is not int or d < 1:
         raise ConfigError("system.d", f"must be a positive integer, got {d!r}")
@@ -142,9 +151,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
         raise ConfigError("system.b", "must be full rank")
 
     merged = dict(RUN_DEFAULTS)
-    for key in run:
-        if key not in RUN_DEFAULTS and key != "seed":
-            raise ConfigError(f"run.{key}", "is not a recognized run option")
+    _reject_unknown(run, (*RUN_DEFAULTS, "seed"), "run")
     merged.update(run)
     if seed_override is not None:
         merged["seed"] = seed_override
@@ -179,10 +186,13 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     ):
         raise ConfigError("run.t_levels", f"must be a nonempty list of positive reals, got {t_levels!r}")
 
+    _reject_unknown(output, OUTPUT_DEFAULTS, "output")
     out = dict(OUTPUT_DEFAULTS)
     out.update(output)
     if out["format"] not in ("csv", "json"):
         raise ConfigError("output.format", f"must be 'csv' or 'json', got {out['format']!r}")
+    if out["path"] is not None and (not isinstance(out["path"], str) or not out["path"]):
+        raise ConfigError("output.path", f"must be a non-empty string or null, got {out['path']!r}")
 
     # the resolved run section: echoed (JSON writes the tuple as a list) and carried
     run_values = {

@@ -10,7 +10,8 @@ Index conventions, fixed once for every sum in this package:
 * expectation-side sums (information scalar, expected Gram) run over
   ``k = 1..N-1`` with weight ``N - k`` on the ``A^(k-1) B`` term — the
   ``x_0 = 0`` start removes one term from every expectation. Both come from
-  the one walk of ``expected_gram``.
+  the one walk of ``expected_gram``, which ``SystemParams`` makes at most
+  once per system.
 
 Off-by-one errors between these two families of sums are the main
 correctness hazard here; all other modules reuse these helpers instead of
@@ -24,10 +25,11 @@ single-trajectory functions are batches of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import validate_matrix, validate_square
+from .linalg import sym_inv_sqrt, validate_matrix, validate_square
 from .rng import as_generator
 
 
@@ -39,9 +41,18 @@ class SingularCovarianceError(ValueError):
     """
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Dynamics pair (A, B) with dimension d and sample horizon N."""
+    """Dynamics pair (A, B) with dimension d and sample horizon N.
+
+    ``psi_info``, ``psi_inv_sqrt`` and ``noise_cov_inv`` are computed at most
+    once per object, read-only; a pickled copy carries the ones already made.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -58,10 +69,8 @@ class SystemParams:
             raise ValueError(f"b must be full rank, smallest singular value {smin:.3e}")
         if self.n < a.shape[0] + 1:
             raise ValueError(f"n must be >= d + 1 = {a.shape[0] + 1}, got {self.n}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "b", _frozen(b))
 
     @property
     def d(self) -> int:
@@ -70,6 +79,22 @@ class SystemParams:
     def noise_cov(self) -> np.ndarray:
         """BB*, the one-step noise covariance."""
         return self.b @ self.b.T
+
+    @cached_property
+    def noise_cov_inv(self) -> np.ndarray:
+        """(BB*)^{-1}."""
+        return _frozen(np.linalg.solve(self.noise_cov(), np.eye(self.d)))
+
+    @cached_property
+    def psi_info(self) -> tuple[np.ndarray, float]:
+        """Psi and the information scalar: ``expected_gram(self)``."""
+        psi_m, info = expected_gram(self)
+        return _frozen(psi_m), info
+
+    @cached_property
+    def psi_inv_sqrt(self) -> np.ndarray:
+        """Psi^{-1/2}; ValueError when Psi is not safely positive definite."""
+        return _frozen(sym_inv_sqrt(self.psi_info[0]))
 
 
 @dataclass(frozen=True)
@@ -170,8 +195,8 @@ def _ls_error(
 
 def _data_score(params: SystemParams, gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Per-trial score of the log-likelihood in A: (BB*)^{-1} (gamma - A sigma)."""
-    bbt_inv = np.linalg.solve(params.noise_cov(), np.eye(params.d))
-    return np.einsum("ij,tjk->tik", bbt_inv, gamma - np.einsum("ij,tjk->tik", params.a, sigma))
+    residual = gamma - np.einsum("ij,tjk->tik", params.a, sigma)
+    return np.einsum("ij,tjk->tik", params.noise_cov_inv, residual)
 
 
 def simulate_injected(params: SystemParams, noise: np.ndarray) -> Trajectory:
@@ -225,7 +250,10 @@ def sensitivity(params: SystemParams, traj: Trajectory) -> np.ndarray:
 
 
 def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
-    """Psi = sum_{k=1}^{N-1} (N-k) c c^T and its trace sum (N-k) |c|_F^2, c = A^(k-1) B."""
+    """Psi = sum_{k=1}^{N-1} (N-k) c c^T and its trace sum (N-k) |c|_F^2, c = A^(k-1) B.
+
+    The walk itself; readers take its cached result, ``params.psi_info``.
+    """
     out = np.zeros((params.d, params.d))
     total = 0.0
     c = params.b.copy()
@@ -238,14 +266,12 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
 
 def information_scalar(params: SystemParams) -> float:
     """sum_{k=1}^{N-1} (N-k) |A^{k-1} B|_F^2, the scalar information weight."""
-    return expected_gram(params)[1]
+    return params.psi_info[1]
 
 
 def fisher_information(params: SystemParams) -> np.ndarray:
     """Closed-form information matrix: information_scalar(params) * (BB*)^{-1}."""
-    bbt = params.noise_cov()
-    inv = np.linalg.solve(bbt, np.eye(params.d))
-    out = information_scalar(params) * inv
+    out = information_scalar(params) * params.noise_cov_inv
     return 0.5 * (out + out.T)
 
 
@@ -259,7 +285,7 @@ def log_likelihood(params: SystemParams, traj: Trajectory) -> float:
         raise ValueError("trajectory does not match params dimensions")
     stats = gram_stats(traj)
     bbt = params.noise_cov()
-    bbt_inv = np.linalg.solve(bbt, np.eye(params.d))
+    bbt_inv = params.noise_cov_inv
     x = traj.states[1:]
     inner = float(np.sum((bbt_inv @ params.a) * stats.gamma)) - 0.5 * float(
         np.sum((params.a.T @ bbt_inv @ params.a) * stats.sigma)

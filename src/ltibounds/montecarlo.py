@@ -12,6 +12,10 @@ raised whatever the worker count. The public functions (``empirical_risk``,
 runs all of its experiments and its ``cr_bound`` in one call, so one op
 opens at most one pool.
 
+Psi, Psi^{-1/2} and (BB*)^{-1} are the values cached on ``SystemParams``.
+Plans read them while they are built, in this process, so every task pickles
+``params`` with them and A^(k-1)B is walked once per system.
+
 Determinism contract: chunk c draws each kind of randomness (noise, the two
 Haar Gaussian stacks, the Beta singular values; see ``rng``) from its own
 generator keyed by ``rng.child(c, kind)``, in trial-major calls in trial
@@ -54,8 +58,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, cr_bound, delta1, delta2, l_ab, psi
-from .linalg import sym_inv_sqrt
+from .bounds import BoundReport, cr_bound, delta1, delta2
 from .minimax import PriorSpec, sample_prior_batch, score_identity_lhs, van_trees_bound
 from .model import (
     SystemParams,
@@ -142,21 +145,6 @@ class BayesRiskResult(NamedTuple):
     vt_bound: float
 
 
-class RateInputs(NamedTuple):
-    """Deterministic inputs of the concentration and multiplication experiments."""
-
-    psi_inv_sqrt: np.ndarray
-    l_ab: float
-
-
-def rate_inputs(params: SystemParams, grid_points: int = 4096) -> RateInputs:
-    """Psi^{-1/2} and the frequency supremum l_ab of ``params``."""
-    psi_m = psi(params)
-    return RateInputs(
-        psi_inv_sqrt=sym_inv_sqrt(psi_m), l_ab=l_ab(params, grid_points, psi_matrix=psi_m)
-    )
-
-
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -171,11 +159,6 @@ class Experiment(NamedTuple):
 
     tasks: list[Callable[[], Any]]
     reduce: Callable[[list], Any]
-
-
-def _known(value: Any) -> Any:
-    """Task whose result is already known: a precomputed input of a reducer."""
-    return value
 
 
 def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) -> list:
@@ -465,18 +448,20 @@ def empirical_risk(
     return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
+def _rate_task(params: SystemParams, grid_points: int) -> Callable[[], BoundReport]:
+    """A ``cr_bound`` task for a plan that reads only its ``l_ab``, which no epsilon moves."""
+    return partial(cr_bound, params, 0.5, grid_points=grid_points)
+
+
 def concentration_plan(
-    params: SystemParams,
-    trials: int,
-    t_levels: list[float],
-    psi_inv_sqrt: np.ndarray,
-    rate: Callable[[], Any],
+    params: SystemParams, trials: int, t_levels: list[float], rate: Callable[[], BoundReport]
 ) -> TrajectoryPlan:
     """Plan of ``concentration_experiment``.
 
-    The statistic needs only ``psi_inv_sqrt``. ``rate`` is the task whose
-    result carries ``l_ab`` (a ``BoundReport`` or ``RateInputs``); only the
-    reducer reads it, so the chunks need not wait for it.
+    The statistic needs only ``params.psi_inv_sqrt``, formed here, so an
+    ill-conditioned Psi raises before any task runs. ``rate`` is a
+    ``cr_bound`` task; only the reducer reads its ``l_ab``, so the chunks
+    need not wait for it.
     """
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
     levels = tuple(sorted(float(t) for t in t_levels))
@@ -505,7 +490,7 @@ def concentration_plan(
             fitted_constant=fitted,
         )
 
-    return TrajectoryPlan(partial(_concentration_stats, psi_inv_sqrt), [rate], reduce)
+    return TrajectoryPlan(partial(_concentration_stats, params.psi_inv_sqrt), [rate], reduce)
 
 
 def concentration_experiment(
@@ -524,16 +509,12 @@ def concentration_experiment(
     constant is not quantified), so this report carries no pass/fail by
     itself.
     """
-    inputs = rate_inputs(params, grid_points)
-    plan = concentration_plan(params, trials, t_levels, inputs.psi_inv_sqrt, partial(_known, inputs))
+    plan = concentration_plan(params, trials, t_levels, _rate_task(params, grid_points))
     return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
 def multiplication_plan(
-    params: SystemParams,
-    trials: int,
-    psi_inv_sqrt: np.ndarray,
-    rate: Callable[[], Any],
+    params: SystemParams, trials: int, rate: Callable[[], BoundReport]
 ) -> TrajectoryPlan:
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
@@ -544,7 +525,7 @@ def multiplication_plan(
             bound_value=params.d * delta2(params, parts[0].l_ab),
         )
 
-    return TrajectoryPlan(partial(_multiplication_stats, psi_inv_sqrt), [rate], reduce)
+    return TrajectoryPlan(partial(_multiplication_stats, params.psi_inv_sqrt), [rate], reduce)
 
 
 def multiplication_experiment(
@@ -556,8 +537,7 @@ def multiplication_experiment(
     workers: int = 1,
 ) -> MultiplicationResult:
     """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L."""
-    inputs = rate_inputs(params, grid_points)
-    plan = multiplication_plan(params, trials, inputs.psi_inv_sqrt, partial(_known, inputs))
+    plan = multiplication_plan(params, trials, _rate_task(params, grid_points))
     return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
@@ -674,20 +654,21 @@ def _entrywise_check(
     )
 
 
-def identity_plan(params: SystemParams, psi_matrix: np.ndarray | None = None) -> TrajectoryPlan:
-    """Plan of ``identity_checks``; ``psi_matrix`` defaults to ``psi(params)``."""
+def identity_plan(params: SystemParams) -> TrajectoryPlan:
+    """Plan of ``identity_checks``.
+
+    The closed-form information is formed here: a reducer that filled a cache
+    of ``params`` could race the pool thread still pickling it.
+    """
     d = params.d
-    if psi_matrix is None:
-        psi_matrix = psi(params)
-    psi_inv = np.linalg.solve(psi_matrix, np.eye(d))
+    psi_inv = np.linalg.solve(params.psi_info[0], np.eye(d))
+    fisher = fisher_information(params)
 
     def reduce(parts) -> list[CheckResult]:
         data = _gather(parts, "selfnorm", "fisher", "score")
         return [
             _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d), 4.0),
-            _entrywise_check(
-                "fisher_information", data["fisher"], fisher_information(params), 4.0
-            ),
+            _entrywise_check("fisher_information", data["fisher"], fisher, 4.0),
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 

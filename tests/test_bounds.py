@@ -1,10 +1,11 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import ltibounds.bounds
+import ltibounds.model
 from ltibounds.bounds import (
     NotDiagonalizableError,
     _freq_norm_sq,
@@ -224,10 +225,10 @@ def test_lab_fft_grid_keeps_the_argmax(a, b, n):
 
 def test_lab_grid_memory_stays_small():
     params = SystemParams(a=np.diag([0.3, 0.95]), b=np.eye(2), n=2048)
-    psi_m = psi(params)
+    params.psi_inv_sqrt  # the walk and Psi^{-1/2} are cached before the grid is measured
     tracemalloc.start()
     try:
-        l_ab(params, 4096, psi_matrix=psi_m)
+        l_ab(params, 4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -361,10 +362,29 @@ def test_cr_bound_walks_a_k_b_once(monkeypatch):
         walks.append(params.n)
         return expected_gram(params)
 
-    monkeypatch.setattr(ltibounds.bounds, "expected_gram", counting_walk)
+    monkeypatch.setattr(ltibounds.model, "expected_gram", counting_walk)
     params = SystemParams(a=rotation(0.6, 0.8), b=np.diag([1.0, 2.0]), n=40)
-    cr_bound(params, 0.1, grid_points=128)
+    first = cr_bound(params, 0.1, grid_points=128)
+    again = cr_bound(params, 0.2, grid_points=128)
     assert walks == [40]
+    assert again.psi is first.psi and not first.psi.flags.writeable
+
+
+def test_pickled_params_carry_the_walk(monkeypatch):
+    params = SystemParams(a=rotation(0.6, 0.8), b=np.diag([1.0, 2.0]), n=40)
+    want = cr_bound(params, 0.1, grid_points=128)
+    copy = pickle.loads(pickle.dumps(params))
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(ltibounds.model, "expected_gram", record)
+    monkeypatch.setattr(ltibounds.model, "sym_inv_sqrt", record)
+    got = cr_bound(copy, 0.1, grid_points=128)
+    assert calls == []
+    assert np.array_equal(got.psi, want.psi) and got.l_ab == want.l_ab
+    assert np.array_equal(got.cr_matrix, want.cr_matrix)
 
 
 def test_cr_bound_epsilon_validation():

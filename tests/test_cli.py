@@ -13,6 +13,8 @@ import pytest
 import ltibounds
 import ltibounds.bounds
 import ltibounds.cli
+import ltibounds.linalg
+import ltibounds.model
 import ltibounds.montecarlo
 from ltibounds.cli import main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
@@ -113,6 +115,11 @@ def test_schema_violation_exit_2(tmp_path):
         ("system", {"a": [[0.5, 0.0], [0.0]]}, "system.a"),
         ("system", {"a": {"kind": "rotation", "angle": None}}, "system.a"),
         ("system", {"b": {"kind": "identity", "scale": "2"}}, "system.b"),
+        ("output", {"path": True}, "output.path"),
+        ("output", {"path": 7}, "output.path"),
+        ("output", {"path": ""}, "output.path"),
+        ("output", {"fromat": "json"}, "output.fromat"),
+        ("system", {"bogus": 1}, "system.bogus"),
     ],
 )
 def test_config_rejects_malformed_numbers_with_exit_2(tmp_path, capsys, command, section, values, field):
@@ -123,6 +130,17 @@ def test_config_rejects_malformed_numbers_with_exit_2(tmp_path, capsys, command,
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config field '{field}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "output.path"])
+def test_unwritable_report_exits_2_naming_the_path(tmp_path, capsys, where):
+    target = str(tmp_path / "missing" / "x.csv")
+    if where == "--out":
+        path, extra = write_config(tmp_path), ["--out", target]
+    else:
+        path, extra = write_config(tmp_path, output={"path": target}), []
+    assert main(["bounds", "--config", str(path), *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write the report to {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +328,8 @@ def test_verify_computes_l_ab_once_on_the_configured_grid(tmp_path, monkeypatch)
         grids.append(grid_points)
         return original(params, grid_points, **kwargs)
 
-    # cr_bound looks l_ab up in bounds, rate_inputs in montecarlo
+    # only cr_bound calls l_ab; the plans read its report
     monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
-    monkeypatch.setattr(ltibounds.montecarlo, "l_ab", recording_l_ab)
     out = tmp_path / "v.csv"
     path = write_config(
         tmp_path,
@@ -338,24 +355,42 @@ def test_seed_override_changes_report(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def count_walks_and_roots(monkeypatch) -> dict:
+    """Count the walks of A^(k-1)B and the Psi^{-1/2} of every module that could make them."""
+    calls = {"expected_gram": 0, "sym_inv_sqrt": 0}
+    for name in calls:
+        original = getattr(ltibounds.linalg if name == "sym_inv_sqrt" else ltibounds.model, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (ltibounds.model, ltibounds.bounds, ltibounds.montecarlo, ltibounds.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_verify_computes_psi_once(tmp_path, monkeypatch):
-    calls = []
-    original = ltibounds.bounds.psi
-
-    def counting_psi(params):
-        calls.append(params.n)
-        return original(params)
-
-    for module in (ltibounds.bounds, ltibounds.montecarlo, ltibounds.cli):
-        monkeypatch.setattr(module, "psi", counting_psi)
+    calls = count_walks_and_roots(monkeypatch)
     out = tmp_path / "v.csv"
-    path = write_config(
-        tmp_path,
-        system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
-        run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
-    )
-    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-    assert calls == [32]
+    for trials in (1000, 500, 50):
+        calls.update(expected_gram=0, sym_inv_sqrt=0)
+        path = write_config(
+            tmp_path,
+            system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]},
+            run={"trials": trials, "seed": 9, "epsilon": 0.3, "grid_points": 128},
+        )
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+        # below 100 trials no experiment needs Psi^{-1/2}
+        assert calls == {"expected_gram": 1, "sym_inv_sqrt": int(trials >= 100)}, trials
+
+
+def test_bounds_walks_once(tmp_path, monkeypatch):
+    calls = count_walks_and_roots(monkeypatch)
+    path = write_config(tmp_path, system={"d": 1, "n": 32, "a": [[0.5]], "b": [[1.0]]})
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == {"expected_gram": 1, "sym_inv_sqrt": 1}
 
 
 def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
