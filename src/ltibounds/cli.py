@@ -494,7 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(text, path)
     except OSError as exc:
-        print(f"cannot write the report to {path!r}: {exc.strerror}", file=sys.stderr)
+        where = "stdout" if path is None else repr(path)
+        print(f"cannot write the report to {where}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     return code
 

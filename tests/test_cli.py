@@ -356,12 +356,12 @@ def test_seed_override_changes_report(tmp_path):
 
 
 def count_walks_and_roots(monkeypatch) -> dict:
-    """Count the walks of A^(k-1)B and the Psi^{-1/2} of every module that could make them."""
-    calls = {"expected_gram": 0, "sym_inv_sqrt": 0}
-    for name in calls:
-        original = getattr(ltibounds.linalg if name == "sym_inv_sqrt" else ltibounds.model, name)
+    """Count the walks of A^(k-1)B and the calls of sym_inv_sqrt, under every module's name."""
+    owners = {"expected_gram": ltibounds.model, "sym_inv_sqrt": ltibounds.linalg}
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
 
-        def counting(*args, name=name, original=original):
+        def counting(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)
 
