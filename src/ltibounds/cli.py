@@ -36,8 +36,10 @@ from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
     MIN_RISK_TRIALS,
     AllTrialsSingularError,
+    Draws,
     TooManySingularTrialsError,
     bayes_plan,
+    chunk_experiments,
     concentration_plan,
     dominance_plan,
     empirical_risk,
@@ -45,7 +47,6 @@ from .montecarlo import (
     multiplication_plan,
     prior_identity_plan,
     run_experiments,
-    trajectory_experiments,
 )
 from .rng import Stream
 
@@ -54,11 +55,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 
-# stream salts, one substream family each; the identity, dominance,
-# concentration and multiplication experiments of a verify op share the
-# trajectories simulated under SALT_IDENTITY
+# stream salts, one substream family each. A verify op draws its noise under
+# SALT_IDENTITY and its prior draws under SALT_PRIOR; the noise drives the
+# trajectories of the configured system and the Bayes trajectories alike.
 SALT_IDENTITY = 0
 SALT_PRIOR = 1
+# reserved: RNG layouts 2 and 3 drew the Bayes experiment here; unused since 4
 SALT_BAYES = 3
 SALT_RISK = 4
 SALT_SAMPLES = 5
@@ -265,7 +267,8 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
     conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
-    # every experiment of the op, and the bound, run in one call of the runner.
+    # every experiment of the op, and the bound, run in one call of the runner,
+    # and its six Monte Carlo experiments read one set of chunks.
     # Building the plans fills params' cached Psi and (BB*)^{-1} here, and
     # Psi^{-1/2} when the concentration plan exists, so an ill-conditioned Psi
     # stops the op before any task runs and the pickled params carries the one
@@ -278,14 +281,11 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     if conclusive:
         concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), bound)
         multiplication = multiplication_plan(params, cfg.trials, bound)
-        bayes = bayes_plan(spec, cfg.n, cfg.trials, root.child(SALT_BAYES))
-    plans = [identity_plan(params), dominance, concentration, multiplication]
-    identity, dominance, concentration, multiplication = trajectory_experiments(
-        params, cfg.trials, root.child(SALT_IDENTITY), plans
-    )
-    prior = prior_identity_plan(spec, cfg.trials, root.child(SALT_PRIOR))
+        bayes = bayes_plan(spec, cfg.n, cfg.trials)
+    plans = [identity_plan(params), prior_identity_plan(spec), dominance, bayes, concentration, multiplication]
+    draws = Draws(root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec)
     checks, prior_check, dom, bayes_risk, fit, mult = run_experiments(
-        [identity, prior, dominance, bayes, concentration, multiplication], workers
+        chunk_experiments(draws, cfg.trials, plans), workers
     )
 
     rows: list[ReportRow] = []

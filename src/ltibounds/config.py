@@ -128,6 +128,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> ExperimentCon
     """Validate a parsed config document and fill in defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    for key in raw:
+        if key not in ("system", "run", "output"):
+            raise ConfigError(key, "is not a recognized config section")
     system = raw.get("system")
     if not isinstance(system, dict):
         raise ConfigError("system", "is required and must be an object")

@@ -1,13 +1,13 @@
 """Seeded Monte Carlo experiments checking the identities behind the bounds.
 
 Each experiment is an ``Experiment``: a list of independent tasks (one per
-chunk of ``CHUNK`` trials, plus any deterministic input its reducer needs)
-and a reducer of their results. ``run_experiments`` is the one runner. It
-puts the tasks of every experiment it is given into one list; with
-``workers`` > 1 one process pool of ``min(workers, tasks)`` processes runs
-the whole list, otherwise it runs in this process, in order. Reducers run
-in this process, in order, so the first exception in that order is the one
-raised whatever the worker count. The public functions (``empirical_risk``,
+chunk of trials, plus any deterministic input its reducer needs) and a
+reducer of their results. ``run_experiments`` is the one runner. It puts the
+tasks of every experiment it is given into one list; with ``workers`` > 1
+one process pool of ``min(workers, tasks)`` processes runs the whole list,
+otherwise it runs in this process, in order. Reducers run in this process,
+in order, so the first exception in that order is the one raised whatever
+the worker count. The public functions (``empirical_risk``,
 ``identity_checks``, ...) run one experiment each; the CLI ``verify`` command
 runs all of its experiments and its ``cr_bound`` in one call, so one op
 opens at most one pool.
@@ -16,32 +16,39 @@ Psi, Psi^{-1/2} and (BB*)^{-1} are the values cached on ``SystemParams``.
 Plans read them while they are built, in this process, so every task pickles
 ``params`` with them and A^(k-1)B is walked once per system.
 
-Determinism contract: chunk c draws each kind of randomness (noise, the two
-Haar Gaussian stacks, the Beta singular values; see ``rng``) from its own
-generator keyed by ``rng.child(c, kind)``, in trial-major calls in trial
-order, so trial k's draws depend only on ``(seed, salt, k)`` (stream layout
-``RNG_LAYOUT``). Per-trial statistics are written into position-indexed
-arrays, and reductions run over those arrays with numpy's pairwise
-summation. The worker count only decides where tasks run, so under a fixed
-numpy/BLAS build reports are bit-identical for any ``workers`` value.
+One chunk task, ``_chunk``, serves every experiment on random draws. A
+``ChunkPlan`` is a statistic and a reducer; its statistic reads a
+``SimulatedChunk`` of the fixed system, a ``SimulatedChunk`` of one prior
+draw of A per trial (the Bayes experiment, B = I), or the chunk's prior
+draws (the prior-score identity). ``chunk_experiments`` gives several plans
+one task per chunk, which draws the chunk's noise once and its prior once,
+simulates each set of trajectories once, forms each Gram sum at most once
+and computes every plan's statistic; ``verify`` runs all six of its Monte
+Carlo experiments so, and the Bayes trajectories are driven by the same
+noise as the fixed-system ones. Gram sums are BLAS products, so another
+BLAS build or CPU kernel may change their last digits.
 
-One kernel serves every trajectory experiment: the batched recursion, Gram
-sums, least squares and score of ``model``. A ``TrajectoryPlan`` is a
-statistic of a ``SimulatedChunk`` and a reducer. ``trajectory_experiments``
-gives several plans one task per chunk that simulates it once, forms each
-Gram sum at most once and computes every plan's statistic; ``verify`` runs
-its identity, dominance, concentration and multiplication experiments so.
-``_bayes_chunk`` draws one A per trial and runs the same block loop with one
-statistic, the squared least-squares error. Gram sums are BLAS products, so
-another BLAS build or CPU kernel may change their last digits.
+Determinism contract: a chunk holds ``_chunk_trials(N*d)`` trials, CHUNK or
+fewer so that a chunk draws at most ``CHUNK_ELEMENTS`` noise numbers (a
+chunk that draws no noise holds CHUNK). Chunk c draws each kind of
+randomness (noise, the two Haar Gaussian stacks, the Beta singular values;
+see ``rng``) from its own generator keyed by ``rng.child(c, kind)``, in
+trial-major calls in trial order, so trial k's draws depend only on
+``(seed, salt, k)`` and the chunk size, which depends only on N*d (stream
+layout ``RNG_LAYOUT``). Per-trial statistics are written into
+position-indexed arrays, and reductions run over those arrays with numpy's
+pairwise summation. The worker count only decides where tasks run, so under
+a fixed numpy/BLAS build reports are bit-identical for any ``workers``
+value.
 
 A chunk task simulates its trials in consecutive blocks of at most
 ``BLOCK_ELEMENTS`` noise numbers (``_noise_blocks``) and computes each
 block's per-trial statistics before it draws the next, so a worker holds
 one block's noise and states, not the whole chunk's: its memory is set by
-the block size, not by ``CHUNK``. The blocks come in order from the chunk's
-one noise generator and each trial's statistics depend only on its own
-data, so the block size changes no draw and no report byte.
+the block size. Within a block the fixed-system states die before the
+prior-A states are made. The blocks come in order from the chunk's one
+noise generator and each trial's statistics depend only on its own data,
+so the block size changes no draw and no report byte.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -59,7 +66,13 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, cr_bound, delta1, delta2
-from .minimax import PriorSpec, sample_prior_batch, score_identity_lhs, van_trees_bound
+from .minimax import (
+    PriorSample,
+    PriorSpec,
+    sample_prior_batch,
+    score_identity_lhs,
+    van_trees_bound,
+)
 from .model import (
     SystemParams,
     _data_score,
@@ -72,7 +85,10 @@ from .model import (
 )
 from .rng import KIND_NOISE, Stream
 
+# most trials of one chunk; a chunk of trajectories also draws at most
+# CHUNK_ELEMENTS noise numbers (32 MB of float64); see _chunk_trials
 CHUNK = 4096
+CHUNK_ELEMENTS = 2**22
 # numbers per noise block (32 MB of float64); see _noise_blocks
 BLOCK_ELEMENTS = 2**22
 # fewest trials: of the risk experiment, and of a conclusive 4-SE check and
@@ -201,8 +217,8 @@ def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) 
 
 
 def _short(task: Callable[[], Any]) -> bool:
-    """False for the chunk tasks that simulate trajectories, True for the rest."""
-    return getattr(task, "func", None) not in (_trajectory_chunk, _bayes_chunk)
+    """False for the chunk tasks, True for the rest."""
+    return getattr(task, "func", None) is not _chunk
 
 
 def _run(experiment: Experiment, workers: int):
@@ -214,13 +230,18 @@ def _run(experiment: Experiment, workers: int):
 # ---------------------------------------------------------------------------
 
 
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
+def _chunk_trials(noise_per_trial: int) -> int:
+    """Trials of one chunk whose trials draw ``noise_per_trial`` noise numbers each.
+
+    ``CHUNK``, or fewer so that a chunk draws at most ``CHUNK_ELEMENTS`` noise
+    numbers (at least one trial); a chunk that draws no noise holds ``CHUNK``.
+    """
+    return min(CHUNK, max(1, CHUNK_ELEMENTS // max(1, noise_per_trial)))
 
 
-def _chunk_tasks(fn, trials: int, *args) -> list[Callable[[], Any]]:
-    """One task per chunk: ``fn(*args, start, count)``."""
-    return [partial(fn, *args, start, count) for start, count in _chunk_ranges(trials)]
+def _chunk_ranges(trials: int, size: int) -> list[tuple[int, int]]:
+    """(index, count) of each chunk of ``size`` trials; chunk c starts at trial c * size."""
+    return [(start // size, min(size, trials - start)) for start in range(0, trials, size)]
 
 
 def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndarray]:
@@ -230,30 +251,17 @@ def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndar
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in keys or parts[0]}
 
 
-def _chunk_stream(rng: Stream, start: int) -> Stream:
-    """Stream of the chunk that starts at trial ``start``; kinds are its children."""
-    return rng.child(start // CHUNK)
-
-
-def _noise_generator(rng: Stream, start: int) -> np.random.Generator:
-    """The one generator of the noise of the chunk that starts at trial ``start``."""
-    return _chunk_stream(rng, start).child(KIND_NOISE).generator()
-
-
-def _noise_chunk(rng: Stream, start: int, count: int, n: int, d: int) -> np.ndarray:
-    return _noise_generator(rng, start).standard_normal((count, n, d))
-
-
 def _noise_blocks(
-    rng: Stream, start: int, count: int, n: int, d: int
+    chunk: Stream, count: int, n: int, d: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The chunk's noise in consecutive blocks: (first trial, noise (size, n, d)).
+    """The noise of ``chunk``'s stream in consecutive blocks: (first trial, noise (size, n, d)).
 
     A block holds ``max(1, BLOCK_ELEMENTS // (n * d))`` trials, the last one
-    fewer. Every block comes from the chunk's one noise generator, which
-    fills arrays in order, so trial k gets the draws of ``_noise_chunk``.
+    fewer. Every block comes from the chunk's one ``KIND_NOISE`` generator,
+    which fills arrays in order, so trial k gets the same draws whatever the
+    block size.
     """
-    gen = _noise_generator(rng, start)
+    gen = chunk.child(KIND_NOISE).generator()
     size = max(1, BLOCK_ELEMENTS // (n * d))
     for first in range(0, count, size):
         yield first, gen.standard_normal((min(size, count - first), n, d))
@@ -284,26 +292,59 @@ class SimulatedChunk:
         return _gram(self.noise[:, 1:], self.states[:, 1:-1])
 
 
-def _chunk_stats(
-    a: np.ndarray, b: np.ndarray, n: int, stats: tuple, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    """Every statistic in ``stats`` of the chunk, simulated a block at a time.
+class Draws(NamedTuple):
+    """The chunk streams the plans of one set of experiments read, and what they drive.
 
-    ``a`` is shared, or one per trial of the chunk and sliced per block.
+    Chunk c draws its noise, (count, n, d) standard normals, from
+    ``noise.child(c, KIND_NOISE)``. The same noise drives the trajectories of
+    the fixed system ``params`` and, with B = I, one trajectory per prior
+    draw of A. Chunk c draws from the prior ``spec`` once, under
+    ``prior.child(c)``, for the prior score and the Bayes trajectories alike.
+    ``n`` is 0 when no plan reads trajectories.
     """
-    parts = []
-    for first, noise in _noise_blocks(rng, start, count, n, b.shape[0]):
-        chunk = SimulatedChunk(a if a.ndim == 2 else a[first : first + len(noise)], b, noise)
-        parts.append({key: value for stat in stats for key, value in stat(chunk).items()})
-        del chunk  # the block's states die before the next block is drawn
-    return _gather(parts)
+
+    noise: Stream
+    n: int
+    d: int
+    params: SystemParams | None = None
+    prior: Stream | None = None
+    spec: PriorSpec | None = None
 
 
-def _trajectory_chunk(
-    params: SystemParams, stats: tuple, rng: Stream, start: int, count: int
+def _apply(stats: tuple, data) -> dict[str, np.ndarray]:
+    return {key: value for stat in stats for key, value in stat(data).items()}
+
+
+def _chunk(
+    draws: Draws, fixed: tuple, bayes: tuple, prior: tuple, index: int, count: int
 ) -> dict[str, np.ndarray]:
-    """Every statistic in ``stats`` of one simulation of the chunk, in one dict."""
-    return _chunk_stats(params.a, params.b, params.n, stats, rng, start, count)
+    """Every statistic of chunk ``index`` (``count`` trials), in one dict.
+
+    ``fixed`` and ``bayes`` are statistics of a ``SimulatedChunk`` of the fixed
+    system and of the prior draws of A; ``prior`` are statistics of the
+    chunk's ``PriorSample``. The prior is drawn only when a ``bayes`` or
+    ``prior`` statistic reads it, and the noise only when a ``fixed`` or
+    ``bayes`` one does, a block at a time. Within a block the fixed-A states
+    die before the prior-A states are made.
+    """
+    out = {}
+    if bayes or prior:
+        sample = sample_prior_batch(draws.spec, draws.prior.child(index), count)
+        out.update(_apply(prior, sample))
+        a_stack = sample.a
+        del sample  # the Haar factors die once the A stack and the score are formed
+    if fixed or bayes:
+        eye, parts = np.eye(draws.d), []
+        for first, noise in _noise_blocks(draws.noise.child(index), count, draws.n, draws.d):
+            part = {}
+            if fixed:
+                part.update(_apply(fixed, SimulatedChunk(draws.params.a, draws.params.b, noise)))
+            if bayes:
+                a = a_stack[first : first + len(noise)]
+                part.update(_apply(bayes, SimulatedChunk(a, eye, noise)))
+            parts.append(part)
+        out.update(_gather(parts))
+    return out
 
 
 def _mse_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
@@ -315,6 +356,10 @@ def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
     diff = chunk.ls_error[1]
     # err before mse: the other order lifts a d=2 pool worker's peak RSS 1.2 MB (heap layout)
     return {"err": np.einsum("tij,tkj->tik", diff, diff), **_mse_stats(chunk)}
+
+
+def _bayes_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
+    return {f"bayes_{key}": value for key, value in _mse_stats(chunk).items()}
 
 
 def _identity_stats(
@@ -340,16 +385,12 @@ def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
-def _bayes_chunk(
-    spec: PriorSpec, n: int, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    """``_mse_stats`` of the chunk's trials, each with its own prior draw of A and B = I."""
-    a_stack = sample_prior_batch(spec, _chunk_stream(rng, start), count).a
-    return _chunk_stats(a_stack, np.eye(spec.d), n, (_mse_stats,), rng, start, count)
+def _prior_score_stats(spec: PriorSpec, sample: PriorSample) -> dict[str, np.ndarray]:
+    return {"lhs": score_identity_lhs(sample, spec)}
 
 
-def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, np.ndarray]:
-    vecs = _noise_chunk(rng, start, count, 4, d)
+def _norm_ineq_chunk(d: int, rng: Stream, index: int, count: int) -> dict[str, np.ndarray]:
+    vecs = rng.child(index, KIND_NOISE).generator().standard_normal((count, 4, d))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     u1, v1, u2, v2 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
     m = np.einsum("ti,tj->tij", u1, v1) - np.einsum("ti,tj->tij", u2, v2)
@@ -358,45 +399,57 @@ def _norm_ineq_chunk(d: int, rng: Stream, start: int, count: int) -> dict[str, n
     return {"slack": rhs - lhs}
 
 
-def _prior_identity_chunk(
-    spec: PriorSpec, rng: Stream, start: int, count: int
-) -> dict[str, np.ndarray]:
-    sample = sample_prior_batch(spec, _chunk_stream(rng, start), count)
-    return {"lhs": score_identity_lhs(sample, spec)}
-
-
 # ---------------------------------------------------------------------------
 # experiments: a plan (tasks and reducer) and the function that runs it
 # ---------------------------------------------------------------------------
 
+# what a plan's statistic reads; see ChunkPlan
+FIXED, BAYES, PRIOR = "fixed", "bayes", "prior"
 
-class TrajectoryPlan(NamedTuple):
-    """An experiment on simulated trajectories, before they are chunked.
 
-    ``statistic`` maps a ``SimulatedChunk`` to the arrays the reducer reads;
-    ``reduce`` gets the results of the ``inputs`` tasks, then the chunks'.
+class ChunkPlan(NamedTuple):
+    """An experiment on the draws of ``Draws``, before they are chunked.
+
+    ``statistic`` maps the draws of its ``source`` to the arrays the reducer
+    reads: a block's ``SimulatedChunk`` of the fixed system (``FIXED``) or of
+    one prior draw of A per trial (``BAYES``), or the chunk's
+    ``PriorSample`` (``PRIOR``). ``reduce`` gets the results of the
+    ``inputs`` tasks, then the chunks'.
     """
 
-    statistic: Callable[[SimulatedChunk], dict]
+    statistic: Callable[[Any], dict]
     inputs: list[Callable[[], Any]]
     reduce: Callable[[list], Any]
+    source: str = FIXED
+
+
+def chunk_experiments(
+    draws: Draws, trials: int, plans: Sequence[ChunkPlan | None]
+) -> list[Experiment | None]:
+    """The experiments of ``plans``, all on one set of draws.
+
+    One task per chunk draws its randomness once and computes every plan's
+    statistic; every experiment lists those same task objects, so
+    ``run_experiments`` runs each once. A chunk that simulates trajectories
+    holds ``_chunk_trials(n * d)`` trials. A None plan gives a None experiment.
+    """
+    fixed, bayes, prior = (
+        tuple(p.statistic for p in plans if p is not None and p.source == source)
+        for source in (FIXED, BAYES, PRIOR)
+    )
+    size = _chunk_trials(draws.n * draws.d if fixed or bayes else 0)
+    chunks = [
+        partial(_chunk, draws, fixed, bayes, prior, index, count)
+        for index, count in _chunk_ranges(trials, size)
+    ]
+    return [None if p is None else Experiment([*p.inputs, *chunks], p.reduce) for p in plans]
 
 
 def trajectory_experiments(
-    params: SystemParams, trials: int, rng: Stream, plans: Sequence[TrajectoryPlan]
-) -> list[Experiment]:
-    """The experiments of ``plans``, all on one set of trajectories.
-
-    One task per chunk simulates its trials once and computes every plan's
-    statistic; every experiment lists those same task objects, so
-    ``run_experiments`` runs each once. A None plan gives a None experiment.
-    """
-    stats = tuple(plan.statistic for plan in plans if plan is not None)
-    chunks = _chunk_tasks(_trajectory_chunk, trials, params, stats, rng)
-    return [
-        None if plan is None else Experiment([*plan.inputs, *chunks], plan.reduce)
-        for plan in plans
-    ]
+    params: SystemParams, trials: int, rng: Stream, plans: Sequence[ChunkPlan | None]
+) -> list[Experiment | None]:
+    """``chunk_experiments`` of plans on trajectories of ``params`` driven by ``rng``."""
+    return chunk_experiments(Draws(rng, params.n, params.d, params), trials, plans)
 
 
 def _require_trials(trials: int, minimum: int) -> None:
@@ -418,7 +471,7 @@ def _accepted_trials(failed: np.ndarray, what: str) -> int:
     return trials - rejected
 
 
-def risk_plan(params: SystemParams, trials: int) -> TrajectoryPlan:
+def risk_plan(params: SystemParams, trials: int) -> ChunkPlan:
     """Plan of ``empirical_risk``."""
     _require_trials(trials, MIN_RISK_TRIALS)
 
@@ -437,7 +490,7 @@ def risk_plan(params: SystemParams, trials: int) -> TrajectoryPlan:
             failed_trials=trials - n_ok,
         )
 
-    return TrajectoryPlan(_risk_stats, [], reduce)
+    return ChunkPlan(_risk_stats, [], reduce)
 
 
 def empirical_risk(
@@ -455,7 +508,7 @@ def _rate_task(params: SystemParams, grid_points: int) -> Callable[[], BoundRepo
 
 def concentration_plan(
     params: SystemParams, trials: int, t_levels: list[float], rate: Callable[[], BoundReport]
-) -> TrajectoryPlan:
+) -> ChunkPlan:
     """Plan of ``concentration_experiment``.
 
     The statistic needs only ``params.psi_inv_sqrt``, formed here, so an
@@ -490,7 +543,7 @@ def concentration_plan(
             fitted_constant=fitted,
         )
 
-    return TrajectoryPlan(partial(_concentration_stats, params.psi_inv_sqrt), [rate], reduce)
+    return ChunkPlan(partial(_concentration_stats, params.psi_inv_sqrt), [rate], reduce)
 
 
 def concentration_experiment(
@@ -515,7 +568,7 @@ def concentration_experiment(
 
 def multiplication_plan(
     params: SystemParams, trials: int, rate: Callable[[], BoundReport]
-) -> TrajectoryPlan:
+) -> ChunkPlan:
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
 
@@ -525,7 +578,7 @@ def multiplication_plan(
             bound_value=params.d * delta2(params, parts[0].l_ab),
         )
 
-    return TrajectoryPlan(partial(_multiplication_stats, params.psi_inv_sqrt), [rate], reduce)
+    return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), [rate], reduce)
 
 
 def multiplication_experiment(
@@ -548,7 +601,7 @@ def dominance_plan(
     bound: Callable[[], BoundReport],
     *,
     bound_scale: float = 1.0,
-) -> TrajectoryPlan:
+) -> ChunkPlan:
     """Plan of ``dominance_check``; ``bound`` is the task returning the bound."""
     risk = risk_plan(params, trials)
 
@@ -564,7 +617,7 @@ def dominance_plan(
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
         return DominanceResult(holds=margin >= 0.0, margin=margin)
 
-    return TrajectoryPlan(risk.statistic, [bound], reduce)
+    return ChunkPlan(risk.statistic, [bound], reduce)
 
 
 def dominance_check(
@@ -589,21 +642,21 @@ def dominance_check(
     return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
 
 
-def bayes_plan(spec: PriorSpec, n: int, trials: int, rng: Stream) -> Experiment:
-    """Plan of ``bayes_risk_experiment``."""
+def bayes_plan(spec: PriorSpec, n: int, trials: int) -> ChunkPlan:
+    """Plan of ``bayes_risk_experiment``; its trajectories have ``n`` steps."""
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
     if n < spec.d + 1:
         raise ValueError(f"n must be >= d + 1 = {spec.d + 1}, got {n}")
 
     def reduce(parts) -> BayesRiskResult:
-        data = _gather(parts)
-        n_ok = _accepted_trials(data["failed"], "Bayes trials")
-        bayes_mse = float(np.sum(data["mse"]) / n_ok)
+        data = _gather(parts, "bayes_failed", "bayes_mse")
+        n_ok = _accepted_trials(data["bayes_failed"], "Bayes trials")
+        bayes_mse = float(np.sum(data["bayes_mse"]) / n_ok)
         return BayesRiskResult(
             bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
         )
 
-    return Experiment(_chunk_tasks(_bayes_chunk, trials, spec, n, rng), reduce)
+    return ChunkPlan(_bayes_stats, [], reduce, BAYES)
 
 
 def bayes_risk_experiment(
@@ -614,8 +667,10 @@ def bayes_risk_experiment(
     Per trial: draw A from the prior, fix B = I, simulate N transitions, run
     least squares, record the squared error. Any estimator's Bayes risk is
     bounded below by the van Trees value, so least squares' must be too.
+    ``rng`` keys both the noise and the prior draws.
     """
-    return _run(bayes_plan(spec, n, trials, rng), workers)
+    draws = Draws(rng, n, spec.d, prior=rng, spec=spec)
+    return _run(chunk_experiments(draws, trials, [bayes_plan(spec, n, trials)])[0], workers)
 
 
 def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> float:
@@ -624,7 +679,8 @@ def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> flo
         raise ValueError(f"d must be >= 1, got {d}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    data = _run(Experiment(_chunk_tasks(_norm_ineq_chunk, trials, d, rng), _gather), workers)
+    tasks = [partial(_norm_ineq_chunk, d, rng, *chunk) for chunk in _chunk_ranges(trials, CHUNK)]
+    data = _run(Experiment(tasks, _gather), workers)
     return float(np.min(data["slack"]))
 
 
@@ -654,7 +710,7 @@ def _entrywise_check(
     )
 
 
-def identity_plan(params: SystemParams) -> TrajectoryPlan:
+def identity_plan(params: SystemParams) -> ChunkPlan:
     """Plan of ``identity_checks``.
 
     The closed-form information is formed here: a reducer that filled a cache
@@ -672,7 +728,7 @@ def identity_plan(params: SystemParams) -> TrajectoryPlan:
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 
-    return TrajectoryPlan(partial(_identity_stats, params, psi_inv), [], reduce)
+    return ChunkPlan(partial(_identity_stats, params, psi_inv), [], reduce)
 
 
 def identity_checks(
@@ -688,19 +744,23 @@ def identity_checks(
     return _run(trajectory_experiments(params, trials, rng, [identity_plan(params)])[0], workers)
 
 
-def prior_identity_plan(spec: PriorSpec, trials: int, rng: Stream) -> Experiment:
+def prior_identity_plan(spec: PriorSpec) -> ChunkPlan:
     """Plan of ``prior_identity_check``."""
 
     def reduce(parts) -> CheckResult:
         return _entrywise_check(
-            "prior_score_identity", _gather(parts)["lhs"], spec.d * np.eye(spec.d), 4.0
+            "prior_score_identity", _gather(parts, "lhs")["lhs"], spec.d * np.eye(spec.d), 4.0
         )
 
-    return Experiment(_chunk_tasks(_prior_identity_chunk, trials, spec, rng), reduce)
+    return ChunkPlan(partial(_prior_score_stats, spec), [], reduce, PRIOR)
 
 
 def prior_identity_check(
     spec: PriorSpec, trials: int, rng: Stream, *, workers: int = 1
 ) -> CheckResult:
-    """MC check of -E[A (grad log prior)^T] = d * I at 4 standard errors."""
-    return _run(prior_identity_plan(spec, trials, rng), workers)
+    """MC check of -E[A (grad log prior)^T] = d * I at 4 standard errors.
+
+    Its chunks draw no noise, so each holds ``CHUNK`` trials.
+    """
+    draws = Draws(rng, 0, spec.d, prior=rng, spec=spec)
+    return _run(chunk_experiments(draws, trials, [prior_identity_plan(spec)])[0], workers)

@@ -4,18 +4,23 @@ A :class:`Stream` is a value, not a mutable generator: the same stream always
 yields the same draws, and child streams are addressed by ``(seed, path)``.
 
 Stream layout (version :data:`RNG_LAYOUT`): Monte Carlo code splits trials
-into fixed chunks and keys one generator by ``(seed, salt, chunk, kind)``,
-where ``kind`` is one of the ``KIND_*`` draw kinds below. Each chunk draws
-each kind in trial-major calls in trial order (one call, or one per block of
-trials), and numpy fills arrays in order, so trial k's draws are the k-th
-run of draws of that stream whatever the calls. They depend only on
-``(seed, salt, k)``: not on the total trial count, not on how chunks are
-spread over workers, and, because every kind has its own stream, never on
-how many variates a rejection sampler of another kind consumed. This is the
-counter-based design of Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3" (SC'11). A salt names a family of draws, not one experiment:
-experiments that read the same quantity of the same trials share its draws
-(the trajectory experiments of a ``verify`` op share one noise stream).
+into chunks and keys one generator by ``(seed, salt, chunk, kind)``, where
+``kind`` is one of the ``KIND_*`` draw kinds below. A chunk holds 4096
+trials, or fewer when one trial draws more than 1024 noise numbers (N*d >
+1024), so that a chunk draws at most 2^22 of them; the chunk size depends
+only on N*d. Each chunk draws each kind in trial-major calls in trial order
+(one call, or one per block of trials), and numpy fills arrays in order, so
+trial k's draws are the k-th run of draws of that stream whatever the
+calls. They depend only on ``(seed, salt, k)`` and the chunk size: not on
+the total trial count, not on how chunks are spread over workers, and,
+because every kind has its own stream, never on how many variates a
+rejection sampler of another kind consumed. This is the counter-based design
+of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A
+salt names a family of draws, not one experiment: experiments that read the
+same quantity of the same trials share its draws. A ``verify`` op draws one
+noise stream, which drives the trajectories of the configured system and
+of the Bayes experiment's prior draws of A, and one prior stream, which
+serves the Bayes experiment and the prior-score identity.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import numpy as np
 
 # version of the mapping from (seed, config) to draws; bumped whenever the
 # same seed starts producing different draws (3: the trajectory experiments
-# of a verify op share one set of trajectories)
-RNG_LAYOUT = 3
+# of a verify op share one set of trajectories; 4: the Bayes trajectories of
+# a verify op reuse its noise and prior draws, and a chunk's size depends on
+# N*d)
+RNG_LAYOUT = 4
 
 # draw kinds, the last index of a stream path
 KIND_NOISE = 0  # standard normal noise, or any other plain Gaussian block

@@ -18,7 +18,7 @@ import ltibounds.model
 import ltibounds.montecarlo
 from ltibounds.cli import main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
-from ltibounds.rng import KIND_NOISE, Stream
+from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -120,6 +120,7 @@ def test_schema_violation_exit_2(tmp_path):
         ("output", {"path": ""}, "output.path"),
         ("output", {"fromat": "json"}, "output.fromat"),
         ("system", {"bogus": 1}, "system.bogus"),
+        ("outptu", {"format": "json"}, "outptu"),
     ],
 )
 def test_config_rejects_malformed_numbers_with_exit_2(tmp_path, capsys, command, section, values, field):
@@ -408,9 +409,9 @@ def test_one_pool_per_verify_op_sized_by_the_task_list(tmp_path, monkeypatch):
         run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128},
     )
     reports = []
-    # one chunk each: the shared trajectories (identity, risk, concentration
-    # and multiplication), prior, bound and Bayes make 4 tasks
-    for workers, expected in [(8, [4]), (2, [2]), (1, [])]:
+    # one chunk, shared by all six Monte Carlo experiments, and the bound
+    # make 2 tasks
+    for workers, expected in [(8, [2]), (2, [2]), (1, [])]:
         sizes.clear()
         out = tmp_path / f"v{workers}.csv"
         assert main(["verify", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
@@ -443,17 +444,9 @@ def test_verify_submits_the_simulation_chunks_first(tmp_path, monkeypatch):
         out = tmp_path / f"v{workers}.csv"
         assert main(["verify", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
         reports.append(out.read_bytes())
-    # two chunks each: the long simulation chunks go to the pool before the
-    # prior chunks and the bound, whatever the report order
-    assert submitted == [
-        "_trajectory_chunk",
-        "_trajectory_chunk",
-        "_bayes_chunk",
-        "_bayes_chunk",
-        "_prior_identity_chunk",
-        "_prior_identity_chunk",
-        "cr_bound",
-    ]
+    # two chunks: the long chunk tasks go to the pool before the bound,
+    # whatever the report order
+    assert submitted == ["_chunk", "_chunk", "cr_bound"]
     assert reports[0] == reports[1]
     assert multiprocessing.active_children() == []
 
@@ -473,9 +466,9 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
 
     def recording_generator(stream):
         gen = original(stream)
+        opened.append(stream.path)
         if stream.path[-1:] != (KIND_NOISE,):
             return gen
-        opened.append(stream.path)
         drawn.setdefault(stream.path, 0)
         return NoiseRecorder(stream.path, gen)
 
@@ -483,20 +476,22 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
     path = write_config(tmp_path, system={"a": {"kind": "identity", "scale": 0.5}}, run={"trials": trials})
     out = tmp_path / "v.csv"
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-    # each trajectory chunk's noise stream is opened once and draws count*N*d
-    # normals, shared by every trajectory check; so is each Bayes chunk's,
-    # and Bayes needs 1000 trials; no other noise stream is opened
-    chunks = ltibounds.montecarlo._chunk_ranges(trials)
-    salts = [ltibounds.cli.SALT_IDENTITY]
-    if trials >= 1000:
-        salts.append(ltibounds.cli.SALT_BAYES)
-    expected = {
-        (salt, start // ltibounds.montecarlo.CHUNK, KIND_NOISE): count * 10 * 2  # N = 10, d = 2
-        for salt in salts
-        for start, count in chunks
-    }
-    assert opened == list(expected)
-    assert drawn == expected
+    # each chunk opens its noise stream once and draws count*N*d normals,
+    # shared by every trajectory check and, at 1000 trials, by the Bayes
+    # trajectories; it opens each prior kind stream once, for the prior
+    # score and Bayes alike; no other stream is opened
+    cli = ltibounds.cli
+    chunks = ltibounds.montecarlo._chunk_ranges(trials, ltibounds.montecarlo.CHUNK)
+    assert ltibounds.montecarlo._chunk_trials(10 * 2) == ltibounds.montecarlo.CHUNK  # N = 10, d = 2
+    noise = {(cli.SALT_IDENTITY, index, KIND_NOISE): count * 10 * 2 for index, count in chunks}
+    prior_kinds = (KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS)
+    assert opened == [
+        path
+        for index, _ in chunks
+        for path in [*((cli.SALT_PRIOR, index, kind) for kind in prior_kinds), (cli.SALT_IDENTITY, index, KIND_NOISE)]
+    ]
+    assert drawn == noise
+    assert not any(path[0] == cli.SALT_BAYES for path in opened)
     rows = read_rows(out)
     quantities = [r["quantity"] for r in rows]
     checks = [
@@ -521,6 +516,28 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
             assert float(row["value"]) == 0.0
     else:
         assert quantities == ["config", *checks]
+
+
+def test_verify_bytes_do_not_depend_on_workers_or_blocks_with_work_sized_chunks(tmp_path, monkeypatch):
+    # N*d = 8192: a chunk holds 512 trials, so 1000 trials make 2 chunks
+    assert ltibounds.montecarlo._chunk_trials(4096 * 2) == 512
+    path = write_config(
+        tmp_path,
+        system={"n": 4096, "a": {"kind": "identity", "scale": 0.5}},
+        run={"trials": 1000, "seed": 5, "grid_points": 128},
+    )
+
+    def report(workers):
+        out = tmp_path / f"v{workers}.csv"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", workers]) == 0
+        return out.read_bytes()
+
+    reports = [report(workers) for workers in ("1", "2", "3")]
+    # blocks of 200 trials, the last of each chunk ragged (112 and 88)
+    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 200 * 4096 * 2)
+    reports.append(report("1"))
+    assert reports[1:] == reports[:1] * 3
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("trials", [1000, 500, 100])

@@ -4,8 +4,8 @@
 
 Each ``tests/golden/<command>_<name>.json`` config has the report of
 ``ltibounds <command>`` committed next to it as ``<command>_<name>.csv``.
-``verify_readme_rotation`` runs three ``CHUNK``-sized chunks per experiment;
-``verify_d3_n64`` runs one chunk per experiment; ``verify_d3_n64_t50`` and
+``verify_readme_rotation`` runs three ``CHUNK``-sized chunks, each shared by
+all of its experiments; ``verify_d3_n64`` runs one such chunk; ``verify_d3_n64_t50`` and
 ``verify_d3_n64_t500`` pin the skipped and inconclusive rows below the 100-
 and 1000-trial minimums. The ``bounds`` goldens are the seed-1 configs of a
 stable, a limit-stable, an unstable and a d=8 system of the benchmark's

@@ -25,25 +25,29 @@ from ltibounds.model import (
     simulate_injected,
 )
 from ltibounds.montecarlo import (
+    BAYES,
     CHUNK,
+    PRIOR,
     AllTrialsSingularError,
+    ChunkPlan,
+    Draws,
     Experiment,
     TooManySingularTrialsError,
     _accepted_trials,
-    _bayes_chunk,
+    _bayes_stats,
+    _chunk,
     _chunk_ranges,
-    _chunk_stream,
+    _chunk_trials,
     _concentration_stats,
     _gather,
     _identity_stats,
     _multiplication_stats,
     _noise_blocks,
-    _noise_chunk,
-    _prior_identity_chunk,
+    _prior_score_stats,
     SimulatedChunk,
     _risk_stats,
-    _trajectory_chunk,
     bayes_risk_experiment,
+    chunk_experiments,
     concentration_experiment,
     dominance_check,
     dominance_plan,
@@ -56,7 +60,7 @@ from ltibounds.montecarlo import (
     run_experiments,
     trajectory_experiments,
 )
-from ltibounds.rng import Stream
+from ltibounds.rng import KIND_NOISE, Stream
 
 
 def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
@@ -66,6 +70,16 @@ def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
 
 def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
     return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
+
+
+def chunk_noise(rng, index, count, n, d):
+    """The noise of chunk ``index`` under ``rng``, drawn in one call."""
+    return rng.child(index, KIND_NOISE).generator().standard_normal((count, n, d))
+
+
+def fixed_chunk(params, stats, rng, index, count):
+    """``_chunk`` with only the statistics ``stats`` of the fixed system."""
+    return _chunk(Draws(rng, params.n, params.d, params), stats, (), (), index, count)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +191,8 @@ def test_score_mean_zero_and_negative_control():
     # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
     at_wrong_a = scalar_params(0.8, n=16)
     chunks = [
-        SimulatedChunk(params.a, params.b, _noise_chunk(Stream(65), s, c, params.n, params.d))
-        for s, c in _chunk_ranges(5000)
+        SimulatedChunk(params.a, params.b, chunk_noise(Stream(65), i, c, params.n, params.d))
+        for i, c in _chunk_ranges(5000, CHUNK)
     ]
     wrong = np.concatenate(
         [_data_score(at_wrong_a, chunk.gamma, chunk.sigma) for chunk in chunks]
@@ -359,8 +373,36 @@ def test_norm_ineq_fuzz_worker_independence():
 
 
 # ---------------------------------------------------------------------------
-# stream layout: trial k's draws depend only on (seed, salt, k)
+# stream layout: trial k's draws depend only on (seed, salt, k) and N*d
 # ---------------------------------------------------------------------------
+
+
+def test_chunk_size_depends_on_the_noise_of_a_trial():
+    # up to N*d = 1024 a chunk holds CHUNK trials, beyond it 2^22 noise numbers
+    assert CHUNK == 4096 and ltibounds.montecarlo.CHUNK_ELEMENTS == 2**22
+    assert [_chunk_trials(nd) for nd in (0, 1, 20, 1000, 1024)] == [CHUNK] * 5
+    assert [_chunk_trials(nd) for nd in (1025, 1200, 8192, 16384, 2**22, 2**23)] == [
+        4092, 3495, 512, 256, 1, 1
+    ]
+    assert _chunk_ranges(1000, 256) == [(0, 256), (1, 256), (2, 256), (3, 232)]
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+
+    def chunks(n, d, trials, plan):
+        params = SystemParams(a=0.5 * np.eye(d), b=np.eye(d), n=n)
+        draws = Draws(Stream(1), n, d, params, Stream(2), spec)
+        return [task.args[-2:] for task in chunk_experiments(draws, trials, [plan])[0].tasks]
+
+    risk = ChunkPlan(_risk_stats, [], _gather)
+    bayes = ChunkPlan(_bayes_stats, [], _gather, BAYES)
+    prior = ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR)
+    # N*d = 1024, at and above CHUNK trials
+    assert chunks(512, 2, CHUNK, risk) == [(0, CHUNK)]
+    assert chunks(512, 2, CHUNK + 1, bayes) == [(0, CHUNK), (1, 1)]
+    # N*d = 8192 and 16384: the verify sizes of the benchmark's long workload
+    assert chunks(4096, 2, 1000, risk) == [(0, 512), (1, 488)]
+    assert chunks(2048, 8, 1000, bayes) == [(0, 256), (1, 256), (2, 256), (3, 232)]
+    # a chunk that draws no noise holds CHUNK trials whatever N*d
+    assert chunks(2048, 8, 1000, prior) == [(0, 1000)]
 
 PREFIX_TRIALS = CHUNK + 5
 LONGER_TRIALS = PREFIX_TRIALS + CHUNK + 7
@@ -385,9 +427,9 @@ def _statistics(params, psi_inv, w):
 
 def test_trajectory_chunk_trial_prefix_invariance():
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    chunk = partial(_trajectory_chunk, params, _statistics(params, np.eye(2), 0.5 * np.eye(2)))
+    chunk = partial(fixed_chunk, params, _statistics(params, np.eye(2), 0.5 * np.eye(2)))
     short, long = (
-        _gather([chunk(Stream(90), s, c) for s, c in _chunk_ranges(t)])
+        _gather([chunk(Stream(90), i, c) for i, c in _chunk_ranges(t, CHUNK)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
     assert short.keys() == {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"}
@@ -399,7 +441,7 @@ def test_trajectory_chunk_trial_prefix_invariance():
 
 
 def _simulate_chunk(params, rng, start, count):
-    noise = _noise_chunk(rng, start, count, params.n, params.d)
+    noise = chunk_noise(rng, start, count, params.n, params.d)
     return noise, _states_batch(params.a, params.b, noise)
 
 
@@ -456,16 +498,29 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
         partial(_layout2_concentration_chunk, params, w),
         partial(_layout2_multiplication_chunk, params, w),
     ]
-    for start, count in _chunk_ranges(CHUNK + 300):
-        shared = _trajectory_chunk(params, _statistics(params, psi_inv, w), Stream(99), start, count)
+    for index, count in _chunk_ranges(CHUNK + 300, CHUNK):
+        shared = fixed_chunk(params, _statistics(params, psi_inv, w), Stream(99), index, count)
         for reference in references:
-            for key, value in reference(Stream(99), start, count).items():
-                assert np.array_equal(shared[key], value), (key, start)
+            for key, value in reference(Stream(99), index, count).items():
+                assert np.array_equal(shared[key], value), (key, index)
 
 
 # ---------------------------------------------------------------------------
 # blocks: a chunk is simulated a block of trials at a time
 # ---------------------------------------------------------------------------
+
+
+def verify_chunk(params, spec, stats, noise, prior):
+    """A ``_chunk`` task as ``verify`` makes it: ``stats``, Bayes and the prior score."""
+    draws = Draws(noise, params.n, params.d, params, prior, spec)
+    return partial(_chunk, draws, stats, (_bayes_stats,), (partial(_prior_score_stats, spec),))
+
+
+VERIFY_KEYS = {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"} | {
+    "bayes_failed",
+    "bayes_mse",
+    "lhs",
+}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -474,27 +529,20 @@ def test_blocks_change_no_bit(monkeypatch, d):
     params = SystemParams(a=a, b=np.eye(d) + 0.2 * np.triu(np.ones((d, d)), 1), n=12)
     psi_m = psi(params)
     stats = _statistics(params, np.linalg.solve(psi_m, np.eye(d)), sym_inv_sqrt(psi_m))
-    spec = PriorSpec(s=0.5, eps=0.5, d=d)
+    chunk = verify_chunk(params, PriorSpec(s=0.5, eps=0.5, d=d), stats, Stream(100), Stream(101))
 
-    def chunks():
-        return [
-            _trajectory_chunk(params, stats, Stream(100), 0, 37),
-            _bayes_chunk(spec, params.n, Stream(101), 0, 37),
-        ]
-
-    one_block = chunks()
+    one_block = chunk(0, 37)
     # blocks of 8 trials, the last of 5
     monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 8 * params.n * d)
-    blocks = list(_noise_blocks(Stream(100), 0, 37, params.n, d))
+    blocks = list(_noise_blocks(Stream(100).child(0), 37, params.n, d))
     assert [(first, len(noise)) for first, noise in blocks] == [(0, 8), (8, 8), (16, 8), (24, 8), (32, 5)]
     noise = np.concatenate([noise for _, noise in blocks])
-    assert np.array_equal(noise, _noise_chunk(Stream(100), 0, 37, params.n, d))
-    for whole, blocked in zip(one_block, chunks()):
-        assert whole.keys() == blocked.keys()
-        for key in whole:
-            assert whole[key].shape[0] == 37
-            assert np.array_equal(whole[key], blocked[key]), key
-    assert one_block[0].keys() == {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"}
+    assert np.array_equal(noise, chunk_noise(Stream(100), 0, 37, params.n, d))
+    blocked = chunk(0, 37)
+    assert one_block.keys() == blocked.keys() == VERIFY_KEYS
+    for key in one_block:
+        assert one_block[key].shape[0] == 37
+        assert np.array_equal(one_block[key], blocked[key]), key
 
 
 def _peak_bytes(task) -> int:
@@ -508,35 +556,60 @@ def _peak_bytes(task) -> int:
 
 def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     # d = 8, N = 512 and blocks of 128 trials: a block's noise is 4 MB, while
-    # a whole chunk of 1024 trials would hold 32 MB of noise and 32 MB of states
+    # a whole chunk of 1024 trials would hold 32 MB of noise and 32 MB of
+    # states for each of the fixed and the prior-A trajectories
     monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 2**19)
     d, n = 8, 512
     params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
-    tasks = [
-        partial(_trajectory_chunk, params, _statistics(params, np.eye(d), np.eye(d)), Stream(102), 0),
-        partial(_bayes_chunk, PriorSpec(s=0.5, eps=0.5, d=d), n, Stream(103), 0),
-    ]
-    for task in tasks:
-        small, large = (_peak_bytes(partial(task, count)) for count in (256, 1024))
-        assert large < 1.5 * small, task.func.__name__
+    stats = _statistics(params, np.eye(d), np.eye(d))
+    chunk = verify_chunk(params, PriorSpec(s=0.5, eps=0.5, d=d), stats, Stream(102), Stream(103))
+    small, large = (_peak_bytes(partial(chunk, 0, count)) for count in (256, 1024))
+    assert large < 1.5 * small
 
 
 def test_bayes_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    draws = Draws(Stream(91), 6, 2, prior=Stream(91), spec=spec)
     short, long = (
-        _gather([_bayes_chunk(spec, 6, Stream(91), s, c) for s, c in _chunk_ranges(t)])
+        _gather([_chunk(draws, (), (_bayes_stats,), (), i, c) for i, c in _chunk_ranges(t, CHUNK)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
+    assert short.keys() == {"bayes_failed", "bayes_mse"}
     _assert_prefix_equal(short, long)
 
 
 def test_prior_identity_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=1.0, d=3)
+    draws = Draws(Stream(92), 0, 3, prior=Stream(92), spec=spec)
+    prior = (partial(_prior_score_stats, spec),)
     short, long = (
-        _gather([_prior_identity_chunk(spec, Stream(92), s, c) for s, c in _chunk_ranges(t)])
+        _gather([_chunk(draws, (), (), prior, i, c) for i, c in _chunk_ranges(t, CHUNK)])
         for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
+    assert short.keys() == {"lhs"}
     _assert_prefix_equal(short, long)
+
+
+def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatch):
+    # N*d = 12 and chunks of 300 trials: the prefix holds one whole chunk and
+    # 5 trials of the next, whose draws do not depend on the trials after it
+    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 300 * 12)
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    draws = Draws(Stream(104), params.n, params.d, params, Stream(105), spec)
+    plans = [
+        *(ChunkPlan(stat, [], _gather) for stat in _statistics(params, np.eye(2), 0.5 * np.eye(2))),
+        ChunkPlan(_bayes_stats, [], _gather, BAYES),
+        ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR),
+    ]
+    short, long = (
+        run_experiments([chunk_experiments(draws, trials, plans)[0]])[0]
+        for trials in (305, 612)
+    )
+    assert short.keys() == VERIFY_KEYS
+    for key in short:
+        assert len(short[key]) == 305
+        assert np.array_equal(short[key], long[key][:305]), key
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +672,23 @@ def test_states_batch_one_a_per_trial_matches_simulate_injected():
 
 
 def test_bayes_chunk_matches_per_trial_least_squares():
+    # the Bayes trajectory of trial k is driven by the noise of the fixed
+    # system's trajectory k, with B = I and the chunk's k-th prior draw of A
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=12)
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
-    n, count, rng = 12, 50, Stream(97)
-    out = _bayes_chunk(spec, n, rng, 0, count)
-    a_stack = sample_prior_batch(spec, _chunk_stream(rng, 0), count).a
-    noise = _noise_chunk(rng, 0, count, n, spec.d)
-    ref = []
+    count, noise_rng, prior_rng = 50, Stream(97), Stream(197)
+    draws = Draws(noise_rng, params.n, params.d, params, prior_rng, spec)
+    out = _chunk(draws, (_risk_stats,), (_bayes_stats,), (), 0, count)
+    a_stack = sample_prior_batch(spec, prior_rng.child(0), count).a
+    noise = chunk_noise(noise_rng, 0, count, params.n, params.d)
+    fixed, bayes = [], []
     for a, e in zip(a_stack, noise):
-        traj = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=n), e)
-        ref.append(np.sum((least_squares(traj) - a) ** 2))
-    assert not out["failed"].any()
-    np.testing.assert_allclose(out["mse"], ref, rtol=1e-9)
+        fixed.append(np.sum((least_squares(simulate_injected(params, e)) - params.a) ** 2))
+        traj = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=params.n), e)
+        bayes.append(np.sum((least_squares(traj) - a) ** 2))
+    assert not out["failed"].any() and not out["bayes_failed"].any()
+    np.testing.assert_allclose(out["mse"], fixed, rtol=1e-9)
+    np.testing.assert_allclose(out["bayes_mse"], bayes, rtol=1e-9)
 
 
 def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkeypatch):
@@ -624,23 +703,30 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
     monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    prior = partial(_prior_score_stats, spec)
+    draws = Draws(Stream(98), params.n, params.d, params, Stream(98), spec)
+    every = (identity, risk, concentration, multiplication)
     identity_keys = {"selfnorm", "score", "fisher"}
     risk_keys = {"failed", "err", "mse"}
-    # every trajectory chunk forms gamma and sigma; sum e_i x_i^T only on demand
+    every_keys = identity_keys | risk_keys | {"dev", "mult"}
+    bayes_keys = {"bayes_failed", "bayes_mse"}
+    # each set of trajectories forms gamma and sigma, the fixed system's
+    # sum e_i x_i^T only on demand; the prior score forms none
     expected = [
-        ((identity, risk, concentration, multiplication), 3, identity_keys | risk_keys | {"dev", "mult"}),
-        ((identity,), 3, identity_keys),
-        ((risk,), 2, risk_keys),
-        ((concentration,), 2, {"dev"}),
-        ((multiplication,), 3, {"mult"}),
+        (every, (), (), 3, every_keys),
+        ((identity,), (), (), 3, identity_keys),
+        ((risk,), (), (), 2, risk_keys),
+        ((concentration,), (), (), 2, {"dev"}),
+        ((multiplication,), (), (), 3, {"mult"}),
+        ((), (_bayes_stats,), (), 2, bayes_keys),
+        ((), (), (prior,), 0, {"lhs"}),
+        (every, (_bayes_stats,), (prior,), 5, every_keys | bayes_keys | {"lhs"}),
     ]
-    for stats, sums, keys in expected:
+    for fixed, bayes, prior_stats, sums, keys in expected:
         calls.clear()
-        assert set(_trajectory_chunk(params, stats, Stream(98), 0, 10)) == keys
+        assert set(_chunk(draws, fixed, bayes, prior_stats, 0, 10)) == keys
         assert len(calls) == sums, keys
-    calls.clear()
-    bayes = _bayes_chunk(PriorSpec(s=0.5, eps=0.5, d=2), 6, Stream(98), 0, 10)
-    assert set(bayes) == {"failed", "mse"} and len(calls) == 2
 
 
 def test_gather_joins_only_the_named_arrays():
