@@ -247,6 +247,10 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
 
 
 def run_risk(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]:
+    if cfg.trials < MIN_RISK_TRIALS:
+        raise ConfigError(
+            "run.trials", f"must be >= {MIN_RISK_TRIALS} for the risk command, got {cfg.trials}"
+        )
     params = _system(cfg)
     est = empirical_risk(params, cfg.trials, Stream(cfg.seed).child(SALT_RISK), workers=workers)
     eigs = np.linalg.eigvalsh(est.error_matrix)
@@ -486,6 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except ValueError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        # numpy's allocation failures, in this process or re-raised from a worker
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
 
     fmt = args.format or cfg.out_format

@@ -3,14 +3,16 @@
 Each experiment is an ``Experiment``: a list of independent tasks (one per
 chunk of trials, plus any deterministic input its reducer needs) and a
 reducer of their results. ``run_experiments`` is the one runner. It puts the
-tasks of every experiment it is given into one list; with ``workers`` > 1
-one process pool of ``min(workers, tasks)`` processes runs the whole list,
-otherwise it runs in this process, in order. Reducers run in this process,
-in order, so the first exception in that order is the one raised whatever
-the worker count. The public functions (``empirical_risk``,
-``identity_checks``, ...) run one experiment each; the CLI ``verify`` command
-runs all of its experiments and its ``cr_bound`` in one call, so one op
-opens at most one pool.
+tasks of every experiment it is given into one list, in order; with
+``workers`` > 1 one process pool of ``min(workers, tasks)`` processes runs
+the whole list, submitted in that order, otherwise it runs in this process,
+in order. ``chunk_experiments`` lists the chunks before the inputs, so the
+long tasks of an op go first and the short ones run beside them. Reducers
+run in this process, in order, so the first exception in that order is the
+one raised whatever the worker count. The public functions
+(``empirical_risk``, ``identity_checks``, ...) run one experiment each; the
+CLI ``verify`` command runs all of its experiments and its ``cr_bound`` in
+one call, so one op opens at most one pool.
 
 Psi, Psi^{-1/2} and (BB*)^{-1} are the values cached on ``SystemParams``.
 Plans read them while they are built, in this process, so every task pickles
@@ -41,14 +43,10 @@ pairwise summation. The worker count only decides where tasks run, so under
 a fixed numpy/BLAS build reports are bit-identical for any ``workers``
 value.
 
-A chunk task simulates its trials in consecutive blocks of at most
-``BLOCK_ELEMENTS`` noise numbers (``_noise_blocks``) and computes each
-block's per-trial statistics before it draws the next, so a worker holds
-one block's noise and states, not the whole chunk's: its memory is set by
-the block size. Within a block the fixed-system states die before the
-prior-A states are made. The blocks come in order from the chunk's one
-noise generator and each trial's statistics depend only on its own data,
-so the block size changes no draw and no report byte.
+A chunk task draws its noise in one call and simulates all of its trials
+at once; ``_chunk_trials`` caps that noise at ``CHUNK_ELEMENTS`` numbers, so
+a worker's memory is set by that cap, not by the trial count. Within a chunk
+the fixed-system states die before the prior-A states are made.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -58,7 +56,7 @@ outright if they exceed one per thousand.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, NamedTuple
@@ -89,8 +87,6 @@ from .rng import KIND_NOISE, Stream
 # CHUNK_ELEMENTS noise numbers (32 MB of float64); see _chunk_trials
 CHUNK = 4096
 CHUNK_ELEMENTS = 2**22
-# numbers per noise block (32 MB of float64); see _noise_blocks
-BLOCK_ELEMENTS = 2**22
 # fewest trials: of the risk experiment, and of a conclusive 4-SE check and
 # every other experiment
 MIN_RISK_TRIALS = 100
@@ -183,14 +179,11 @@ def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) 
     The tasks of all ``experiments`` form one list, in order; a task object
     listed by several experiments runs once. With ``workers`` > 1 and more
     than one task, one process pool of ``min(workers, tasks)`` processes runs
-    the whole list; otherwise the list runs in this process, in order.
-    The pool gets the chunks that simulate trajectories, the longest tasks
-    of an op, first and the short tasks after them, so the short ones run
-    beside the long ones instead of holding one back to the end. Reducers
-    run here, each once its tasks are done, in order, so the first exception
-    in (tasks, reducer) order is the one raised whatever the worker count or
-    submission order; the pool is then shut down with its queued tasks
-    cancelled.
+    the whole list, submitted in order; otherwise the list runs in this
+    process, in order. Reducers run here, each once its tasks are done, in
+    order, so the first exception in (tasks, reducer) order is the one raised
+    whatever the worker count; the pool is then shut down with its queued
+    tasks cancelled.
     """
     # a None experiment has no task and reduces to None
     experiments = [Experiment([], lambda parts: None) if e is None else e for e in experiments]
@@ -210,15 +203,10 @@ def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) 
 
     pool = ProcessPoolExecutor(max_workers=size)
     try:
-        futures = {task: pool.submit(task) for task in sorted(tasks, key=_short)}
+        futures = {task: pool.submit(task) for task in tasks}
         return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _short(task: Callable[[], Any]) -> bool:
-    """False for the chunk tasks, True for the rest."""
-    return getattr(task, "func", None) is not _chunk
 
 
 def _run(experiment: Experiment, workers: int):
@@ -251,30 +239,13 @@ def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndar
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in keys or parts[0]}
 
 
-def _noise_blocks(
-    chunk: Stream, count: int, n: int, d: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The noise of ``chunk``'s stream in consecutive blocks: (first trial, noise (size, n, d)).
-
-    A block holds ``max(1, BLOCK_ELEMENTS // (n * d))`` trials, the last one
-    fewer. Every block comes from the chunk's one ``KIND_NOISE`` generator,
-    which fills arrays in order, so trial k gets the same draws whatever the
-    block size.
-    """
-    gen = chunk.child(KIND_NOISE).generator()
-    size = max(1, BLOCK_ELEMENTS // (n * d))
-    for first in range(0, count, size):
-        yield first, gen.standard_normal((min(size, count - first), n, d))
-
-
 class SimulatedChunk:
-    """Noise (count, N, d), states (count, N+1, d) and Gram sums of one block of trials.
+    """Noise (count, N, d), states (count, N+1, d) and Gram sums of one chunk's trials.
 
-    ``a`` is shared by every trial or one per trial, (count, d, d). A chunk is
-    simulated one block of ``_noise_blocks`` at a time, so only one block's
-    noise and states are alive at once. ``gamma`` and ``sigma`` are those of
-    ``_gram_sums``; ``ls_error`` (``_ls_error``) and ``noise_gram``, the
-    per-trial sum_{i=1}^{N-1} e_i x_i^T, are formed on first use.
+    ``a`` is shared by every trial or one per trial, (count, d, d).
+    ``gamma`` and ``sigma`` are those of ``_gram_sums``; ``ls_error``
+    (``_ls_error``) and ``noise_gram``, the per-trial
+    sum_{i=1}^{N-1} e_i x_i^T, are formed on first use.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> None:
@@ -324,8 +295,8 @@ def _chunk(
     system and of the prior draws of A; ``prior`` are statistics of the
     chunk's ``PriorSample``. The prior is drawn only when a ``bayes`` or
     ``prior`` statistic reads it, and the noise only when a ``fixed`` or
-    ``bayes`` one does, a block at a time. Within a block the fixed-A states
-    die before the prior-A states are made.
+    ``bayes`` one does, in one call. The fixed-A states die before the
+    prior-A states are made.
     """
     out = {}
     if bayes or prior:
@@ -334,16 +305,12 @@ def _chunk(
         a_stack = sample.a
         del sample  # the Haar factors die once the A stack and the score are formed
     if fixed or bayes:
-        eye, parts = np.eye(draws.d), []
-        for first, noise in _noise_blocks(draws.noise.child(index), count, draws.n, draws.d):
-            part = {}
-            if fixed:
-                part.update(_apply(fixed, SimulatedChunk(draws.params.a, draws.params.b, noise)))
-            if bayes:
-                a = a_stack[first : first + len(noise)]
-                part.update(_apply(bayes, SimulatedChunk(a, eye, noise)))
-            parts.append(part)
-        out.update(_gather(parts))
+        gen = draws.noise.child(index, KIND_NOISE).generator()
+        noise = gen.standard_normal((count, draws.n, draws.d))
+        if fixed:
+            out.update(_apply(fixed, SimulatedChunk(draws.params.a, draws.params.b, noise)))
+        if bayes:
+            out.update(_apply(bayes, SimulatedChunk(a_stack, np.eye(draws.d), noise)))
     return out
 
 
@@ -411,10 +378,10 @@ class ChunkPlan(NamedTuple):
     """An experiment on the draws of ``Draws``, before they are chunked.
 
     ``statistic`` maps the draws of its ``source`` to the arrays the reducer
-    reads: a block's ``SimulatedChunk`` of the fixed system (``FIXED``) or of
-    one prior draw of A per trial (``BAYES``), or the chunk's
-    ``PriorSample`` (``PRIOR``). ``reduce`` gets the results of the
-    ``inputs`` tasks, then the chunks'.
+    reads: the chunk's ``SimulatedChunk`` of the fixed system (``FIXED``) or
+    of one prior draw of A per trial (``BAYES``), or its ``PriorSample``
+    (``PRIOR``). ``reduce`` gets the results of the chunks, then those of
+    the ``inputs`` tasks.
     """
 
     statistic: Callable[[Any], dict]
@@ -430,7 +397,8 @@ def chunk_experiments(
 
     One task per chunk draws its randomness once and computes every plan's
     statistic; every experiment lists those same task objects, so
-    ``run_experiments`` runs each once. A chunk that simulates trajectories
+    ``run_experiments`` runs each once. The chunks come before the inputs,
+    so a pool gets the long tasks first. A chunk that simulates trajectories
     holds ``_chunk_trials(n * d)`` trials. A None plan gives a None experiment.
     """
     fixed, bayes, prior = (
@@ -442,7 +410,7 @@ def chunk_experiments(
         partial(_chunk, draws, fixed, bayes, prior, index, count)
         for index, count in _chunk_ranges(trials, size)
     ]
-    return [None if p is None else Experiment([*p.inputs, *chunks], p.reduce) for p in plans]
+    return [None if p is None else Experiment([*chunks, *p.inputs], p.reduce) for p in plans]
 
 
 def trajectory_experiments(
@@ -522,8 +490,8 @@ def concentration_plan(
         raise ValueError(f"t_levels must be positive, got {t_levels}")
 
     def reduce(parts) -> ConcentrationReport:
-        devs = np.sort(_gather(parts[1:], "dev")["dev"])
-        deltas = tuple(delta1(params, t, parts[0].l_ab) for t in levels)
+        devs = np.sort(_gather(parts[:-1], "dev")["dev"])
+        deltas = tuple(delta1(params, t, parts[-1].l_ab) for t in levels)
         fitted = 0.0
         for t, delta in zip(levels, deltas):
             allowed = int(math.floor(math.exp(-t) * trials))
@@ -574,8 +542,8 @@ def multiplication_plan(
 
     def reduce(parts) -> MultiplicationResult:
         return MultiplicationResult(
-            mc_value=float(_gather(parts[1:], "mult")["mult"].mean()),
-            bound_value=params.d * delta2(params, parts[0].l_ab),
+            mc_value=float(_gather(parts[:-1], "mult")["mult"].mean()),
+            bound_value=params.d * delta2(params, parts[-1].l_ab),
         )
 
     return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), [rate], reduce)
@@ -606,8 +574,8 @@ def dominance_plan(
     risk = risk_plan(params, trials)
 
     def reduce(parts) -> DominanceResult:
-        estimate = risk.reduce(parts[1:])
-        report = parts[0]
+        estimate = risk.reduce(parts[:-1])
+        report = parts[-1]
         if (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
             raise ValueError(
                 f"bound was computed at epsilon={report.epsilon_used}, "

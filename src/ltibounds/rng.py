@@ -8,13 +8,13 @@ into chunks and keys one generator by ``(seed, salt, chunk, kind)``, where
 ``kind`` is one of the ``KIND_*`` draw kinds below. A chunk holds 4096
 trials, or fewer when one trial draws more than 1024 noise numbers (N*d >
 1024), so that a chunk draws at most 2^22 of them; the chunk size depends
-only on N*d. Each chunk draws each kind in trial-major calls in trial order
-(one call, or one per block of trials), and numpy fills arrays in order, so
-trial k's draws are the k-th run of draws of that stream whatever the
-calls. They depend only on ``(seed, salt, k)`` and the chunk size: not on
-the total trial count, not on how chunks are spread over workers, and,
-because every kind has its own stream, never on how many variates a
-rejection sampler of another kind consumed. This is the counter-based design
+only on N*d. Each chunk draws each kind in one trial-major call, and numpy
+fills arrays in order, so trial k's draws are the k-th run of draws of that
+stream whatever the chunk's trial count. They depend only on
+``(seed, salt, k)`` and the chunk size: not on the total trial count, not
+on how chunks are spread over workers, and, because every kind has its own
+stream, never on how many variates a rejection sampler of another kind
+consumed. This is the counter-based design
 of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A
 salt names a family of draws, not one experiment: experiments that read the
 same quantity of the same trials share its draws. A ``verify`` op draws one

@@ -263,6 +263,15 @@ def test_risk_rows(tmp_path):
     assert json.loads(rows["risk_mse"]["extra"])["failed_trials"] == 0
 
 
+def test_risk_below_the_trial_minimum_exits_2_naming_the_field(tmp_path, capsys):
+    path = write_config(tmp_path, run={"trials": 50})
+    out = tmp_path / "risk.csv"
+    assert main(["risk", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config field 'run.trials': must be >= 100 for the risk command, got 50\n"
+    assert not out.exists()
+
+
 def test_sample_prior_rows(tmp_path):
     out = tmp_path / "draws.json"
     path = write_config(tmp_path, run={"trials": 5, "epsilon": 0.5, "s": 0.0})
@@ -518,7 +527,7 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
         assert quantities == ["config", *checks]
 
 
-def test_verify_bytes_do_not_depend_on_workers_or_blocks_with_work_sized_chunks(tmp_path, monkeypatch):
+def test_verify_bytes_do_not_depend_on_workers_with_work_sized_chunks(tmp_path):
     # N*d = 8192: a chunk holds 512 trials, so 1000 trials make 2 chunks
     assert ltibounds.montecarlo._chunk_trials(4096 * 2) == 512
     path = write_config(
@@ -533,10 +542,7 @@ def test_verify_bytes_do_not_depend_on_workers_or_blocks_with_work_sized_chunks(
         return out.read_bytes()
 
     reports = [report(workers) for workers in ("1", "2", "3")]
-    # blocks of 200 trials, the last of each chunk ragged (112 and 88)
-    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 200 * 4096 * 2)
-    reports.append(report("1"))
-    assert reports[1:] == reports[:1] * 3
+    assert reports[1:] == reports[:1] * 2
     assert multiprocessing.active_children() == []
 
 
@@ -562,6 +568,38 @@ def test_verify_errors_do_not_depend_on_workers(tmp_path, capsys, trials):
         "precondition violation: matrix is too ill-conditioned: "
         "smallest/largest eigenvalue ratio"
     )
+    assert multiprocessing.active_children() == []
+
+
+OUT_OF_MEMORY = "Unable to allocate 5.82 TiB for an array with shape (100000000000, 2, 2)"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(OUT_OF_MEMORY)
+
+
+def _bare_out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "command, workers, bound, err",
+    [
+        ("bounds", "1", _out_of_memory, f"out of memory: {OUT_OF_MEMORY}\n"),
+        ("bounds", "1", _bare_out_of_memory, "out of memory\n"),
+        ("verify", "1", _out_of_memory, f"out of memory: {OUT_OF_MEMORY}\n"),
+        # the bound task fails in a pool worker; its error is re-raised here
+        ("verify", "2", _out_of_memory, f"out of memory: {OUT_OF_MEMORY}\n"),
+    ],
+    ids=["bounds", "bounds-bare", "verify-1", "verify-2"],
+)
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command, workers, bound, err):
+    monkeypatch.setattr(ltibounds.cli, "cr_bound", bound)
+    path = write_config(tmp_path, run={"trials": 1000, "seed": 9, "epsilon": 0.3, "grid_points": 128})
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--workers", workers]) == 3
+    assert capsys.readouterr().err == err
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 

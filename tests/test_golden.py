@@ -1,6 +1,4 @@
-"""Golden reports: the bytes must not depend on the worker count or, for
-``verify``, on the number of trials a chunk simulates at once
-(``BLOCK_ELEMENTS``).
+"""Golden reports: the bytes must not depend on the worker count.
 
 Each ``tests/golden/<command>_<name>.json`` config has the report of
 ``ltibounds <command>`` committed next to it as ``<command>_<name>.csv``.
@@ -22,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-import ltibounds.montecarlo
 from ltibounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,10 +57,3 @@ def test_bounds_report_equals_golden(tmp_path, name):
 @pytest.mark.parametrize("name", VERIFY)
 def test_verify_report_equals_golden(tmp_path, name, workers):
     assert _report(tmp_path, name, "--workers", str(workers)) == (GOLDEN / f"{name}.csv").read_bytes()
-
-
-@pytest.mark.parametrize("name", VERIFY)
-def test_verify_report_does_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
-    # ragged blocks of 93 trials (readme_rotation) and 15 trials (d3_n64)
-    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 3000)
-    assert _report(tmp_path, name, "--workers", "1") == (GOLDEN / f"{name}.csv").read_bytes()

@@ -42,7 +42,6 @@ from ltibounds.montecarlo import (
     _gather,
     _identity_stats,
     _multiplication_stats,
-    _noise_blocks,
     _prior_score_stats,
     SimulatedChunk,
     _risk_stats,
@@ -506,14 +505,18 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
 
 
 # ---------------------------------------------------------------------------
-# blocks: a chunk is simulated a block of trials at a time
+# chunk sizing: a chunk's trials, and so a worker's memory, do not grow with
+# the trial count
 # ---------------------------------------------------------------------------
 
 
-def verify_chunk(params, spec, stats, noise, prior):
-    """A ``_chunk`` task as ``verify`` makes it: ``stats``, Bayes and the prior score."""
-    draws = Draws(noise, params.n, params.d, params, prior, spec)
-    return partial(_chunk, draws, stats, (_bayes_stats,), (partial(_prior_score_stats, spec),))
+def verify_plans(stats, spec):
+    """A ``ChunkPlan`` per statistic of a ``verify`` chunk, each reducing to its arrays."""
+    return [
+        *(ChunkPlan(stat, [], _gather) for stat in stats),
+        ChunkPlan(_bayes_stats, [], _gather, BAYES),
+        ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR),
+    ]
 
 
 VERIFY_KEYS = {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"} | {
@@ -521,28 +524,6 @@ VERIFY_KEYS = {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mu
     "bayes_mse",
     "lhs",
 }
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_blocks_change_no_bit(monkeypatch, d):
-    a = np.diag(np.linspace(0.3, 0.9, d)) + 0.1 * np.triu(np.ones((d, d)), 1)
-    params = SystemParams(a=a, b=np.eye(d) + 0.2 * np.triu(np.ones((d, d)), 1), n=12)
-    psi_m = psi(params)
-    stats = _statistics(params, np.linalg.solve(psi_m, np.eye(d)), sym_inv_sqrt(psi_m))
-    chunk = verify_chunk(params, PriorSpec(s=0.5, eps=0.5, d=d), stats, Stream(100), Stream(101))
-
-    one_block = chunk(0, 37)
-    # blocks of 8 trials, the last of 5
-    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 8 * params.n * d)
-    blocks = list(_noise_blocks(Stream(100).child(0), 37, params.n, d))
-    assert [(first, len(noise)) for first, noise in blocks] == [(0, 8), (8, 8), (16, 8), (24, 8), (32, 5)]
-    noise = np.concatenate([noise for _, noise in blocks])
-    assert np.array_equal(noise, chunk_noise(Stream(100), 0, 37, params.n, d))
-    blocked = chunk(0, 37)
-    assert one_block.keys() == blocked.keys() == VERIFY_KEYS
-    for key in one_block:
-        assert one_block[key].shape[0] == 37
-        assert np.array_equal(one_block[key], blocked[key]), key
 
 
 def _peak_bytes(task) -> int:
@@ -554,17 +535,43 @@ def _peak_bytes(task) -> int:
         tracemalloc.stop()
 
 
+def _trials(task) -> int:
+    """The trial count of a ``_chunk`` task."""
+    return task.args[-1]
+
+
 def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
-    # d = 8, N = 512 and blocks of 128 trials: a block's noise is 4 MB, while
-    # a whole chunk of 1024 trials would hold 32 MB of noise and 32 MB of
-    # states for each of the fixed and the prior-A trajectories
-    monkeypatch.setattr(ltibounds.montecarlo, "BLOCK_ELEMENTS", 2**19)
+    # d = 8, N = 512 and chunks capped at 2^19 noise numbers, so 128 trials:
+    # a chunk's noise is 4 MB at any trial count, where one 4096-trial chunk
+    # would hold 128 MB of noise and as much of states for each of the fixed
+    # and the prior-A trajectories
+    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 2**19)
     d, n = 8, 512
+    size = _chunk_trials(n * d)
+    assert size == 128
     params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
-    stats = _statistics(params, np.eye(d), np.eye(d))
-    chunk = verify_chunk(params, PriorSpec(s=0.5, eps=0.5, d=d), stats, Stream(102), Stream(103))
-    small, large = (_peak_bytes(partial(chunk, 0, count)) for count in (256, 1024))
+    spec = PriorSpec(s=0.5, eps=0.5, d=d)
+    draws = Draws(Stream(102), n, d, params, Stream(103), spec)
+    plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
+    peaks = []
+    for trials in (256, 4096):
+        tasks = chunk_experiments(draws, trials, plans)[0].tasks
+        assert sum(map(_trials, tasks)) == trials
+        assert max(map(_trials, tasks)) <= size
+        peaks.append(_peak_bytes(max(tasks, key=_trials)))
+    small, large = peaks
     assert large < 1.5 * small
+
+
+def test_chunk_experiments_list_the_chunks_before_the_inputs():
+    # a pool gets the tasks in list order, so the long chunks go first
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    bound = partial(cr_bound, params, 0.3, 1.0, grid_points=128)
+    plans = [identity_plan(params), dominance_plan(params, CHUNK + 1, 0.3, bound)]
+    identity, dominance = trajectory_experiments(params, CHUNK + 1, Stream(7), plans)
+    assert [task.func for task in dominance.tasks] == [_chunk, _chunk, cr_bound]
+    assert dominance.tasks[-1] is bound
+    assert all(t is u for t, u in zip(identity.tasks, dominance.tasks[:-1], strict=True))
 
 
 def test_bayes_chunk_trial_prefix_invariance():
@@ -597,11 +604,7 @@ def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatc
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(104), params.n, params.d, params, Stream(105), spec)
-    plans = [
-        *(ChunkPlan(stat, [], _gather) for stat in _statistics(params, np.eye(2), 0.5 * np.eye(2))),
-        ChunkPlan(_bayes_stats, [], _gather, BAYES),
-        ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR),
-    ]
+    plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
     short, long = (
         run_experiments([chunk_experiments(draws, trials, plans)[0]])[0]
         for trials in (305, 612)
