@@ -197,18 +197,23 @@ def phi(a: float, n: int) -> float:
         return float(np.float64(a) ** n) / (a - 1.0) ** 2
 
 
+def _power_sum(x: float, weights: range) -> float:
+    """sum_i w_i x^i over the integer ``weights``, by direct accumulation."""
+    total = 0.0
+    power = 1.0
+    for w in weights:
+        total += w * power
+        power *= x
+    return total
+
+
 def geom_sum(a: float, n: int) -> float:
     """Exact sum_{i=0}^{N-2} (N-1-i) a^i by direct accumulation."""
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    total = 0.0
-    power = 1.0
-    for i in range(n - 1):
-        total += (n - 1 - i) * power
-        power *= a
-    return total
+    return _power_sum(a, range(n - 1, 0, -1))
 
 
 def geom_sum_lower(a: float, n: int, alpha: float) -> tuple[bool, float]:
@@ -221,16 +226,6 @@ def geom_sum_lower(a: float, n: int, alpha: float) -> tuple[bool, float]:
         raise ValueError(f"n must be >= 2, got {n}")
     valid = n >= 1.0 / (alpha * (1.0 - a))
     return valid, (1.0 - alpha) * n / (1.0 - a)
-
-
-def _ramp_sum(x: float, n: int) -> float:
-    """sum_{e=0}^{N-2} (e+1) x^e, the unstable-block weight sum."""
-    total = 0.0
-    power = 1.0
-    for e in range(n - 1):
-        total += (e + 1) * power
-        power *= x
-    return total
 
 
 def cr_bound(
@@ -379,7 +374,8 @@ def lab_upper_bound(split: SpectralSplit, n: int, alpha: float) -> LabUpperBound
     smin_terms: list[float] = []
     if "au_inv_norm" in blocks:
         reciprocal += 1.0 / (1.0 - blocks["au_inv_norm"])
-        denominators.append(_ramp_sum(blocks["au_inv_smin_sq"], n))
+        # sum_{e=0}^{N-2} (e+1) x^e, the unstable-block weight sum
+        denominators.append(_power_sum(blocks["au_inv_smin_sq"], range(1, n)))
         smin_terms.append(blocks["au_inv_smin_sq"])
     if "as_norm" in blocks:
         reciprocal += 1.0 / (1.0 - blocks["as_norm"])

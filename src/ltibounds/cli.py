@@ -39,14 +39,13 @@ from .montecarlo import (
     Draws,
     TooManySingularTrialsError,
     bayes_plan,
-    chunk_experiments,
     concentration_plan,
     dominance_plan,
     empirical_risk,
     identity_plan,
     multiplication_plan,
     prior_identity_plan,
-    run_experiments,
+    run_plans,
 )
 from .rng import Stream
 
@@ -267,12 +266,15 @@ def run_risk(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]
 def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]:
     if cfg.epsilon >= 1.0:
         raise ConfigError("run.epsilon", "must be in (0, 1) for the verify command")
+    if cfg.trials < 2:
+        # a standard error needs two trials
+        raise ConfigError("run.trials", f"must be >= 2 for the verify command, got {cfg.trials}")
     params = _system(cfg)
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
     conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
-    # every experiment of the op, and the bound, run in one call of the runner,
-    # and its six Monte Carlo experiments read one set of chunks.
+    # every plan of the op, and the bound, run in one call of run_plans, and
+    # its six Monte Carlo experiments read one set of chunks.
     # Building the plans fills params' cached Psi and (BB*)^{-1} here, and
     # Psi^{-1/2} when the concentration plan exists, so an ill-conditioned Psi
     # stops the op before any task runs and the pickled params carries the one
@@ -288,9 +290,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
         bayes = bayes_plan(spec, cfg.n, cfg.trials)
     plans = [identity_plan(params), prior_identity_plan(spec), dominance, bayes, concentration, multiplication]
     draws = Draws(root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec)
-    checks, prior_check, dom, bayes_risk, fit, mult = run_experiments(
-        chunk_experiments(draws, cfg.trials, plans), workers
-    )
+    checks, prior_check, dom, bayes_risk, fit, mult = run_plans(draws, cfg.trials, plans, workers)
 
     rows: list[ReportRow] = []
     if not conclusive:

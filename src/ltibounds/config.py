@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON layout, matrix specs, and defaults.
+"""Run configuration: JSON layout, matrix specs, and defaults.
 
 A config document has three sections::
 

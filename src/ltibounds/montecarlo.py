@@ -1,33 +1,31 @@
 """Seeded Monte Carlo experiments checking the identities behind the bounds.
 
-Each experiment is an ``Experiment``: a list of independent tasks (one per
-chunk of trials, plus any deterministic input its reducer needs) and a
-reducer of their results. ``run_experiments`` is the one runner. It puts the
-tasks of every experiment it is given into one list, in order; with
-``workers`` > 1 one process pool of ``min(workers, tasks)`` processes runs
-the whole list, submitted in that order, otherwise it runs in this process,
-in order. ``chunk_experiments`` lists the chunks before the inputs, so the
-long tasks of an op go first and the short ones run beside them. Reducers
-run in this process, in order, so the first exception in that order is the
-one raised whatever the worker count. The public functions
-(``empirical_risk``, ``identity_checks``, ...) run one experiment each; the
-CLI ``verify`` command runs all of its experiments and its ``cr_bound`` in
-one call, so one op opens at most one pool.
+Each experiment is a ``ChunkPlan``: a per-chunk statistic and a reducer of
+the chunks' results, plus at most one ``cr_bound`` task whose report the
+reducer also reads. ``run_plans`` is the one runner. It lists one task per
+chunk of trials, then each distinct bound task, and runs that list: with
+``workers`` > 1 in one process pool of ``min(workers, tasks)`` processes,
+submitted in list order, so the long chunk tasks go first and the short
+bound beside them; otherwise in this process, in order. The reducers then
+run in this process, in plan order, so the first exception in task order,
+then in reducer order, is the one raised whatever the worker count. The
+public functions (``empirical_risk``, ``identity_checks``, ...) run one plan
+each; the CLI ``verify`` command runs all of its plans in one call, so one
+op opens at most one pool.
 
 Psi, Psi^{-1/2} and (BB*)^{-1} are the values cached on ``SystemParams``.
 Plans read them while they are built, in this process, so every task pickles
 ``params`` with them and A^(k-1)B is walked once per system.
 
 One chunk task, ``_chunk``, serves every experiment on random draws. A
-``ChunkPlan`` is a statistic and a reducer; its statistic reads a
-``SimulatedChunk`` of the fixed system, a ``SimulatedChunk`` of one prior
-draw of A per trial (the Bayes experiment, B = I), or the chunk's prior
-draws (the prior-score identity). ``chunk_experiments`` gives several plans
-one task per chunk, which draws the chunk's noise once and its prior once,
-simulates each set of trajectories once, forms each Gram sum at most once
-and computes every plan's statistic; ``verify`` runs all six of its Monte
-Carlo experiments so, and the Bayes trajectories are driven by the same
-noise as the fixed-system ones. Gram sums are BLAS products, so another
+plan's statistic reads a ``SimulatedChunk`` of the fixed system, a
+``SimulatedChunk`` of one prior draw of A per trial (the Bayes experiment,
+B = I), or the chunk's prior draws (the prior-score identity). ``run_plans``
+gives several plans one task per chunk, which draws the chunk's noise once
+and its prior once, simulates each set of trajectories once, forms each Gram
+sum at most once and computes every plan's statistic; ``verify`` runs all
+six of its Monte Carlo experiments so, and the Bayes trajectories are driven
+by the same noise as the fixed-system ones. Gram sums are BLAS products, so another
 BLAS build or CPU kernel may change their last digits.
 
 Determinism contract: a chunk holds ``_chunk_trials(N*d)`` trials, CHUNK or
@@ -162,55 +160,28 @@ class BayesRiskResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-class Experiment(NamedTuple):
-    """Independent tasks and the reducer of their results.
+def _run_tasks(tasks: list[Callable[[], Any]], workers: int = 1) -> list:
+    """The result of each task, in order.
 
     A task is a picklable zero-argument callable: a ``functools.partial`` of
-    a module-level function. ``reduce`` gets the task results in task order.
+    a module-level function. With ``workers`` > 1 and more than one task,
+    one process pool of ``min(workers, tasks)`` processes runs them,
+    submitted in order; otherwise they run in this process, in order. Either
+    way the first exception in task order is the one raised; the pool is
+    then shut down with its queued tasks cancelled.
     """
-
-    tasks: list[Callable[[], Any]]
-    reduce: Callable[[list], Any]
-
-
-def run_experiments(experiments: Sequence[Experiment | None], workers: int = 1) -> list:
-    """The reduced result of each experiment, in order; None for a None experiment.
-
-    The tasks of all ``experiments`` form one list, in order; a task object
-    listed by several experiments runs once. With ``workers`` > 1 and more
-    than one task, one process pool of ``min(workers, tasks)`` processes runs
-    the whole list, submitted in order; otherwise the list runs in this
-    process, in order. Reducers run here, each once its tasks are done, in
-    order, so the first exception in (tasks, reducer) order is the one raised
-    whatever the worker count; the pool is then shut down with its queued
-    tasks cancelled.
-    """
-    # a None experiment has no task and reduces to None
-    experiments = [Experiment([], lambda parts: None) if e is None else e for e in experiments]
-    tasks = list(dict.fromkeys(t for e in experiments for t in e.tasks))
     size = min(workers, len(tasks))
     if size <= 1:
-        done: dict = {}
-
-        def result(task):
-            if task not in done:
-                done[task] = task()
-            return done[task]
-
-        return [e.reduce([result(t) for t in e.tasks]) for e in experiments]
+        return [task() for task in tasks]
     # imported here: bounds and single-process runs never load it
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=size)
     try:
-        futures = {task: pool.submit(task) for task in tasks}
-        return [e.reduce([futures[t].result() for t in e.tasks]) for e in experiments]
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _run(experiment: Experiment, workers: int):
-    return run_experiments([experiment], workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +338,7 @@ def _norm_ineq_chunk(d: int, rng: Stream, index: int, count: int) -> dict[str, n
 
 
 # ---------------------------------------------------------------------------
-# experiments: a plan (tasks and reducer) and the function that runs it
+# experiments: a plan (statistic, reducer and bound task) and the function that runs it
 # ---------------------------------------------------------------------------
 
 # what a plan's statistic reads; see ChunkPlan
@@ -380,44 +351,52 @@ class ChunkPlan(NamedTuple):
     ``statistic`` maps the draws of its ``source`` to the arrays the reducer
     reads: the chunk's ``SimulatedChunk`` of the fixed system (``FIXED``) or
     of one prior draw of A per trial (``BAYES``), or its ``PriorSample``
-    (``PRIOR``). ``reduce`` gets the results of the chunks, then those of
-    the ``inputs`` tasks.
+    (``PRIOR``). ``reduce`` gets the list of the chunks' results and, when
+    ``bound`` is a ``cr_bound`` task, that task's report after it.
     """
 
     statistic: Callable[[Any], dict]
-    inputs: list[Callable[[], Any]]
-    reduce: Callable[[list], Any]
+    reduce: Callable[..., Any]
     source: str = FIXED
+    bound: Callable[[], BoundReport] | None = None
 
 
-def chunk_experiments(
-    draws: Draws, trials: int, plans: Sequence[ChunkPlan | None]
-) -> list[Experiment | None]:
-    """The experiments of ``plans``, all on one set of draws.
+def _chunks(draws: Draws, trials: int, plans: Sequence[ChunkPlan]) -> list[Callable[[], dict]]:
+    """One ``_chunk`` task per chunk of ``trials``, computing every plan's statistic.
 
-    One task per chunk draws its randomness once and computes every plan's
-    statistic; every experiment lists those same task objects, so
-    ``run_experiments`` runs each once. The chunks come before the inputs,
-    so a pool gets the long tasks first. A chunk that simulates trajectories
-    holds ``_chunk_trials(n * d)`` trials. A None plan gives a None experiment.
+    A chunk that simulates trajectories holds ``_chunk_trials(n * d)`` trials.
     """
     fixed, bayes, prior = (
-        tuple(p.statistic for p in plans if p is not None and p.source == source)
+        tuple(p.statistic for p in plans if p.source == source)
         for source in (FIXED, BAYES, PRIOR)
     )
     size = _chunk_trials(draws.n * draws.d if fixed or bayes else 0)
-    chunks = [
+    return [
         partial(_chunk, draws, fixed, bayes, prior, index, count)
         for index, count in _chunk_ranges(trials, size)
     ]
-    return [None if p is None else Experiment([*chunks, *p.inputs], p.reduce) for p in plans]
 
 
-def trajectory_experiments(
-    params: SystemParams, trials: int, rng: Stream, plans: Sequence[ChunkPlan | None]
-) -> list[Experiment | None]:
-    """``chunk_experiments`` of plans on trajectories of ``params`` driven by ``rng``."""
-    return chunk_experiments(Draws(rng, params.n, params.d, params), trials, plans)
+def run_plans(
+    draws: Draws, trials: int, plans: Sequence[ChunkPlan | None], workers: int = 1
+) -> list:
+    """The reduced result of each plan, in order; None for a None plan.
+
+    Every plan reads one set of chunk tasks, each run once. Each distinct
+    bound task (plans may share one) runs once, after the chunks, so a pool
+    gets the long tasks first; ``_run_tasks`` runs the list. The reducers run
+    after every task is done, so a task's error comes before any reducer's.
+    """
+    live = [p for p in plans if p is not None]
+    chunks = _chunks(draws, trials, live)
+    bounds = list(dict.fromkeys(p.bound for p in live if p.bound is not None))
+    results = _run_tasks([*chunks, *bounds], workers)
+    parts, reports = results[: len(chunks)], dict(zip(bounds, results[len(chunks) :]))
+
+    def reduce(plan: ChunkPlan):
+        return plan.reduce(parts) if plan.bound is None else plan.reduce(parts, reports[plan.bound])
+
+    return [None if p is None else reduce(p) for p in plans]
 
 
 def _require_trials(trials: int, minimum: int) -> None:
@@ -458,15 +437,15 @@ def risk_plan(params: SystemParams, trials: int) -> ChunkPlan:
             failed_trials=trials - n_ok,
         )
 
-    return ChunkPlan(_risk_stats, [], reduce)
+    return ChunkPlan(_risk_stats, reduce)
 
 
 def empirical_risk(
     params: SystemParams, trials: int, rng: Stream, *, workers: int = 1
 ) -> RiskEstimate:
     """Monte Carlo mean of (A_hat - A)(A_hat - A)^T over independent trajectories."""
-    plan = risk_plan(params, trials)
-    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
+    draws = Draws(rng, params.n, params.d, params)
+    return run_plans(draws, trials, [risk_plan(params, trials)], workers)[0]
 
 
 def _rate_task(params: SystemParams, grid_points: int) -> Callable[[], BoundReport]:
@@ -489,9 +468,9 @@ def concentration_plan(
     if not levels or levels[0] <= 0:
         raise ValueError(f"t_levels must be positive, got {t_levels}")
 
-    def reduce(parts) -> ConcentrationReport:
-        devs = np.sort(_gather(parts[:-1], "dev")["dev"])
-        deltas = tuple(delta1(params, t, parts[-1].l_ab) for t in levels)
+    def reduce(parts, report: BoundReport) -> ConcentrationReport:
+        devs = np.sort(_gather(parts, "dev")["dev"])
+        deltas = tuple(delta1(params, t, report.l_ab) for t in levels)
         fitted = 0.0
         for t, delta in zip(levels, deltas):
             allowed = int(math.floor(math.exp(-t) * trials))
@@ -511,7 +490,7 @@ def concentration_plan(
             fitted_constant=fitted,
         )
 
-    return ChunkPlan(partial(_concentration_stats, params.psi_inv_sqrt), [rate], reduce)
+    return ChunkPlan(partial(_concentration_stats, params.psi_inv_sqrt), reduce, bound=rate)
 
 
 def concentration_experiment(
@@ -531,7 +510,7 @@ def concentration_experiment(
     itself.
     """
     plan = concentration_plan(params, trials, t_levels, _rate_task(params, grid_points))
-    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
+    return run_plans(Draws(rng, params.n, params.d, params), trials, [plan], workers)[0]
 
 
 def multiplication_plan(
@@ -540,13 +519,13 @@ def multiplication_plan(
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
 
-    def reduce(parts) -> MultiplicationResult:
+    def reduce(parts, report: BoundReport) -> MultiplicationResult:
         return MultiplicationResult(
-            mc_value=float(_gather(parts[:-1], "mult")["mult"].mean()),
-            bound_value=params.d * delta2(params, parts[-1].l_ab),
+            mc_value=float(_gather(parts, "mult")["mult"].mean()),
+            bound_value=params.d * delta2(params, report.l_ab),
         )
 
-    return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), [rate], reduce)
+    return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), reduce, bound=rate)
 
 
 def multiplication_experiment(
@@ -559,7 +538,7 @@ def multiplication_experiment(
 ) -> MultiplicationResult:
     """MC mean of |Psi^{-1/2} sum x_i e_i^T|^2 against the rate d * Delta2 = d^2 L."""
     plan = multiplication_plan(params, trials, _rate_task(params, grid_points))
-    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
+    return run_plans(Draws(rng, params.n, params.d, params), trials, [plan], workers)[0]
 
 
 def dominance_plan(
@@ -573,9 +552,8 @@ def dominance_plan(
     """Plan of ``dominance_check``; ``bound`` is the task returning the bound."""
     risk = risk_plan(params, trials)
 
-    def reduce(parts) -> DominanceResult:
-        estimate = risk.reduce(parts[:-1])
-        report = parts[-1]
+    def reduce(parts, report: BoundReport) -> DominanceResult:
+        estimate = risk.reduce(parts)
         if (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
             raise ValueError(
                 f"bound was computed at epsilon={report.epsilon_used}, "
@@ -585,7 +563,7 @@ def dominance_plan(
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
         return DominanceResult(holds=margin >= 0.0, margin=margin)
 
-    return ChunkPlan(risk.statistic, [bound], reduce)
+    return ChunkPlan(risk.statistic, reduce, bound=bound)
 
 
 def dominance_check(
@@ -607,7 +585,7 @@ def dominance_check(
     """
     task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
     plan = dominance_plan(params, trials, epsilon, task, bound_scale=bound_scale)
-    return _run(trajectory_experiments(params, trials, rng, [plan])[0], workers)
+    return run_plans(Draws(rng, params.n, params.d, params), trials, [plan], workers)[0]
 
 
 def bayes_plan(spec: PriorSpec, n: int, trials: int) -> ChunkPlan:
@@ -624,7 +602,7 @@ def bayes_plan(spec: PriorSpec, n: int, trials: int) -> ChunkPlan:
             bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
         )
 
-    return ChunkPlan(_bayes_stats, [], reduce, BAYES)
+    return ChunkPlan(_bayes_stats, reduce, BAYES)
 
 
 def bayes_risk_experiment(
@@ -638,7 +616,7 @@ def bayes_risk_experiment(
     ``rng`` keys both the noise and the prior draws.
     """
     draws = Draws(rng, n, spec.d, prior=rng, spec=spec)
-    return _run(chunk_experiments(draws, trials, [bayes_plan(spec, n, trials)])[0], workers)
+    return run_plans(draws, trials, [bayes_plan(spec, n, trials)], workers)[0]
 
 
 def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> float:
@@ -648,8 +626,7 @@ def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> flo
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     tasks = [partial(_norm_ineq_chunk, d, rng, *chunk) for chunk in _chunk_ranges(trials, CHUNK)]
-    data = _run(Experiment(tasks, _gather), workers)
-    return float(np.min(data["slack"]))
+    return float(np.min(_gather(_run_tasks(tasks, workers))["slack"]))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +673,7 @@ def identity_plan(params: SystemParams) -> ChunkPlan:
             _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
         ]
 
-    return ChunkPlan(partial(_identity_stats, params, psi_inv), [], reduce)
+    return ChunkPlan(partial(_identity_stats, params, psi_inv), reduce)
 
 
 def identity_checks(
@@ -709,7 +686,8 @@ def identity_checks(
     closed-form information, and the zero score mean, each entrywise at 4
     standard errors.
     """
-    return _run(trajectory_experiments(params, trials, rng, [identity_plan(params)])[0], workers)
+    draws = Draws(rng, params.n, params.d, params)
+    return run_plans(draws, trials, [identity_plan(params)], workers)[0]
 
 
 def prior_identity_plan(spec: PriorSpec) -> ChunkPlan:
@@ -720,7 +698,7 @@ def prior_identity_plan(spec: PriorSpec) -> ChunkPlan:
             "prior_score_identity", _gather(parts, "lhs")["lhs"], spec.d * np.eye(spec.d), 4.0
         )
 
-    return ChunkPlan(partial(_prior_score_stats, spec), [], reduce, PRIOR)
+    return ChunkPlan(partial(_prior_score_stats, spec), reduce, PRIOR)
 
 
 def prior_identity_check(
@@ -731,4 +709,4 @@ def prior_identity_check(
     Its chunks draw no noise, so each holds ``CHUNK`` trials.
     """
     draws = Draws(rng, 0, spec.d, prior=rng, spec=spec)
-    return _run(chunk_experiments(draws, trials, [prior_identity_plan(spec)])[0], workers)
+    return run_plans(draws, trials, [prior_identity_plan(spec)], workers)[0]

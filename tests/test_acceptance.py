@@ -29,7 +29,7 @@ from ltibounds.minimax import (
 )
 from ltibounds.model import SystemParams, fisher_information
 from ltibounds.montecarlo import (
-    Experiment,
+    Draws,
     _gather,
     bayes_risk_experiment,
     dominance_plan,
@@ -38,8 +38,7 @@ from ltibounds.montecarlo import (
     norm_ineq_fuzz,
     prior_identity_check,
     risk_plan,
-    run_experiments,
-    trajectory_experiments,
+    run_plans,
 )
 from ltibounds.rng import Stream
 
@@ -76,10 +75,10 @@ def test_criterion_1_exact_identity_suite():
     for idx, (label, params) in enumerate(IDENTITY_FAMILY):
         # one run of the identity chunks: the checks, and the Fisher samples
         # reduced to a relative Frobenius distance instead of an entrywise check
-        (identity,) = trajectory_experiments(
-            params, TRIALS_IDENTITY, root.child(10, idx), [identity_plan(params)]
-        )
-        checks, samples = run_experiments([identity, Experiment(identity.tasks, _gather)])
+        identity = identity_plan(params)
+        plan = identity._replace(reduce=lambda parts: (identity.reduce(parts), _gather(parts)))
+        draws = Draws(root.child(10, idx), params.n, params.d, params)
+        ((checks, samples),) = run_plans(draws, TRIALS_IDENTITY, [plan])
         checks = {c.name: c for c in checks}
         assert checks["selfnorm_identity"].passed, (label, checks["selfnorm_identity"])
         assert checks["score_mean_zero"].passed, (label, checks["score_mean_zero"])
@@ -205,9 +204,8 @@ def test_criterion_4_dominance_suite():
             dominance_plan(params, TRIALS_DOMINANCE, 0.1, bound, bound_scale=10.0),
             risk_plan(params, TRIALS_DOMINANCE),
         ]
-        result, inflated, est = run_experiments(
-            trajectory_experiments(params, TRIALS_DOMINANCE, root.child(40, idx), plans)
-        )
+        draws = Draws(root.child(40, idx), params.n, params.d, params)
+        result, inflated, est = run_plans(draws, TRIALS_DOMINANCE, plans)
         assert result.holds and result.margin > 0, (label, result)
         print(f"  criterion 4 [{label}]: margin {result.margin:.3e}")
         assert not inflated.holds, (label, inflated)

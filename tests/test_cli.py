@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,21 @@ def test_verify_low_trials_inconclusive(tmp_path):
     assert json.loads(rows["selfnorm_identity"]["extra"])["status"] == "inconclusive"
 
 
+def test_verify_below_two_trials_exits_2_naming_the_field(tmp_path, capsys):
+    # one trial has no standard error; a report of NaN statistics is not valid JSON
+    path = write_config(tmp_path, run={"trials": 1})
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", str(path), "--out", str(out), "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config field 'run.trials': must be >= 2 for the verify command, got 1\n"
+    assert not out.exists()
+    # two trials are enough for a report, all of it inconclusive
+    path = write_config(tmp_path, run={"trials": 2})
+    assert main(["verify", "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert {row["extra"]["status"] for row in doc["rows"][1:]} == {"inconclusive"}
+
+
 def test_verify_computes_l_ab_once_on_the_configured_grid(tmp_path, monkeypatch):
     grids = []
     original = ltibounds.bounds.l_ab
@@ -626,7 +642,7 @@ def test_pool_module_is_not_imported_by_bounds_or_one_worker(tmp_path):
         [sys.executable, "-c", script, str(path), str(tmp_path / "out.csv")],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         check=True,
     )
     assert proc.stdout.strip() == "[False, False, False]"

@@ -31,13 +31,13 @@ from ltibounds.montecarlo import (
     AllTrialsSingularError,
     ChunkPlan,
     Draws,
-    Experiment,
     TooManySingularTrialsError,
     _accepted_trials,
     _bayes_stats,
     _chunk,
     _chunk_ranges,
     _chunk_trials,
+    _chunks,
     _concentration_stats,
     _gather,
     _identity_stats,
@@ -45,19 +45,20 @@ from ltibounds.montecarlo import (
     _prior_score_stats,
     SimulatedChunk,
     _risk_stats,
+    _run_tasks,
     bayes_risk_experiment,
-    chunk_experiments,
     concentration_experiment,
+    concentration_plan,
     dominance_check,
     dominance_plan,
     empirical_risk,
     identity_checks,
     identity_plan,
     multiplication_experiment,
+    multiplication_plan,
     norm_ineq_fuzz,
     prior_identity_check,
-    run_experiments,
-    trajectory_experiments,
+    run_plans,
 )
 from ltibounds.rng import KIND_NOISE, Stream
 
@@ -76,9 +77,14 @@ def chunk_noise(rng, index, count, n, d):
     return rng.child(index, KIND_NOISE).generator().standard_normal((count, n, d))
 
 
+def fixed_draws(params, rng):
+    """The ``Draws`` of trajectories of ``params`` driven by ``rng``."""
+    return Draws(rng, params.n, params.d, params)
+
+
 def fixed_chunk(params, stats, rng, index, count):
     """``_chunk`` with only the statistics ``stats`` of the fixed system."""
-    return _chunk(Draws(rng, params.n, params.d, params), stats, (), (), index, count)
+    return _chunk(fixed_draws(params, rng), stats, (), (), index, count)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +132,8 @@ def test_risk_worker_independence():
 
 def identity_samples(params, trials, rng):
     """Per-trial selfnorm, score and Fisher samples of ``identity_checks``' chunks."""
-    identity = trajectory_experiments(params, trials, rng, [identity_plan(params)])[0]
-    return run_experiments([Experiment(identity.tasks, _gather)])[0]
+    plan = identity_plan(params)._replace(reduce=_gather)
+    return run_plans(fixed_draws(params, rng), trials, [plan])[0]
 
 
 def fisher_mc(params, trials, rng):
@@ -295,9 +301,8 @@ def test_dominance_grid_points_reach_l_ab(monkeypatch):
 def test_dominance_rejects_bound_for_other_epsilon():
     params = scalar_params(0.5, n=64)
     plan = dominance_plan(params, 200, 0.1, partial(cr_bound, params, 0.2))
-    experiment = trajectory_experiments(params, 200, Stream(87), [plan])[0]
     with pytest.raises(ValueError, match="bound was computed at epsilon=0.2"):
-        run_experiments([experiment])
+        run_plans(fixed_draws(params, Stream(87)), 200, [plan])
 
 
 def test_dominance_negative_control():
@@ -389,11 +394,11 @@ def test_chunk_size_depends_on_the_noise_of_a_trial():
     def chunks(n, d, trials, plan):
         params = SystemParams(a=0.5 * np.eye(d), b=np.eye(d), n=n)
         draws = Draws(Stream(1), n, d, params, Stream(2), spec)
-        return [task.args[-2:] for task in chunk_experiments(draws, trials, [plan])[0].tasks]
+        return [task.args[-2:] for task in _chunks(draws, trials, [plan])]
 
-    risk = ChunkPlan(_risk_stats, [], _gather)
-    bayes = ChunkPlan(_bayes_stats, [], _gather, BAYES)
-    prior = ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR)
+    risk = ChunkPlan(_risk_stats, _gather)
+    bayes = ChunkPlan(_bayes_stats, _gather, BAYES)
+    prior = ChunkPlan(partial(_prior_score_stats, spec), _gather, PRIOR)
     # N*d = 1024, at and above CHUNK trials
     assert chunks(512, 2, CHUNK, risk) == [(0, CHUNK)]
     assert chunks(512, 2, CHUNK + 1, bayes) == [(0, CHUNK), (1, 1)]
@@ -513,9 +518,9 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
 def verify_plans(stats, spec):
     """A ``ChunkPlan`` per statistic of a ``verify`` chunk, each reducing to its arrays."""
     return [
-        *(ChunkPlan(stat, [], _gather) for stat in stats),
-        ChunkPlan(_bayes_stats, [], _gather, BAYES),
-        ChunkPlan(partial(_prior_score_stats, spec), [], _gather, PRIOR),
+        *(ChunkPlan(stat, _gather) for stat in stats),
+        ChunkPlan(_bayes_stats, _gather, BAYES),
+        ChunkPlan(partial(_prior_score_stats, spec), _gather, PRIOR),
     ]
 
 
@@ -555,7 +560,7 @@ def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
     peaks = []
     for trials in (256, 4096):
-        tasks = chunk_experiments(draws, trials, plans)[0].tasks
+        tasks = _chunks(draws, trials, plans)
         assert sum(map(_trials, tasks)) == trials
         assert max(map(_trials, tasks)) <= size
         peaks.append(_peak_bytes(max(tasks, key=_trials)))
@@ -563,15 +568,30 @@ def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     assert large < 1.5 * small
 
 
-def test_chunk_experiments_list_the_chunks_before_the_inputs():
+def record_task_lists(monkeypatch):
+    """The task lists ``run_plans`` hands ``_run_tasks``, recorded as they run."""
+    lists = []
+
+    def recording(tasks, workers=1):
+        lists.append(tasks)
+        return _run_tasks(tasks, workers)
+
+    monkeypatch.setattr(ltibounds.montecarlo, "_run_tasks", recording)
+    return lists
+
+
+def test_run_plans_lists_the_chunks_before_the_bound(monkeypatch):
     # a pool gets the tasks in list order, so the long chunks go first
+    lists = record_task_lists(monkeypatch)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     bound = partial(cr_bound, params, 0.3, 1.0, grid_points=128)
     plans = [identity_plan(params), dominance_plan(params, CHUNK + 1, 0.3, bound)]
-    identity, dominance = trajectory_experiments(params, CHUNK + 1, Stream(7), plans)
-    assert [task.func for task in dominance.tasks] == [_chunk, _chunk, cr_bound]
-    assert dominance.tasks[-1] is bound
-    assert all(t is u for t, u in zip(identity.tasks, dominance.tasks[:-1], strict=True))
+    run_plans(fixed_draws(params, Stream(7)), CHUNK + 1, plans)
+    (tasks,) = lists
+    assert [task.func for task in tasks] == [_chunk, _chunk, cr_bound]
+    assert tasks[-1] is bound
+    # both plans' statistics are computed by the same chunk tasks
+    assert all(task.args[1] == tuple(p.statistic for p in plans) for task in tasks[:-1])
 
 
 def test_bayes_chunk_trial_prefix_invariance():
@@ -606,7 +626,7 @@ def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatc
     draws = Draws(Stream(104), params.n, params.d, params, Stream(105), spec)
     plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
     short, long = (
-        run_experiments([chunk_experiments(draws, trials, plans)[0]])[0]
+        run_plans(draws, trials, plans)[0]
         for trials in (305, 612)
     )
     assert short.keys() == VERIFY_KEYS
@@ -774,41 +794,96 @@ def _task_error(message):
 
 
 def _reducer_error(parts):
-    raise LookupError(f"reducer saw {parts}")
+    raise LookupError(f"reducer saw {len(parts)} parts")
+
+
+def _other_reducer_error(parts):
+    raise RuntimeError("second reducer")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_experiments_reduces_each_experiment_in_order(workers):
-    experiments = [
-        Experiment([partial(_square, 2), partial(_square, 3)], sum),
-        Experiment([], len),
-        None,
-        Experiment([partial(_square, 4)], list),
-    ]
-    assert run_experiments(experiments, workers) == [13, 0, None, [16]]
+def test_run_tasks_returns_each_result_in_order(workers):
+    tasks = [partial(_square, 2), partial(_square, 3), partial(_square, 4)]
+    assert _run_tasks(tasks, workers) == [4, 9, 16]
+    assert _run_tasks([], workers) == []
     assert multiprocessing.active_children() == []
 
 
-def test_run_experiments_runs_a_shared_task_once():
-    CALLS.clear()
-    shared = partial(_square, 5)
-    experiments = [Experiment([shared, partial(_square, 6)], sum), Experiment([shared], sum)]
-    assert run_experiments(experiments, 1) == [61, 25]
-    assert CALLS == [5, 6]
+def _trial_count(parts):
+    return sum(len(part["mse"]) for part in parts)
+
+
+def _trial_count_and_report(parts, report):
+    return _trial_count(parts), report
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_plans_reduces_each_plan_in_order(workers):
+    # two chunks and a bound task; a plan with a bound gets its result after the chunks'
+    plans = [
+        ChunkPlan(_risk_stats, _trial_count),
+        None,
+        ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_square, 5)),
+        ChunkPlan(_risk_stats, len),
+    ]
+    draws = fixed_draws(scalar_params(0.5), Stream(8))
+    assert run_plans(draws, CHUNK + 3, plans, workers) == [CHUNK + 3, None, (CHUNK + 3, 25), 2]
+    assert multiprocessing.active_children() == []
+
+
+def _counted_bound(params, epsilon):
+    CALLS.append(epsilon)
+    return cr_bound(params, epsilon, 1.0, grid_points=128)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_experiments_raises_the_first_error_in_report_order(workers):
-    reducer_first = [
-        Experiment([partial(_square, 2)], _reducer_error),
-        Experiment([partial(_task_error, "later task")], sum),
+def test_run_plans_runs_a_bound_task_shared_by_three_plans_once(monkeypatch, workers):
+    CALLS.clear()
+    lists = record_task_lists(monkeypatch)
+    params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=8)
+    bound = partial(_counted_bound, params, 0.3)
+    plans = [
+        dominance_plan(params, 1000, 0.3, bound),
+        concentration_plan(params, 1000, [1.0], bound),
+        multiplication_plan(params, 1000, bound),
     ]
-    with pytest.raises(LookupError, match=r"reducer saw \[4\]"):
-        run_experiments(reducer_first, workers)
-    task_first = [
-        Experiment([partial(_square, 2), partial(_task_error, "early task")], sum),
-        Experiment([partial(_square, 3)], _reducer_error),
-    ]
+    dominance, concentration, multiplication = run_plans(
+        fixed_draws(params, Stream(9)), 1000, plans, workers
+    )
+    (tasks,) = lists
+    assert [task.func for task in tasks] == [_chunk, _counted_bound]
+    if workers == 1:
+        assert CALLS == [0.3]
+    report = cr_bound(params, 0.3, 1.0, grid_points=128)
+    assert multiplication.bound_value == params.d * report.delta2
+    assert concentration.t_levels == (1.0,) and dominance.margin > 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_errors_come_in_task_order_then_reducer_order(workers):
+    tasks = [partial(_square, 2), partial(_task_error, "early task"), partial(_task_error, "late task")]
     with pytest.raises(ValueError, match="early task"):
-        run_experiments(task_first, workers)
+        _run_tasks(tasks, workers)
+    draws = fixed_draws(scalar_params(0.5), Stream(10))
+    # a bound task's error comes before an earlier plan's reducer error
+    reducer_first = [
+        ChunkPlan(_risk_stats, _reducer_error),
+        ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_task_error, "bound task")),
+    ]
+    with pytest.raises(ValueError, match="bound task"):
+        run_plans(draws, 100, reducer_first, workers)
+    two_bounds = [
+        ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_task_error, "first bound")),
+        ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_task_error, "second bound")),
+    ]
+    with pytest.raises(ValueError, match="first bound"):
+        run_plans(draws, 100, two_bounds, workers)
+    two_reducers = [
+        ChunkPlan(_risk_stats, _trial_count),
+        ChunkPlan(_risk_stats, _reducer_error),
+        ChunkPlan(_risk_stats, _other_reducer_error),
+    ]
+    with pytest.raises(LookupError, match="reducer saw"):
+        run_plans(draws, 100, two_reducers, workers)
     assert multiprocessing.active_children() == []
