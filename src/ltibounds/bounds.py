@@ -40,8 +40,6 @@ class BoundReport:
     phi_value: float
     cr_matrix: np.ndarray
     mse_lower: float
-    epsilon_used: float
-    constant_used: float
 
 
 @dataclass(frozen=True)
@@ -241,9 +239,10 @@ def cr_bound(
     and the scalar bound uses the rate function at |A|^2 operator norm:
     mse_lower = (1-eps)^2 / (1 + C Delta)^2 * d^2 / phi(|A|^2, N).
 
-    ``constant`` is the unknown universal constant multiplying Delta; it is
-    echoed in the report so no number masquerades as constant-free. The
-    deviation rate is taken at t = log(L/eps), clamped to zero when negative.
+    ``constant`` is the unknown universal constant C multiplying Delta; the
+    CLI rows that depend on it echo it, so no number masquerades as
+    constant-free. The deviation rate is taken at t = log(L/eps), clamped to
+    zero when negative.
     Psi, Psi^{-1/2} and the information scalar are the ones cached on
     ``params``, so a system walks A^(k-1)B once however often it is bounded.
     """
@@ -269,8 +268,6 @@ def cr_bound(
         phi_value=phi_value,
         cr_matrix=0.5 * (cr_matrix + cr_matrix.T),
         mse_lower=mse_lower,
-        epsilon_used=epsilon,
-        constant_used=constant,
     )
 
 

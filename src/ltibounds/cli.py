@@ -279,11 +279,12 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     # Psi^{-1/2} when the concentration plan exists, so an ill-conditioned Psi
     # stops the op before any task runs and the pickled params carries the one
     # walk into the bound task. An experiment below its trial minimum is None
-    # and gets a skipped row.
-    bound = partial(cr_bound, params, cfg.epsilon, 1.0, grid_points=cfg.grid_points)
+    # and gets a skipped row. The bound is the one `bounds` reports for this
+    # config; concentration and multiplication read only its l_ab.
+    bound = partial(cr_bound, params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
     dominance = concentration = multiplication = bayes = None
     if cfg.trials >= MIN_RISK_TRIALS:
-        dominance = dominance_plan(params, cfg.trials, cfg.epsilon, bound, bound_scale=cfg.constant_c)
+        dominance = dominance_plan(params, cfg.trials, bound)
     if conclusive:
         concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), bound)
         multiplication = multiplication_plan(params, cfg.trials, bound)
@@ -337,7 +338,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 dom.margin,
                 "risk-dominance",
                 status=("pass" if dom.holds else "fail") if conclusive else "inconclusive",
-                bound_scale=cfg.constant_c,
+                constant_c=cfg.constant_c,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,
             )

@@ -13,8 +13,11 @@ A config document has three sections::
 A matrix spec is either explicit row-major entries (list of rows) or one of
 {"kind": "diag", "values": [...]}, {"kind": "identity", "scale": c},
 {"kind": "rotation", "angle": theta, "scale": rho} (2x2 blocks repeated along
-the diagonal, so d must be even). ``seed`` has no default: reports must never
-be silently nondeterministic. Integer fields reject booleans; every real
+the diagonal, so d must be even); a key its kind does not read is an error.
+``seed`` has no default: reports must never be silently nondeterministic.
+``constant_c`` is the universal constant C of the error bound's
+(1 + C Delta)^-2 factor: ``bounds`` reports the bound at that C and
+``verify`` checks the same bound. Integer fields reject booleans; every real
 number, matrix entries included, must be a finite JSON number. A key that
 ``system``, ``run`` or ``output`` does not know is an error, and
 ``output.path`` is a non-empty string or null (stdout).
@@ -39,6 +42,12 @@ RUN_DEFAULTS: dict[str, Any] = {
     "t_levels": [1.0, 2.0, 3.0],
 }
 OUTPUT_DEFAULTS: dict[str, Any] = {"format": "csv", "path": None}
+# the keys each matrix spec kind reads
+MATRIX_KEYS = {
+    "diag": ("kind", "values"),
+    "identity": ("kind", "scale"),
+    "rotation": ("kind", "angle", "scale"),
+}
 
 
 class ConfigError(ValueError):
@@ -84,6 +93,9 @@ def build_matrix(spec: Any, d: int, name: str) -> np.ndarray:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(name, "must be a list of rows or an object with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in MATRIX_KEYS:
+        raise ConfigError(name, f"unknown matrix kind {kind!r}")
+    _reject_unknown(spec, MATRIX_KEYS[kind], name)
     if kind == "diag":
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != d:
@@ -91,21 +103,20 @@ def build_matrix(spec: Any, d: int, name: str) -> np.ndarray:
         return np.diag([_number(v, f"{name}.values") for v in values])
     if kind == "identity":
         return _number(spec.get("scale", 1.0), f"{name}.scale") * np.eye(d)
-    if kind == "rotation":
-        if d % 2 != 0:
-            raise ConfigError(name, "'rotation' needs an even dimension")
-        if "angle" not in spec:
-            raise ConfigError(name, "'rotation' needs an 'angle'")
-        theta = _number(spec["angle"], f"{name}.angle")
-        rho = _number(spec.get("scale", 1.0), f"{name}.scale")
-        block = rho * np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        out = np.zeros((d, d))
-        for k in range(d // 2):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-        return out
-    raise ConfigError(name, f"unknown matrix kind {kind!r}")
+    # rotation
+    if d % 2 != 0:
+        raise ConfigError(name, "'rotation' needs an even dimension")
+    if "angle" not in spec:
+        raise ConfigError(name, "'rotation' needs an 'angle'")
+    theta = _number(spec["angle"], f"{name}.angle")
+    rho = _number(spec.get("scale", 1.0), f"{name}.scale")
+    block = rho * np.array(
+        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    )
+    out = np.zeros((d, d))
+    for k in range(d // 2):
+        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    return out
 
 
 def _reject_unknown(section: dict, known, where: str) -> None:

@@ -542,24 +542,13 @@ def multiplication_experiment(
 
 
 def dominance_plan(
-    params: SystemParams,
-    trials: int,
-    epsilon: float,
-    bound: Callable[[], BoundReport],
-    *,
-    bound_scale: float = 1.0,
+    params: SystemParams, trials: int, bound: Callable[[], BoundReport]
 ) -> ChunkPlan:
-    """Plan of ``dominance_check``; ``bound`` is the task returning the bound."""
+    """Plan of ``dominance_check``; ``bound`` is the task returning the bound it checks."""
     risk = risk_plan(params, trials)
 
     def reduce(parts, report: BoundReport) -> DominanceResult:
-        estimate = risk.reduce(parts)
-        if (report.epsilon_used, report.constant_used) != (epsilon, 1.0):
-            raise ValueError(
-                f"bound was computed at epsilon={report.epsilon_used}, "
-                f"constant={report.constant_used}; need epsilon={epsilon}, constant=1.0"
-            )
-        diff = estimate.error_matrix - bound_scale * report.cr_matrix
+        diff = risk.reduce(parts).error_matrix - report.cr_matrix
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
         return DominanceResult(holds=margin >= 0.0, margin=margin)
 
@@ -572,19 +561,16 @@ def dominance_check(
     epsilon: float,
     rng: Stream,
     *,
-    bound_scale: float = 1.0,
     grid_points: int = 4096,
     workers: int = 1,
 ) -> DominanceResult:
     """Loewner check of the empirical error matrix against the error bound.
 
-    The bound, ``cr_bound(params, epsilon, constant=1.0, grid_points=grid_points)``,
-    is evaluated beside the trials; ``bound_scale`` multiplies it and exists
-    for negative controls (a 10x inflated bound must fail). ``margin`` is the
-    smallest eigenvalue of (empirical - bound).
+    The bound, ``cr_bound(params, epsilon, grid_points=grid_points)`` (C = 1),
+    is evaluated beside the trials. ``margin`` is the smallest eigenvalue of
+    (empirical - bound).
     """
-    task = partial(cr_bound, params, epsilon, 1.0, grid_points=grid_points)
-    plan = dominance_plan(params, trials, epsilon, task, bound_scale=bound_scale)
+    plan = dominance_plan(params, trials, partial(cr_bound, params, epsilon, grid_points=grid_points))
     return run_plans(Draws(rng, params.n, params.d, params), trials, [plan], workers)[0]
 
 
@@ -658,8 +644,9 @@ def _entrywise_check(
 def identity_plan(params: SystemParams) -> ChunkPlan:
     """Plan of ``identity_checks``.
 
-    The closed-form information is formed here: a reducer that filled a cache
-    of ``params`` could race the pool thread still pickling it.
+    The closed-form information is formed here, not in the reducer: that fills
+    ``params.noise_cov_inv`` before the chunk tasks pickle ``params``, so the
+    workers' ``_data_score`` reads (BB*)^{-1} instead of each solving for it.
     """
     d = params.d
     psi_inv = np.linalg.solve(params.psi_info[0], np.eye(d))

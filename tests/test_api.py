@@ -2,18 +2,24 @@
 
 ``bench/tracing.py`` wraps the functions in its ``TARGETS`` by name and
 reads the ``trials`` argument of the ``montecarlo`` ones, so a rename there
-would break the traced benchmark rather than any import.
+would break the traced benchmark rather than any import. The package's
+runtime dependencies are exactly the third-party modules it imports.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import ltibounds
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing(monkeypatch):
@@ -37,3 +43,17 @@ def test_every_traced_target_exists(monkeypatch):
         assert callable(fn), (module_name, name)
         if module_name == "montecarlo":
             assert "trials" in inspect.signature(fn).parameters, name
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "ltibounds").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - set(sys.stdlib_module_names) - {"ltibounds"}) == sorted(declared)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -17,8 +18,11 @@ import ltibounds.cli
 import ltibounds.linalg
 import ltibounds.model
 import ltibounds.montecarlo
-from ltibounds.cli import main
+from ltibounds.bounds import cr_bound
+from ltibounds.cli import SALT_IDENTITY, main
 from ltibounds.config import ConfigError, build_matrix, resolve_config
+from ltibounds.model import SystemParams
+from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
 
 
@@ -122,6 +126,9 @@ def test_schema_violation_exit_2(tmp_path):
         ("output", {"fromat": "json"}, "output.fromat"),
         ("system", {"bogus": 1}, "system.bogus"),
         ("outptu", {"format": "json"}, "outptu"),
+        ("system", {"a": {"kind": "rotation", "angle": 0.5, "scael": 0.9}}, "system.a.scael"),
+        ("system", {"b": {"kind": "identity", "sacle": 3.0}}, "system.b.sacle"),
+        ("system", {"a": {"kind": "diag", "values": [0.5, 0.5], "scale": 2.0}}, "system.a.scale"),
     ],
 )
 def test_config_rejects_malformed_numbers_with_exit_2(tmp_path, capsys, command, section, values, field):
@@ -306,16 +313,46 @@ def test_verify_passes_and_is_deterministic(tmp_path):
         assert json.loads(rows[name]["extra"])["status"] == "pass"
 
 
-def test_verify_negative_control_exit_1(tmp_path):
-    out = tmp_path / "v.csv"
+def inflated_cr_bound(*args, **kwargs):
+    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
+    report = cr_bound(*args, **kwargs)
+    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
+
+
+def test_verify_negative_control_exit_1(tmp_path, monkeypatch):
+    # the bound task is module-level, so a pool worker unpickles it too
+    monkeypatch.setattr(ltibounds.cli, "cr_bound", inflated_cr_bound)
     path = write_config(
         tmp_path,
         system={"d": 1, "n": 500, "a": [[0.5]], "b": [[1.0]]},
-        run={"trials": 2000, "seed": 11, "constant_c": 10.0},
+        run={"trials": 2000, "seed": 11},
     )
-    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
-    rows = {r["quantity"]: r for r in read_rows(out)}
-    assert json.loads(rows["risk_dominance"]["extra"])["status"] == "fail"
+    for workers in ("1", "2"):
+        out = tmp_path / f"v{workers}.csv"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", workers]) == 1
+        rows = {r["quantity"]: r for r in read_rows(out)}
+        assert json.loads(rows["risk_dominance"]["extra"])["status"] == "fail"
+
+
+def test_verify_checks_the_bound_that_bounds_reports(tmp_path):
+    # run.constant_c is the C of (1 + C Delta)^-2 in both commands
+    system = {"d": 2, "n": 16, "a": [[0.5, 0.2], [0.0, 0.8]], "b": [[1.0, 0.0], [0.5, 2.0]]}
+    path = write_config(tmp_path, system=system, run={"trials": 200, "seed": 5, "constant_c": 2.0})
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v.csv")]) == 0
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+    verify = {r["quantity"]: r for r in read_rows(tmp_path / "v.csv")}
+    bounds = {r["quantity"]: r for r in read_rows(tmp_path / "b.csv")}
+    params = SystemParams(a=np.array(system["a"]), b=np.array(system["b"]), n=16)
+    report = cr_bound(params, 0.1, 2.0)
+    assert [float(bounds[q]["value"]) for q in ("cr_eig_min", "cr_eig_max")] == list(
+        np.linalg.eigvalsh(report.cr_matrix)
+    )
+    # the empirical error matrix of the verify op's own trials
+    draws = Draws(Stream(5).child(SALT_IDENTITY), 16, 2, params)
+    (risk,) = run_plans(draws, 200, [risk_plan(params, 200)])
+    margin = np.linalg.eigvalsh(risk.error_matrix - report.cr_matrix)[0]
+    assert float(verify["risk_dominance"]["value"]) == margin
+    assert json.loads(verify["risk_dominance"]["extra"])["constant_c"] == 2.0
 
 
 def test_verify_low_trials_inconclusive(tmp_path):

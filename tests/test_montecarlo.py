@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import tracemalloc
 from functools import partial
@@ -298,16 +299,16 @@ def test_dominance_grid_points_reach_l_ab(monkeypatch):
     assert grids == [128]
 
 
-def test_dominance_rejects_bound_for_other_epsilon():
-    params = scalar_params(0.5, n=64)
-    plan = dominance_plan(params, 200, 0.1, partial(cr_bound, params, 0.2))
-    with pytest.raises(ValueError, match="bound was computed at epsilon=0.2"):
-        run_plans(fixed_draws(params, Stream(87)), 200, [plan])
+def inflated_cr_bound(*args, **kwargs):
+    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
+    report = cr_bound(*args, **kwargs)
+    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
 
 
 def test_dominance_negative_control():
     params = scalar_params(0.5, n=500)
-    result = dominance_check(params, 4000, 0.1, Stream(79), bound_scale=10.0)
+    plan = dominance_plan(params, 4000, partial(inflated_cr_bound, params, 0.1))
+    (result,) = run_plans(fixed_draws(params, Stream(79)), 4000, [plan])
     assert not result.holds and result.margin < 0
 
 
@@ -585,7 +586,7 @@ def test_run_plans_lists_the_chunks_before_the_bound(monkeypatch):
     lists = record_task_lists(monkeypatch)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     bound = partial(cr_bound, params, 0.3, 1.0, grid_points=128)
-    plans = [identity_plan(params), dominance_plan(params, CHUNK + 1, 0.3, bound)]
+    plans = [identity_plan(params), dominance_plan(params, CHUNK + 1, bound)]
     run_plans(fixed_draws(params, Stream(7)), CHUNK + 1, plans)
     (tasks,) = lists
     assert [task.func for task in tasks] == [_chunk, _chunk, cr_bound]
@@ -843,7 +844,7 @@ def test_run_plans_runs_a_bound_task_shared_by_three_plans_once(monkeypatch, wor
     params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=8)
     bound = partial(_counted_bound, params, 0.3)
     plans = [
-        dominance_plan(params, 1000, 0.3, bound),
+        dominance_plan(params, 1000, bound),
         concentration_plan(params, 1000, [1.0], bound),
         multiplication_plan(params, 1000, bound),
     ]
