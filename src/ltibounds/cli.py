@@ -6,7 +6,7 @@ squares), ``verify`` (the seeded identity and dominance check suite), and
 ``sample-prior`` (draws from the operator-ball prior).
 
 Exit codes: 0 success, 1 check failure, 2 config error or unwritable report,
-3 precondition violation.
+3 precondition violation, including a report number that is not finite.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -97,7 +98,36 @@ def _skipped_row(
     return _row(cfg, quantity, 0.0, eq_tag, status="inconclusive", skipped=skipped)
 
 
+class NonFiniteReportError(ValueError):
+    """A report row holds a number that is not finite, in its value or its ``extra``."""
+
+
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    return True
+
+
+def _require_finite(rows: list[ReportRow]) -> None:
+    """Raise ``NonFiniteReportError`` naming the first row that holds inf or NaN."""
+    for row in rows:
+        if not _finite(row.value):
+            raise NonFiniteReportError(
+                f"report row {row.quantity!r} has the non-finite value {row.value!r}"
+            )
+        for key, value in row.extra.items():
+            if not _finite(value):
+                raise NonFiniteReportError(
+                    f"report row {row.quantity!r} has a non-finite number in extra {key!r}"
+                )
+
+
 def rows_to_csv(rows: list[ReportRow], cfg: ExperimentConfig) -> str:
+    _require_finite(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["quantity", "value", "eq_tag", "d", "n", "seed", "extra"])
@@ -120,6 +150,7 @@ def rows_to_csv(rows: list[ReportRow], cfg: ExperimentConfig) -> str:
 
 
 def rows_to_json(rows: list[ReportRow], cfg: ExperimentConfig) -> str:
+    _require_finite(rows)
     doc = {
         "config": cfg.echo,
         "rows": [
@@ -480,6 +511,8 @@ def main(argv: list[str] | None = None) -> int:
             rows, code = run_verify(cfg, args.workers)
         else:
             rows, code = run_sample_prior(cfg)
+        fmt = args.format or cfg.out_format
+        text = rows_to_csv(rows, cfg) if fmt == "csv" else rows_to_json(rows, cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
@@ -497,8 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    fmt = args.format or cfg.out_format
-    text = rows_to_csv(rows, cfg) if fmt == "csv" else rows_to_json(rows, cfg)
     path = args.out if args.out is not None else cfg.out_path
     try:
         _emit(text, path)

@@ -18,12 +18,15 @@ correctness hazard here; all other modules reuse these helpers instead of
 re-deriving index ranges.
 
 The underscored kernel (recursion, Gram sums, least squares, score) takes a
-leading trial axis: Monte Carlo chunks run it on whole chunks, and the
-single-trajectory functions are batches of one.
+leading trial axis. Monte Carlo chunks run the recursion and the Gram sums
+on whole chunks, one block of time steps at a time (see
+``montecarlo.SimulatedChunk``); the single-trajectory functions are batches
+of one, in one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +41,13 @@ class SingularCovarianceError(ValueError):
 
     For genuine Gaussian data with N >= d+1 this happens with probability
     zero, so hitting it signals a degenerate trajectory or bad inputs.
+    """
+
+
+class PsiOverflowError(ValueError):
+    """Psi or the information scalar is beyond float64 range.
+
+    Psi grows like rho(A)^(2N), so an unstable A overflows it at large N.
     """
 
 
@@ -139,23 +149,21 @@ class GramStatistics:
     sigma: np.ndarray
 
 
-def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """States x_0..x_N of each trial, shape (count, N+1, d), for noise (count, N, d).
+def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, states: np.ndarray) -> None:
+    """Fill ``states[:, 1:]`` with the m states after ``states[:, 0]``, for noise (count, m, d).
 
-    ``a`` is one (d, d) matrix shared by every trial, or one per trial,
-    (count, d, d).
+    ``states`` is (count, m+1, d); its first state is x_0 = 0 of a whole
+    trajectory, or the last state of the block before. ``a`` is one (d, d)
+    matrix shared by every trial, or one per trial, (count, d, d).
     """
-    count, n, d = noise.shape
-    states = np.zeros((count, n + 1, d))
     # shocks B e_i go straight into the state buffer: no second noise-sized array
     np.matmul(noise, b.T, out=states[:, 1:])
     if a.ndim == 2:
-        for i in range(n):
+        for i in range(noise.shape[1]):
             states[:, i + 1] += states[:, i] @ a.T
     else:
-        for i in range(n):
+        for i in range(noise.shape[1]):
             states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
-    return states
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,7 +179,11 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _gram_sums(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial gamma = sum x_i x_{i-1}^T and symmetric sigma = sum x_{i-1} x_{i-1}^T."""
+    """Per-trial gamma = sum x_i x_{i-1}^T and symmetric sigma = sum x_{i-1} x_{i-1}^T.
+
+    The sums run over the steps of ``states``: a whole trajectory, or one
+    block of it whose partial sums the caller adds up.
+    """
     x_prev = states[:, :-1]
     return _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev))
 
@@ -204,7 +216,9 @@ def simulate_injected(params: SystemParams, noise: np.ndarray) -> Trajectory:
     noise = validate_matrix(noise, "noise")
     if noise.shape != (params.n, params.d):
         raise ValueError(f"noise must have shape {(params.n, params.d)}, got {noise.shape}")
-    return Trajectory(states=_states_batch(params.a, params.b, noise[None])[0], noise=noise)
+    states = np.zeros((1, params.n + 1, params.d))
+    _states_batch(params.a, params.b, noise[None], states)
+    return Trajectory(states=states[0], noise=noise)
 
 
 def simulate(params: SystemParams, rng, keep_noise: bool = False) -> Trajectory:
@@ -253,14 +267,21 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
     """Psi = sum_{k=1}^{N-1} (N-k) c c^T and its trace sum (N-k) |c|_F^2, c = A^(k-1) B.
 
     The walk itself; readers take its cached result, ``params.psi_info``.
+    Raises ``PsiOverflowError`` when either sum is beyond float64 range.
     """
     out = np.zeros((params.d, params.d))
     total = 0.0
     c = params.b.copy()
-    for k in range(1, params.n):
-        out += (params.n - k) * (c @ c.T)
-        total += (params.n - k) * float(np.sum(c * c))
-        c = params.a @ c
+    # an overflow is reported once, below, not as numpy warnings from each step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, params.n):
+            out += (params.n - k) * (c @ c.T)
+            total += (params.n - k) * float(np.sum(c * c))
+            c = params.a @ c
+    if not (np.all(np.isfinite(out)) and math.isfinite(total)):
+        rho = float(np.max(np.abs(np.linalg.eigvals(params.a))))
+        cause = f"rho(A) = {rho:.6g} > 1" if rho > 1.0 else f"rho(A) = {rho:.6g}"
+        raise PsiOverflowError(f"Psi overflows float64 for {cause} at N = {params.n}")
     return 0.5 * (out + out.T), total
 
 

@@ -42,9 +42,12 @@ a fixed numpy/BLAS build reports are bit-identical for any ``workers``
 value.
 
 A chunk task draws its noise in one call and simulates all of its trials
-at once; ``_chunk_trials`` caps that noise at ``CHUNK_ELEMENTS`` numbers, so
-a worker's memory is set by that cap, not by the trial count. Within a chunk
-the fixed-system states die before the prior-A states are made.
+at once, ``BLOCK`` time steps at a time through one buffer of BLOCK+1
+states per trial (``SimulatedChunk``), so no (count, N+1, d) state array is
+ever made. ``_chunk_trials`` caps the noise at ``CHUNK_ELEMENTS`` numbers,
+so a worker's memory is about one chunk's noise, whatever the trial count.
+The blocks' partial Gram sums are added in time order: for N > BLOCK their
+last digits depend on BLOCK, never on the worker count.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -85,6 +88,8 @@ from .rng import KIND_NOISE, Stream
 # CHUNK_ELEMENTS noise numbers (32 MB of float64); see _chunk_trials
 CHUNK = 4096
 CHUNK_ELEMENTS = 2**22
+# time steps a chunk's trajectories advance per block; see SimulatedChunk
+BLOCK = 64
 # fewest trials: of the risk experiment, and of a conclusive 4-SE check and
 # every other experiment
 MIN_RISK_TRIALS = 100
@@ -211,27 +216,45 @@ def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndar
 
 
 class SimulatedChunk:
-    """Noise (count, N, d), states (count, N+1, d) and Gram sums of one chunk's trials.
+    """Per-trial Gram sums of one chunk's trajectories, driven by noise (count, N, d).
 
-    ``a`` is shared by every trial or one per trial, (count, d, d).
-    ``gamma`` and ``sigma`` are those of ``_gram_sums``; ``ls_error``
-    (``_ls_error``) and ``noise_gram``, the per-trial
-    sum_{i=1}^{N-1} e_i x_i^T, are formed on first use.
+    ``a`` is shared by every trial or one per trial, (count, d, d). The
+    trajectories run ``BLOCK`` steps at a time through one buffer of
+    (count, min(N, BLOCK)+1, d) states: each block starts from the last
+    state of the block before, and its partial sums are added to ``gamma``
+    and ``sigma`` (those of ``_gram_sums``) and, only when ``noise_gram`` is
+    set, to ``noise_gram``, the per-trial sum_{i=1}^{N-1} e_i x_i^T. No
+    state outlives its block, and a trajectory of N <= BLOCK steps is one
+    block.
+    ``ls_error`` (``_ls_error``) is formed on first use.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, noise: np.ndarray) -> None:
+    def __init__(
+        self, a: np.ndarray, b: np.ndarray, noise: np.ndarray, *, noise_gram: bool = False
+    ) -> None:
+        count, n, d = noise.shape
         self.a = a
-        self.noise = noise
-        self.states = _states_batch(a, b, noise)
-        self.gamma, self.sigma = _gram_sums(self.states)
+        states = np.zeros((count, min(n, BLOCK) + 1, d))
+        sums = None
+        for start in range(0, n, BLOCK):
+            block = states[:, : min(BLOCK, n - start) + 1]
+            if start:
+                # every block before this one was whole, so its last state is the buffer's last
+                block[:, 0] = states[:, -1]
+            _states_batch(a, b, noise[:, start : start + BLOCK], block)
+            part = [*_gram_sums(block)]
+            if noise_gram:
+                # e_i x_i^T for i = start+1 .. start+BLOCK, capped at N-1
+                e = noise[:, start + 1 : start + BLOCK + 1]
+                part.append(_gram(e, block[:, 1 : 1 + e.shape[1]]))
+            sums = part if sums is None else [total + p for total, p in zip(sums, part)]
+        self.gamma, self.sigma = sums[:2]
+        if noise_gram:
+            self.noise_gram = sums[2]
 
     @cached_property
     def ls_error(self) -> tuple[np.ndarray, np.ndarray]:
         return _ls_error(self.gamma, self.sigma, self.a)
-
-    @cached_property
-    def noise_gram(self) -> np.ndarray:
-        return _gram(self.noise[:, 1:], self.states[:, 1:-1])
 
 
 class Draws(NamedTuple):
@@ -266,8 +289,8 @@ def _chunk(
     system and of the prior draws of A; ``prior`` are statistics of the
     chunk's ``PriorSample``. The prior is drawn only when a ``bayes`` or
     ``prior`` statistic reads it, and the noise only when a ``fixed`` or
-    ``bayes`` one does, in one call. The fixed-A states die before the
-    prior-A states are made.
+    ``bayes`` one does, in one call. The fixed system's sum e_i x_i^T is
+    formed only when a ``fixed`` statistic reads it; no ``bayes`` one does.
     """
     out = {}
     if bayes or prior:
@@ -279,7 +302,11 @@ def _chunk(
         gen = draws.noise.child(index, KIND_NOISE).generator()
         noise = gen.standard_normal((count, draws.n, draws.d))
         if fixed:
-            out.update(_apply(fixed, SimulatedChunk(draws.params.a, draws.params.b, noise)))
+            chunk = SimulatedChunk(
+                draws.params.a, draws.params.b, noise, noise_gram=_reads_noise_gram(fixed)
+            )
+            out.update(_apply(fixed, chunk))
+            del chunk  # its sums and least-squares errors die before the Bayes trajectories run
         if bayes:
             out.update(_apply(bayes, SimulatedChunk(a_stack, np.eye(draws.d), noise)))
     return out
@@ -321,6 +348,14 @@ def _concentration_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.n
 def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.ndarray]:
     g = np.einsum("ij,tkj->tik", w, chunk.noise_gram)
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
+
+
+# the statistics that read a SimulatedChunk's noise_gram, as a chunk lists them
+_NOISE_GRAM_READERS = frozenset({_identity_stats, _multiplication_stats})
+
+
+def _reads_noise_gram(stats: tuple) -> bool:
+    return any(getattr(stat, "func", stat) in _NOISE_GRAM_READERS for stat in stats)
 
 
 def _prior_score_stats(spec: PriorSpec, sample: PriorSample) -> dict[str, np.ndarray]:

@@ -19,8 +19,15 @@ import ltibounds.linalg
 import ltibounds.model
 import ltibounds.montecarlo
 from ltibounds.bounds import cr_bound
-from ltibounds.cli import SALT_IDENTITY, main
-from ltibounds.config import ConfigError, build_matrix, resolve_config
+from ltibounds.cli import (
+    SALT_IDENTITY,
+    NonFiniteReportError,
+    ReportRow,
+    main,
+    rows_to_csv,
+    rows_to_json,
+)
+from ltibounds.config import ConfigError, build_matrix, load_config, resolve_config
 from ltibounds.model import SystemParams
 from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
@@ -180,6 +187,54 @@ def test_bounds_jordan_block_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, system={"a": [[1.0, 1.0], [0.0, 1.0]]})
     assert main(["bounds", "--config", str(path)]) == 3
     assert "diagonalizability assumption" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_writers_refuse_a_non_finite_value_naming_the_row(tmp_path, capsys, fmt):
+    # a stable but non-normal A: phi at |A|_2^2 = 4.40 overflows at N = 2048
+    path = write_config(tmp_path, system={"n": 2048, "a": [[0.5, 2.0], [0.0, 0.4]]})
+    out = tmp_path / f"report.{fmt}"
+    assert main(["bounds", "--config", str(path), "--out", str(out), "--format", fmt]) == 3
+    err = capsys.readouterr().err
+    assert err == "precondition violation: report row 'phi' has the non-finite value inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("writer", [rows_to_csv, rows_to_json])
+@pytest.mark.parametrize(
+    "extra",
+    [{"x": math.nan}, {"levels": [1.0, [2.0, -math.inf]]}, {"fit": {"c": math.inf}}],
+    ids=["value", "nested-list", "dict"],
+)
+def test_report_writers_check_every_number_in_extra(tmp_path, writer, extra):
+    cfg = load_config(write_config(tmp_path))
+    ok = ReportRow("ok", 1.0, "tag", 2, 10, 42, {"status": "pass", "levels": [1.0, [2.0]]})
+    bad = ReportRow("bad", 1.0, "tag", 2, 10, 42, {"status": "pass", **extra})
+    with pytest.raises(NonFiniteReportError, match="report row 'bad' has a non-finite number in extra"):
+        writer([ok, bad], cfg)
+    assert "ok" in writer([ok], cfg)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_psi_overflow_exits_3_naming_the_cause_without_warnings(tmp_path, command):
+    path = write_config(
+        tmp_path,
+        system={"d": 2, "n": 2048, "a": {"kind": "diag", "values": [0.5, 1.2]}},
+        run={"trials": 1000, "seed": 3},
+    )
+    out = tmp_path / "report.csv"
+    # a new process, so stderr is what a user sees, numpy's warnings included
+    src = str(Path(ltibounds.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltibounds.cli", command, "--config", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == "precondition violation: Psi overflows float64 for rho(A) = 1.2 > 1 at N = 2048\n"
+    assert not out.exists()
 
 
 def test_bounds_csv_roundtrip_full_precision(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from ltibounds.bounds import psi
 from ltibounds.model import (
+    PsiOverflowError,
     SingularCovarianceError,
     SystemParams,
     Trajectory,
@@ -105,7 +108,9 @@ def test_simulate_two_step_covariance():
     params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=3)
     trials = 100_000
     noise = Stream(12).generator().standard_normal((trials, params.n, params.d))
-    xs = _states_batch(params.a, params.b, noise)[:, 2]
+    states = np.zeros((trials, params.n + 1, params.d))
+    _states_batch(params.a, params.b, noise, states)
+    xs = states[:, 2]
     prods = np.einsum("ti,tj->tij", xs, xs)
     mean = prods.mean(axis=0)
     se = prods.std(axis=(0,), ddof=1) / np.sqrt(trials)
@@ -305,6 +310,24 @@ def test_expected_gram_is_bitwise_the_separate_walks(seed, d, radius, extra):
     ref_psi, ref_info = separate_walks(params)
     assert np.array_equal(psi_m, ref_psi) and info == ref_info
     assert np.array_equal(psi(params), psi_m) and information_scalar(params) == info
+
+
+@pytest.mark.parametrize(
+    "a, b, cause",
+    [
+        (np.diag([0.5, 1.2]), np.eye(2), "rho(A) = 1.2 > 1"),
+        # the overflow is also reported when A is stable
+        (0.5 * np.eye(2), 1e160 * np.eye(2), "rho(A) = 0.5"),
+    ],
+)
+def test_expected_gram_overflow_is_one_typed_error_without_warnings(a, b, cause):
+    params = SystemParams(a=a, b=b, n=2048)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PsiOverflowError) as info:
+            expected_gram(params)
+    assert str(info.value) == f"Psi overflows float64 for {cause} at N = 2048"
+    assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

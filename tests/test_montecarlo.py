@@ -445,9 +445,23 @@ def test_trajectory_chunk_trial_prefix_invariance():
 # trajectories: the references the statistics of a shared chunk must equal
 
 
+def _full_states(a, b, noise):
+    """States x_0..x_N of each trial in one (count, N+1, d) array, one step at a
+    time: the reference for the chunks' block recursion."""
+    count, n, d = noise.shape
+    states = np.zeros((count, n + 1, d))
+    np.matmul(noise, b.T, out=states[:, 1:])
+    for i in range(n):
+        if a.ndim == 2:
+            states[:, i + 1] += states[:, i] @ a.T
+        else:
+            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
+    return states
+
+
 def _simulate_chunk(params, rng, start, count):
     noise = chunk_noise(rng, start, count, params.n, params.d)
-    return noise, _states_batch(params.a, params.b, noise)
+    return noise, _full_states(params.a, params.b, noise)
 
 
 def _layout2_risk_chunk(params, rng, start, count):
@@ -549,8 +563,7 @@ def _trials(task) -> int:
 def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     # d = 8, N = 512 and chunks capped at 2^19 noise numbers, so 128 trials:
     # a chunk's noise is 4 MB at any trial count, where one 4096-trial chunk
-    # would hold 128 MB of noise and as much of states for each of the fixed
-    # and the prior-A trajectories
+    # would hold 128 MB of noise
     monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 2**19)
     d, n = 8, 512
     size = _chunk_trials(n * d)
@@ -567,6 +580,23 @@ def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
         peaks.append(_peak_bytes(max(tasks, key=_trials)))
     small, large = peaks
     assert large < 1.5 * small
+
+
+def test_verify_chunk_peak_is_its_noise_and_no_state_array(monkeypatch):
+    # d = 8, N = 1024 and chunks capped at 2^19 noise numbers, so 64 trials
+    # and 4 MB of noise: a (count, N+1, d) state array of either set of
+    # trajectories would add as much again, one block buffer adds 1/16 of it
+    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 2**19)
+    d, n = 8, 1024
+    count = _chunk_trials(n * d)
+    assert count == 64
+    params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
+    spec = PriorSpec(s=0.5, eps=0.5, d=d)
+    draws = Draws(Stream(109), n, d, params, Stream(110), spec)
+    plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
+    (task,) = _chunks(draws, count, plans)
+    noise_bytes = count * n * d * np.dtype(float).itemsize
+    assert _peak_bytes(task) < 1.5 * noise_bytes
 
 
 def record_task_lists(monkeypatch):
@@ -663,25 +693,15 @@ def test_gram_matches_einsum_on_strided_views(count, n, d):
         np.testing.assert_allclose(_gram(x, y), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def _states_loop(a, b, noise):
-    """The per-step recursion of one shared A, kept as the kernel's reference."""
-    count, n, d = noise.shape
-    states = np.zeros((count, n + 1, d))
-    np.matmul(noise, b.T, out=states[:, 1:])
-    for i in range(n):
-        states[:, i + 1] += states[:, i] @ a.T
-    return states
-
-
 @pytest.mark.parametrize("count, n, d", [(300, 50, 8), (1, 7, 2), (40, 9, 1)])
 def test_states_batch_is_bitwise_the_per_step_loop(count, n, d):
     g = Stream(94).generator()
     a = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0]
     b = np.diag(g.uniform(0.5, 2.0, d)) + 0.1 * g.standard_normal((d, d))
     noise = g.standard_normal((count, n, d))
-    states = _states_batch(a, b, noise)
-    assert states.shape == (count, n + 1, d)
-    assert np.array_equal(states, _states_loop(a, b, noise))
+    states = np.zeros((count, n + 1, d))
+    _states_batch(a, b, noise, states)
+    assert np.array_equal(states, _full_states(a, b, noise))
 
 
 def test_states_batch_one_a_per_trial_matches_simulate_injected():
@@ -689,7 +709,8 @@ def test_states_batch_one_a_per_trial_matches_simulate_injected():
     count, n = 20, 30
     a_stack = sample_prior_batch(spec, Stream(95), count).a
     noise = Stream(96).generator().standard_normal((count, n, spec.d))
-    states = _states_batch(a_stack, np.eye(spec.d), noise)
+    states = np.zeros((count, n + 1, spec.d))
+    _states_batch(a_stack, np.eye(spec.d), noise, states)
     for a, x, e in zip(a_stack, states, noise):
         ref = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=n), e).states
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -751,6 +772,68 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
         calls.clear()
         assert set(_chunk(draws, fixed, bayes, prior_stats, 0, 10)) == keys
         assert len(calls) == sums, keys
+
+
+def _full_sums(a, b, noise):
+    """gamma, sigma and sum_{i=1}^{N-1} e_i x_i^T from the whole (count, N+1, d) state array."""
+    states = _full_states(a, b, noise)
+    return (*_gram_sums(states), _gram(noise[:, 1:], states[:, 1:-1]))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 197])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-a", "a-per-trial"])
+def test_streamed_sums_match_the_whole_array_formula(n, shared):
+    # N <= BLOCK is one block and gives the same bytes; beyond it the blocks'
+    # partial sums only change the summation order
+    assert ltibounds.montecarlo.BLOCK == 64
+    d, count = 3, 40
+    g = Stream(106).generator()
+    if shared:
+        a, b = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0], np.diag([1.0, 2.0, 0.5])
+    else:
+        a, b = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(107), count).a, np.eye(d)
+    noise = g.standard_normal((count, n, d))
+    chunk = SimulatedChunk(a, b, noise, noise_gram=True)
+    streamed = (chunk.gamma, chunk.sigma, chunk.noise_gram)
+    for name, got, ref in zip(("gamma", "sigma", "noise_gram"), streamed, _full_sums(a, b, noise)):
+        if n <= 64:
+            assert np.array_equal(got, ref), name
+        else:
+            scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), name
+    assert np.array_equal(chunk.sigma, np.swapaxes(chunk.sigma, 1, 2))
+    assert not hasattr(SimulatedChunk(a, b, noise), "noise_gram")
+
+
+def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
+    calls = []
+    original = ltibounds.model._gram
+
+    def recording_gram(x, y):
+        calls.append(x.shape)
+        return original(x, y)
+
+    monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
+    monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
+    # N = 197 runs as 4 blocks: 64, 64, 64 and 5 steps
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=197)
+    blocks = -(-params.n // ltibounds.montecarlo.BLOCK)
+    assert blocks == 4
+    identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    draws = Draws(Stream(108), params.n, params.d, params, Stream(108), spec)
+    expected = [
+        ((identity, risk, concentration, multiplication), (), 3),
+        ((risk,), (), 2),
+        ((), (_bayes_stats,), 2),
+        ((identity,), (_bayes_stats,), 5),
+    ]
+    for fixed, bayes, sums in expected:
+        calls.clear()
+        _chunk(draws, fixed, bayes, (), 0, 10)
+        assert len(calls) == sums * blocks, (fixed, bayes)
+        # every product spans at most one block's steps
+        assert max(shape[1] for shape in calls) <= ltibounds.montecarlo.BLOCK
 
 
 def test_gather_joins_only_the_named_arrays():
