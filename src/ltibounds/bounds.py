@@ -20,6 +20,7 @@ from .model import SystemParams
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 60  # golden-section steps of the l_ab refinement
+GRID_SLICE = 256  # l_ab grid frequencies whose products and SVDs are formed at once
 # spectral_split's largest eigenvector-basis condition number and reconstruction error
 SPLIT_COND_MAX = 1e8
 SPLIT_RECON_RTOL = 1e-8
@@ -104,14 +105,21 @@ def _grid_freq_norm_sq(
 
     e^{j 2 pi k m / M} depends on k mod M only, so powers beyond M are folded
     onto their residues first; M * ifft then gives sum_k A^k e^{+j 2 pi k m/M}.
+    The products W F B and their SVDs run ``GRID_SLICE`` frequencies at a
+    time, so no temporary beyond F spans the whole grid.
     """
     count = powers.shape[0]
     if count > grid_points:
         pad = np.zeros((-count % grid_points,) + powers.shape[1:])
         powers = np.concatenate([powers, pad])
         powers = powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
-    f = grid_points * np.fft.ifft(powers, n=grid_points, axis=0)
-    return np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
+    f = np.fft.ifft(powers, n=grid_points, axis=0)
+    f *= grid_points
+    vals = np.empty(grid_points)
+    for lo in range(0, grid_points, GRID_SLICE):
+        g = w @ f[lo : lo + GRID_SLICE] @ b
+        vals[lo : lo + GRID_SLICE] = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+    return vals
 
 
 def _golden_max(fn, lo: float, hi: float) -> float:

@@ -60,8 +60,6 @@ EXIT_PRECONDITION = 3
 # trajectories of the configured system and the Bayes trajectories alike.
 SALT_IDENTITY = 0
 SALT_PRIOR = 1
-# reserved: RNG layouts 2 and 3 drew the Bayes experiment here; unused since 4
-SALT_BAYES = 3
 SALT_RISK = 4
 SALT_SAMPLES = 5
 

@@ -181,8 +181,9 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def _gram_sums(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial gamma = sum x_i x_{i-1}^T and symmetric sigma = sum x_{i-1} x_{i-1}^T.
 
-    The sums run over the steps of ``states``: a whole trajectory, or one
-    block of it whose partial sums the caller adds up.
+    The sums run over the steps of ``states``. ``montecarlo.SimulatedChunk``
+    adds up the same two products one block of steps at a time, and
+    symmetrizes sigma once, after the last block.
     """
     x_prev = states[:, :-1]
     return _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev))

@@ -21,33 +21,35 @@ One chunk task, ``_chunk``, serves every experiment on random draws. A
 plan's statistic reads a ``SimulatedChunk`` of the fixed system, a
 ``SimulatedChunk`` of one prior draw of A per trial (the Bayes experiment,
 B = I), or the chunk's prior draws (the prior-score identity). ``run_plans``
-gives several plans one task per chunk, which draws the chunk's noise once
-and its prior once, simulates each set of trajectories once, forms each Gram
-sum at most once and computes every plan's statistic; ``verify`` runs all
-six of its Monte Carlo experiments so, and the Bayes trajectories are driven
-by the same noise as the fixed-system ones. Gram sums are BLAS products, so another
-BLAS build or CPU kernel may change their last digits.
+gives several plans one task per chunk, which draws each block of the
+chunk's noise once and its prior once, simulates each set of trajectories
+once, forms each Gram sum at most once per block and computes every plan's
+statistic; ``verify`` runs all six of its Monte Carlo experiments so, and
+the Bayes trajectories are driven by the same noise as the fixed-system
+ones. Gram sums are BLAS products, so another BLAS build or CPU kernel may
+change their last digits.
 
 Determinism contract: a chunk holds ``_chunk_trials(N*d)`` trials, CHUNK or
 fewer so that a chunk draws at most ``CHUNK_ELEMENTS`` noise numbers (a
-chunk that draws no noise holds CHUNK). Chunk c draws each kind of
-randomness (noise, the two Haar Gaussian stacks, the Beta singular values;
-see ``rng``) from its own generator keyed by ``rng.child(c, kind)``, in
-trial-major calls in trial order, so trial k's draws depend only on
-``(seed, salt, k)`` and the chunk size, which depends only on N*d (stream
-layout ``RNG_LAYOUT``). Per-trial statistics are written into
-position-indexed arrays, and reductions run over those arrays with numpy's
-pairwise summation. The worker count only decides where tasks run, so under
-a fixed numpy/BLAS build reports are bit-identical for any ``workers``
-value.
+chunk that draws no noise holds CHUNK). Chunk c draws each kind of prior
+randomness (the two Haar Gaussian stacks, the Beta singular values; see
+``rng``) from its own generator keyed by ``rng.child(c, kind)``, and block
+j of its noise from ``rng.child(c, KIND_NOISE, j)``, each in one
+trial-major call, so trial k's draws depend only on ``(seed, salt, k)`` and
+the chunk size, which depends only on N*d (stream layout ``RNG_LAYOUT``).
+Per-trial statistics are written into position-indexed arrays, and
+reductions run over those arrays with numpy's pairwise summation. The
+worker count only decides where tasks run, so under a fixed numpy/BLAS build
+reports are bit-identical for any ``workers`` value.
 
-A chunk task draws its noise in one call and simulates all of its trials
-at once, ``BLOCK`` time steps at a time through one buffer of BLOCK+1
-states per trial (``SimulatedChunk``), so no (count, N+1, d) state array is
-ever made. ``_chunk_trials`` caps the noise at ``CHUNK_ELEMENTS`` numbers,
-so a worker's memory is about one chunk's noise, whatever the trial count.
-The blocks' partial Gram sums are added in time order: for N > BLOCK their
-last digits depend on BLOCK, never on the worker count.
+A chunk task simulates all of its trials at once, ``BLOCK`` time steps at a
+time: it draws one block of noise, (count, min(N, BLOCK), d), advances each
+set of trajectories through it in one shared buffer of BLOCK+1 states per
+trial, and drops it before the next block is drawn (``SimulatedChunk``).
+So a worker holds one block of noise and one block of states, never a
+chunk's noise or a (count, N+1, d) state array, and its memory does not
+grow with N. The blocks' partial Gram sums are added in time order: for
+N > BLOCK their last digits depend on BLOCK, never on the worker count.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -76,7 +78,6 @@ from .model import (
     SystemParams,
     _data_score,
     _gram,
-    _gram_sums,
     _ls_error,
     _states_batch,
     _sym,
@@ -85,10 +86,13 @@ from .model import (
 from .rng import KIND_NOISE, Stream
 
 # most trials of one chunk; a chunk of trajectories also draws at most
-# CHUNK_ELEMENTS noise numbers (32 MB of float64); see _chunk_trials
+# CHUNK_ELEMENTS noise numbers in all (see _chunk_trials). That bounds a
+# chunk's work and sets how an op splits into tasks over the workers; a
+# chunk's memory is one block of it (see BLOCK)
 CHUNK = 4096
 CHUNK_ELEMENTS = 2**22
-# time steps a chunk's trajectories advance per block; see SimulatedChunk
+# time steps per block: a chunk draws its noise, and advances its
+# trajectories, one block at a time; see _chunk and SimulatedChunk
 BLOCK = 64
 # fewest trials: of the risk experiment, and of a conclusive 4-SE check and
 # every other experiment
@@ -216,41 +220,49 @@ def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndar
 
 
 class SimulatedChunk:
-    """Per-trial Gram sums of one chunk's trajectories, driven by noise (count, N, d).
+    """Per-trial Gram sums of one chunk's trajectories, fed one block of noise at a time.
 
-    ``a`` is shared by every trial or one per trial, (count, d, d). The
-    trajectories run ``BLOCK`` steps at a time through one buffer of
-    (count, min(N, BLOCK)+1, d) states: each block starts from the last
-    state of the block before, and its partial sums are added to ``gamma``
-    and ``sigma`` (those of ``_gram_sums``) and, only when ``noise_gram`` is
-    set, to ``noise_gram``, the per-trial sum_{i=1}^{N-1} e_i x_i^T. No
-    state outlives its block, and a trajectory of N <= BLOCK steps is one
-    block.
+    ``a`` is shared by every trial or one per trial, (count, d, d). Each
+    ``advance`` runs the trajectories through one (count, m, d) block of
+    noise in a caller's buffer of (count, m+1, d) states, starting from
+    ``last``, the last state of the block before (x_0 = 0 for the first),
+    and adds the block's partial sums to ``gamma`` and ``sigma`` (those of
+    ``_gram_sums``) and, only when ``noise_gram`` is set, to ``noise_gram``,
+    the per-trial sum e_i x_i^T over the block's own steps (the i = 0 term
+    is zero, as x_0 = 0). Only ``last``, (count, d), outlives a block.
+    ``finish`` ends the trajectories; the statistics read the sums after it.
     ``ls_error`` (``_ls_error``) is formed on first use.
     """
 
     def __init__(
-        self, a: np.ndarray, b: np.ndarray, noise: np.ndarray, *, noise_gram: bool = False
+        self, a: np.ndarray, b: np.ndarray, count: int, d: int, *, noise_gram: bool = False
     ) -> None:
-        count, n, d = noise.shape
-        self.a = a
-        states = np.zeros((count, min(n, BLOCK) + 1, d))
-        sums = None
-        for start in range(0, n, BLOCK):
-            block = states[:, : min(BLOCK, n - start) + 1]
-            if start:
-                # every block before this one was whole, so its last state is the buffer's last
-                block[:, 0] = states[:, -1]
-            _states_batch(a, b, noise[:, start : start + BLOCK], block)
-            part = [*_gram_sums(block)]
-            if noise_gram:
-                # e_i x_i^T for i = start+1 .. start+BLOCK, capped at N-1
-                e = noise[:, start + 1 : start + BLOCK + 1]
-                part.append(_gram(e, block[:, 1 : 1 + e.shape[1]]))
-            sums = part if sums is None else [total + p for total, p in zip(sums, part)]
-        self.gamma, self.sigma = sums[:2]
+        self.a, self.b = a, b
+        self.last = np.zeros((count, d))
+        self.gamma, self.sigma = np.zeros((count, d, d)), np.zeros((count, d, d))
         if noise_gram:
-            self.noise_gram = sums[2]
+            self.noise_gram = np.zeros((count, d, d))
+
+    def advance(self, noise: np.ndarray, states: np.ndarray) -> None:
+        states[:, 0] = self.last
+        _states_batch(self.a, self.b, noise, states)
+        self.last[...] = states[:, -1]
+        # one (count, d, d) product alive at a time; finish symmetrizes sigma
+        x_prev = states[:, :-1]
+        self.gamma += _gram(states[:, 1:], x_prev)
+        self.sigma += _gram(x_prev, x_prev)
+        if hasattr(self, "noise_gram"):
+            self.noise_gram += _gram(noise, x_prev)
+
+    def finish(self) -> None:
+        """Symmetrize ``sigma`` in place (bitwise ``_sym``) and drop ``last``.
+
+        In place, so the statistics, and the pickling of their results, run
+        beside the sums alone.
+        """
+        self.sigma += np.swapaxes(self.sigma, 1, 2)
+        self.sigma *= 0.5
+        del self.last
 
     @cached_property
     def ls_error(self) -> tuple[np.ndarray, np.ndarray]:
@@ -260,9 +272,10 @@ class SimulatedChunk:
 class Draws(NamedTuple):
     """The chunk streams the plans of one set of experiments read, and what they drive.
 
-    Chunk c draws its noise, (count, n, d) standard normals, from
-    ``noise.child(c, KIND_NOISE)``. The same noise drives the trajectories of
-    the fixed system ``params`` and, with B = I, one trajectory per prior
+    Chunk c draws its noise one block of m <= ``BLOCK`` steps at a time:
+    block j is (count, m, d) standard normals from
+    ``noise.child(c, KIND_NOISE, j)``. The same noise drives the trajectories
+    of the fixed system ``params`` and, with B = I, one trajectory per prior
     draw of A. Chunk c draws from the prior ``spec`` once, under
     ``prior.child(c)``, for the prior score and the Bayes trajectories alike.
     ``n`` is 0 when no plan reads trajectories.
@@ -289,8 +302,10 @@ def _chunk(
     system and of the prior draws of A; ``prior`` are statistics of the
     chunk's ``PriorSample``. The prior is drawn only when a ``bayes`` or
     ``prior`` statistic reads it, and the noise only when a ``fixed`` or
-    ``bayes`` one does, in one call. The fixed system's sum e_i x_i^T is
-    formed only when a ``fixed`` statistic reads it; no ``bayes`` one does.
+    ``bayes`` one does. Each block of noise is drawn once and advances both
+    sets of trajectories in one shared buffer of states, so no worker holds
+    more than one block of noise. The fixed system's sum e_i x_i^T is formed
+    only when a ``fixed`` statistic reads it; no ``bayes`` one does.
     """
     out = {}
     if bayes or prior:
@@ -298,17 +313,35 @@ def _chunk(
         out.update(_apply(prior, sample))
         a_stack = sample.a
         del sample  # the Haar factors die once the A stack and the score are formed
-    if fixed or bayes:
-        gen = draws.noise.child(index, KIND_NOISE).generator()
-        noise = gen.standard_normal((count, draws.n, draws.d))
-        if fixed:
-            chunk = SimulatedChunk(
-                draws.params.a, draws.params.b, noise, noise_gram=_reads_noise_gram(fixed)
-            )
-            out.update(_apply(fixed, chunk))
-            del chunk  # its sums and least-squares errors die before the Bayes trajectories run
-        if bayes:
-            out.update(_apply(bayes, SimulatedChunk(a_stack, np.eye(draws.d), noise)))
+    if not (fixed or bayes):
+        return out
+    n, d = draws.n, draws.d
+    chunks = []
+    if fixed:
+        params = draws.params
+        fixed_chunk = SimulatedChunk(
+            params.a, params.b, count, d, noise_gram=_reads_noise_gram(fixed)
+        )
+        chunks.append(fixed_chunk)
+    if bayes:
+        bayes_chunk = SimulatedChunk(a_stack, np.eye(d), count, d)
+        chunks.append(bayes_chunk)
+    states = np.empty((count, min(n, BLOCK) + 1, d))
+    noise_stream = draws.noise.child(index, KIND_NOISE)
+    for block, start in enumerate(range(0, n, BLOCK)):
+        steps = min(BLOCK, n - start)
+        noise = noise_stream.child(block).generator().standard_normal((count, steps, d))
+        for chunk in chunks:
+            chunk.advance(noise, states[:, : steps + 1])
+        del noise  # the next block is drawn with this one gone
+    for chunk in chunks:
+        chunk.finish()
+    del chunks, states
+    if fixed:
+        out.update(_apply(fixed, fixed_chunk))
+        del fixed_chunk  # its sums and least-squares errors die before the Bayes statistics run
+    if bayes:
+        out.update(_apply(bayes, bayes_chunk))
     return out
 
 

@@ -256,6 +256,41 @@ def test_lab_fft_grid_keeps_the_argmax(a, b, n):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
 
+def one_shot_grid(w, powers, b, grid_points):
+    """``_grid_freq_norm_sq`` with W F B and its SVD formed over the whole grid at once."""
+    count = powers.shape[0]
+    if count > grid_points:
+        pad = np.zeros((-count % grid_points,) + powers.shape[1:])
+        powers = np.concatenate([powers, pad])
+        powers = powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
+    f = grid_points * np.fft.ifft(powers, n=grid_points, axis=0)
+    return np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
+
+
+@pytest.mark.parametrize("grid_points", [64, 1000, 4096])
+@pytest.mark.parametrize("d, kind", [(1, "stable"), (2, "limit"), (3, "unstable"), (8, "stable")])
+def test_sliced_grid_is_bitwise_the_one_shot_product(grid_points, d, kind):
+    # a power sequence shorter than the grid and one folded onto it
+    for count in (39, grid_points + 5):
+        w, powers, b = random_system(d, kind, count, seed=3)
+        got = _grid_freq_norm_sq(w, powers, b, grid_points)
+        assert np.array_equal(got, one_shot_grid(w, powers, b, grid_points)), count
+
+
+def test_d8_lab_grid_peaks_below_8_mb():
+    # the (4096, 8, 8) complex F alone is 4 MB; its products and SVDs run a
+    # slice of frequencies at a time, where the whole grid at once peaked at 13 MB
+    params = SystemParams(a=d8_similarity(38), b=np.eye(8), n=2048)
+    params.psi_inv_sqrt  # the walk and Psi^{-1/2} are cached before the grid is measured
+    tracemalloc.start()
+    try:
+        l_ab(params, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_lab_grid_memory_stays_small():
     params = SystemParams(a=np.diag([0.3, 0.95]), b=np.eye(2), n=2048)
     params.psi_inv_sqrt  # the walk and Psi^{-1/2} are cached before the grid is measured

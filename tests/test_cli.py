@@ -584,7 +584,7 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
     def recording_generator(stream):
         gen = original(stream)
         opened.append(stream.path)
-        if stream.path[-1:] != (KIND_NOISE,):
+        if stream.path[2:3] != (KIND_NOISE,):
             return gen
         drawn.setdefault(stream.path, 0)
         return NoiseRecorder(stream.path, gen)
@@ -593,22 +593,24 @@ def test_verify_simulates_each_trajectory_chunk_once(tmp_path, monkeypatch, tria
     path = write_config(tmp_path, system={"a": {"kind": "identity", "scale": 0.5}}, run={"trials": trials})
     out = tmp_path / "v.csv"
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-    # each chunk opens its noise stream once and draws count*N*d normals,
-    # shared by every trajectory check and, at 1000 trials, by the Bayes
-    # trajectories; it opens each prior kind stream once, for the prior
-    # score and Bayes alike; no other stream is opened
+    # each chunk opens the noise stream of its one block (N = 10) once and
+    # draws count*N*d normals, shared by every trajectory check and, at 1000
+    # trials, by the Bayes trajectories; it opens each prior kind stream
+    # once, for the prior score and Bayes alike; no other stream is opened
     cli = ltibounds.cli
     chunks = ltibounds.montecarlo._chunk_ranges(trials, ltibounds.montecarlo.CHUNK)
     assert ltibounds.montecarlo._chunk_trials(10 * 2) == ltibounds.montecarlo.CHUNK  # N = 10, d = 2
-    noise = {(cli.SALT_IDENTITY, index, KIND_NOISE): count * 10 * 2 for index, count in chunks}
+    noise = {(cli.SALT_IDENTITY, index, KIND_NOISE, 0): count * 10 * 2 for index, count in chunks}
     prior_kinds = (KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS)
     assert opened == [
         path
         for index, _ in chunks
-        for path in [*((cli.SALT_PRIOR, index, kind) for kind in prior_kinds), (cli.SALT_IDENTITY, index, KIND_NOISE)]
+        for path in [
+            *((cli.SALT_PRIOR, index, kind) for kind in prior_kinds),
+            (cli.SALT_IDENTITY, index, KIND_NOISE, 0),
+        ]
     ]
     assert drawn == noise
-    assert not any(path[0] == cli.SALT_BAYES for path in opened)
     rows = read_rows(out)
     quantities = [r["quantity"] for r in rows]
     checks = [

@@ -11,6 +11,11 @@ stable, a limit-stable, an unstable and a d=8 system of the benchmark's
 summation order or bound value on purpose regenerates them with
 ``ltibounds <command> --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
 
+The ``verify`` goldens were generated under ``ltibounds.RNG_LAYOUT``
+``GOLDEN_RNG_LAYOUT``; a change of the draws bumps the layout and
+regenerates them in the same change, and this module fails until it does
+both.
+
 The bytes are fixed for a given numpy/BLAS build. The Gram sums are BLAS
 matrix products, so another BLAS build or CPU kernel may change the last
 digits; regenerate the goldens there rather than loosening this check.
@@ -20,11 +25,22 @@ from pathlib import Path
 
 import pytest
 
+import ltibounds
 from ltibounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.json"))
 VERIFY = [name for name in CONFIGS if name.startswith("verify_")]
+# the stream layout the verify goldens were generated under
+GOLDEN_RNG_LAYOUT = 5
+
+
+def test_goldens_were_generated_under_the_current_rng_layout():
+    assert ltibounds.RNG_LAYOUT == GOLDEN_RNG_LAYOUT, (
+        f"the verify goldens were generated under RNG layout {GOLDEN_RNG_LAYOUT}, "
+        f"but ltibounds.RNG_LAYOUT is {ltibounds.RNG_LAYOUT}: regenerate them and "
+        "update GOLDEN_RNG_LAYOUT"
+    )
 
 
 def test_goldens_exist():

@@ -27,6 +27,7 @@ from ltibounds.model import (
 )
 from ltibounds.montecarlo import (
     BAYES,
+    BLOCK,
     CHUNK,
     PRIOR,
     AllTrialsSingularError,
@@ -74,8 +75,28 @@ def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
 
 
 def chunk_noise(rng, index, count, n, d):
-    """The noise of chunk ``index`` under ``rng``, drawn in one call."""
-    return rng.child(index, KIND_NOISE).generator().standard_normal((count, n, d))
+    """The noise of chunk ``index`` under ``rng``: block j's (count, m, d) draws
+    from ``rng.child(index, KIND_NOISE, j)``, joined on the time axis."""
+    stream = rng.child(index, KIND_NOISE)
+    return np.concatenate(
+        [
+            stream.child(j).generator().standard_normal((count, min(BLOCK, n - start), d))
+            for j, start in enumerate(range(0, n, BLOCK))
+        ],
+        axis=1,
+    )
+
+
+def simulated(a, b, noise, *, noise_gram=False):
+    """A ``SimulatedChunk`` fed ``noise`` (count, N, d) ``BLOCK`` steps at a time."""
+    count, n, d = noise.shape
+    chunk = SimulatedChunk(a, b, count, d, noise_gram=noise_gram)
+    states = np.empty((count, min(n, BLOCK) + 1, d))
+    for start in range(0, n, BLOCK):
+        block = np.ascontiguousarray(noise[:, start : start + BLOCK])
+        chunk.advance(block, states[:, : block.shape[1] + 1])
+    chunk.finish()
+    return chunk
 
 
 def fixed_draws(params, rng):
@@ -197,7 +218,7 @@ def test_score_mean_zero_and_negative_control():
     # misspecified parameter: Stream(65)'s trajectories scored at A = 0.8
     at_wrong_a = scalar_params(0.8, n=16)
     chunks = [
-        SimulatedChunk(params.a, params.b, chunk_noise(Stream(65), i, c, params.n, params.d))
+        simulated(params.a, params.b, chunk_noise(Stream(65), i, c, params.n, params.d))
         for i, c in _chunk_ranges(5000, CHUNK)
     ]
     wrong = np.concatenate(
@@ -442,7 +463,9 @@ def test_trajectory_chunk_trial_prefix_invariance():
 
 
 # the per-plan chunk functions of RNG layout 2, each simulating its own
-# trajectories: the references the statistics of a shared chunk must equal
+# trajectories from the whole chunk's noise: the references the statistics of
+# a shared chunk must equal. Their sums e_i x_i^T run over i = 0..N-1, as the
+# chunks' blocks do; the i = 0 term is zero (x_0 = 0)
 
 
 def _full_states(a, b, noise):
@@ -477,7 +500,7 @@ def _layout2_risk_chunk(params, rng, start, count):
 def _layout2_identity_chunk(params, psi_inv, rng, start, count):
     noise, states = _simulate_chunk(params, rng, start, count)
     score = _data_score(params, *_gram_sums(states))
-    p = _gram(noise[:, 1:], states[:, 1:-1])
+    p = _gram(noise, states[:, :-1])
     return {
         "selfnorm": np.einsum("tij,jk,tlk->til", p, psi_inv, p),
         "score": score,
@@ -495,7 +518,7 @@ def _layout2_concentration_chunk(params, w, rng, start, count):
 
 def _layout2_multiplication_chunk(params, w, rng, start, count):
     noise, states = _simulate_chunk(params, rng, start, count)
-    g = np.einsum("ij,tkj->tik", w, _gram(noise[:, 1:], states[:, 1:-1]))
+    g = np.einsum("ij,tkj->tik", w, _gram(noise, states[:, :-1]))
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
@@ -562,8 +585,8 @@ def _trials(task) -> int:
 
 def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     # d = 8, N = 512 and chunks capped at 2^19 noise numbers, so 128 trials:
-    # a chunk's noise is 4 MB at any trial count, where one 4096-trial chunk
-    # would hold 128 MB of noise
+    # a chunk's block buffers and sums are sized by 128 trials at any trial
+    # count, where one 4096-trial chunk would hold 32 times as much
     monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 2**19)
     d, n = 8, 512
     size = _chunk_trials(n * d)
@@ -582,21 +605,23 @@ def test_chunk_memory_does_not_grow_with_the_trial_count(monkeypatch):
     assert large < 1.5 * small
 
 
-def test_verify_chunk_peak_is_its_noise_and_no_state_array(monkeypatch):
-    # d = 8, N = 1024 and chunks capped at 2^19 noise numbers, so 64 trials
-    # and 4 MB of noise: a (count, N+1, d) state array of either set of
-    # trajectories would add as much again, one block buffer adds 1/16 of it
-    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 2**19)
-    d, n = 8, 1024
-    count = _chunk_trials(n * d)
-    assert count == 64
-    params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
+def test_verify_chunk_peak_does_not_grow_with_the_horizon():
+    # d = 8 and 256 trials, one chunk at either horizon: a worker holds one
+    # block of noise, never the chunk's, so N = 2048 (32 blocks, 32 MB of
+    # noise in all) peaks within 1.5x of N = 256 (4 blocks) and below 5 MB
+    d, count = 8, _chunk_trials(2048 * 8)
+    assert count == 256
     spec = PriorSpec(s=0.5, eps=0.5, d=d)
-    draws = Draws(Stream(109), n, d, params, Stream(110), spec)
-    plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
-    (task,) = _chunks(draws, count, plans)
-    noise_bytes = count * n * d * np.dtype(float).itemsize
-    assert _peak_bytes(task) < 1.5 * noise_bytes
+    peaks = []
+    for n in (256, 2048):
+        params = SystemParams(a=np.diag(np.linspace(0.3, 0.9, d)), b=np.eye(d), n=n)
+        draws = Draws(Stream(109), n, d, params, Stream(110), spec)
+        plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
+        (task,) = _chunks(draws, count, plans)
+        peaks.append(_peak_bytes(task))
+    short, long = peaks
+    assert long < 1.5 * short
+    assert long < 5 * 2**20
 
 
 def record_task_lists(monkeypatch):
@@ -648,11 +673,13 @@ def test_prior_identity_chunk_trial_prefix_invariance():
     _assert_prefix_equal(short, long)
 
 
-def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatch):
-    # N*d = 12 and chunks of 300 trials: the prefix holds one whole chunk and
-    # 5 trials of the next, whose draws do not depend on the trials after it
-    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 300 * 12)
-    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+@pytest.mark.parametrize("n", [6, 197])
+def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatch, n):
+    # chunks of 300 trials: the prefix holds one whole chunk and 5 trials of
+    # the next, whose draws do not depend on the trials after it; at N = 197
+    # each chunk draws 4 blocks of noise, each trial-major from its own stream
+    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 300 * n * 2)
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=n)
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(104), params.n, params.d, params, Stream(105), spec)
     plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
@@ -664,6 +691,38 @@ def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatc
     for key in short:
         assert len(short[key]) == 305
         assert np.array_equal(short[key], long[key][:305]), key
+
+
+@pytest.mark.parametrize("n", [6, 197])
+def test_verify_chunks_do_not_depend_on_workers(monkeypatch, n):
+    # three chunks of 300 trials, spread over one and two workers
+    monkeypatch.setattr(ltibounds.montecarlo, "CHUNK_ELEMENTS", 300 * n * 2)
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=n)
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    draws = Draws(Stream(111), params.n, params.d, params, Stream(112), spec)
+    plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
+    one, two = (run_plans(draws, 700, plans, workers)[0] for workers in (1, 2))
+    assert one.keys() == two.keys() == VERIFY_KEYS
+    for key in one:
+        assert np.array_equal(one[key], two[key]), key
+    assert multiprocessing.active_children() == []
+
+
+def test_chunk_draws_each_block_of_noise_from_its_own_stream():
+    # N = 197: blocks of 64, 64, 64 and 5 steps, block j of chunk 1 drawn from
+    # noise.child(1, KIND_NOISE, j); both sets of trajectories read them
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=197)
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    noise_rng, prior_rng, count = Stream(113), Stream(114), 30
+    draws = Draws(noise_rng, params.n, params.d, params, prior_rng, spec)
+    out = _chunk(draws, (_risk_stats,), (_bayes_stats,), (), 1, count)
+    noise = chunk_noise(noise_rng, 1, count, params.n, params.d)
+    a_stack = sample_prior_batch(spec, prior_rng.child(1), count).a
+    fixed = _risk_stats(simulated(params.a, params.b, noise))
+    bayes = _bayes_stats(simulated(a_stack, np.eye(2), noise))
+    assert out.keys() == fixed.keys() | bayes.keys()
+    for key, value in {**fixed, **bayes}.items():
+        assert np.array_equal(out[key], value), key
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +834,9 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
 
 
 def _full_sums(a, b, noise):
-    """gamma, sigma and sum_{i=1}^{N-1} e_i x_i^T from the whole (count, N+1, d) state array."""
+    """gamma, sigma and sum_{i=0}^{N-1} e_i x_i^T from the whole (count, N+1, d) state array."""
     states = _full_states(a, b, noise)
-    return (*_gram_sums(states), _gram(noise[:, 1:], states[:, 1:-1]))
+    return (*_gram_sums(states), _gram(noise, states[:, :-1]))
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 197])
@@ -793,7 +852,7 @@ def test_streamed_sums_match_the_whole_array_formula(n, shared):
     else:
         a, b = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(107), count).a, np.eye(d)
     noise = g.standard_normal((count, n, d))
-    chunk = SimulatedChunk(a, b, noise, noise_gram=True)
+    chunk = simulated(a, b, noise, noise_gram=True)
     streamed = (chunk.gamma, chunk.sigma, chunk.noise_gram)
     for name, got, ref in zip(("gamma", "sigma", "noise_gram"), streamed, _full_sums(a, b, noise)):
         if n <= 64:
@@ -802,7 +861,7 @@ def test_streamed_sums_match_the_whole_array_formula(n, shared):
             scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), name
     assert np.array_equal(chunk.sigma, np.swapaxes(chunk.sigma, 1, 2))
-    assert not hasattr(SimulatedChunk(a, b, noise), "noise_gram")
+    assert not hasattr(SimulatedChunk(a, b, count, d), "noise_gram")
 
 
 def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
