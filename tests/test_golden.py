@@ -11,10 +11,11 @@ stable, a limit-stable, an unstable and a d=8 system of the benchmark's
 summation order or bound value on purpose regenerates them with
 ``ltibounds <command> --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
 
-The ``verify`` goldens were generated under ``ltibounds.RNG_LAYOUT``
-``GOLDEN_RNG_LAYOUT``; a change of the draws bumps the layout and
-regenerates them in the same change, and this module fails until it does
-both.
+The ``verify`` goldens were generated under RNG layout
+``GOLDEN_RNG_LAYOUT``. A change of the draws bumps ``ltibounds.RNG_LAYOUT``
+and regenerates them in the same change: the layout check fails until
+``GOLDEN_RNG_LAYOUT`` follows the bump, and the byte checks until the
+goldens are regenerated.
 
 The bytes are fixed for a given numpy/BLAS build. The Gram sums are BLAS
 matrix products, so another BLAS build or CPU kernel may change the last
