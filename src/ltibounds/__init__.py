@@ -25,11 +25,8 @@ from .bounds import (
 )
 from .linalg import (
     SvdResult,
-    eig_sym,
     haar_from_gaussian,
     haar_orthogonal,
-    is_psd_dominated,
-    schatten_norm,
     svd,
     sym_inv_sqrt,
 )
@@ -47,18 +44,9 @@ from .minimax import (
     z_const,
 )
 from .model import (
-    GramStatistics,
     PsiOverflowError,
-    SingularCovarianceError,
     SystemParams,
-    Trajectory,
     fisher_information,
-    gram_stats,
-    least_squares,
-    log_likelihood,
-    sensitivity,
-    simulate,
-    simulate_injected,
 )
 from .montecarlo import (
     ConcentrationReport,
@@ -77,39 +65,31 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ConcentrationReport",
-    "GramStatistics",
     "NotDiagonalizableError",
     "PriorSample",
     "PriorSpec",
     "PsiOverflowError",
     "RNG_LAYOUT",
     "RiskEstimate",
-    "SingularCovarianceError",
     "SpectralSplit",
     "Stream",
     "SvdResult",
     "SystemParams",
-    "Trajectory",
     "bayes_risk_experiment",
     "concentration_experiment",
     "cr_bound",
     "delta1",
     "delta2",
     "dominance_check",
-    "eig_sym",
     "empirical_risk",
     "fisher_information",
     "geom_sum",
     "geom_sum_lower",
     "grad_log_prior",
-    "gram_stats",
     "haar_from_gaussian",
     "haar_orthogonal",
-    "is_psd_dominated",
     "l_ab",
     "lab_upper_bound",
-    "least_squares",
-    "log_likelihood",
     "minimax_regimes",
     "multiplication_experiment",
     "norm_ineq_fuzz",
@@ -121,11 +101,7 @@ __all__ = [
     "psi",
     "sample_prior",
     "sample_prior_batch",
-    "schatten_norm",
     "score_identity_lhs",
-    "sensitivity",
-    "simulate",
-    "simulate_injected",
     "spectral_split",
     "svd",
     "sym_inv_sqrt",

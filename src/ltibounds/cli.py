@@ -31,7 +31,7 @@ from .bounds import (
     spectral_split,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
+from .minimax import PriorSpec, _van_trees_log, minimax_regimes, sample_prior_batch, van_trees_bound
 from .model import SystemParams
 from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
@@ -87,6 +87,13 @@ def _row(cfg: ExperimentConfig, quantity: str, value: float, eq_tag: str, **extr
         seed=cfg.seed,
         extra=extra,
     )
+
+
+def _van_trees_logged(cfg: ExperimentConfig, value: float, key: str) -> dict:
+    """``{key: log of the van Trees bound}`` when ``value``, the bound, is 0.0 or subnormal."""
+    if abs(value) < sys.float_info.min:
+        return {key: _van_trees_log(cfg.d, cfg.n, cfg.s, cfg.epsilon)}
+    return {}
 
 
 def _skipped_row(
@@ -241,14 +248,16 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
 
 
 def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
+    vt_bound = van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon)
     rows = [
         _row(
             cfg,
             "van_trees_bound",
-            van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon),
+            vt_bound,
             "bayes-risk-lower-bound",
             s=cfg.s,
             epsilon=cfg.epsilon,
+            **_van_trees_logged(cfg, vt_bound, "log_value"),
         )
     ]
     regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha if cfg.s != 1.0 else None)
@@ -384,6 +393,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 "bayes-risk-lower-bound",
                 status="pass" if bayes_risk.bayes_mse >= bayes_risk.vt_bound else "fail",
                 vt_bound=bayes_risk.vt_bound,
+                **_van_trees_logged(cfg, bayes_risk.vt_bound, "log_vt_bound"),
                 s=cfg.s,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,

@@ -78,36 +78,6 @@ def svd(m: np.ndarray) -> SvdResult:
     return SvdResult(u=u * signs, sigma=s, v=vt.T * signs)
 
 
-def schatten_norm(m: np.ndarray, p: float) -> float:
-    """Schatten norm for p in {2, 4, inf}.
-
-    p=2 is the Frobenius norm, p=inf the operator norm (largest singular
-    value), p=4 the fourth root of the sum of fourth powers of singular
-    values.
-    """
-    m = validate_matrix(m, "schatten input")
-    if p == 2:
-        return float(np.linalg.norm(m))
-    if p == 4:
-        s = np.linalg.svd(m, compute_uv=False)
-        return float(np.sum(s**4) ** 0.25)
-    if p == np.inf:
-        if m.size == 0:
-            return 0.0
-        return float(np.linalg.norm(m, 2))
-    raise ValueError(f"unsupported Schatten order {p!r}; use 2, 4 or inf")
-
-
-def is_psd_dominated(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff a <= b in the Loewner order, i.e. lambda_min(b - a) >= -tol."""
-    a = require_symmetric(a, "a")
-    b = require_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = 0.5 * ((b - a) + (b - a).T)
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
-
-
 def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     m = require_symmetric(m, "sym_inv_sqrt input")
@@ -149,10 +119,3 @@ def haar_orthogonal(d: int, rng, *, canonical_signs: bool = True) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {d}")
     z = as_generator(rng).standard_normal((1, d, d))
     return haar_from_gaussian(z, canonical_signs=canonical_signs)[0]
-
-
-def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    m = require_symmetric(m, "eig_sym input")
-    w, v = np.linalg.eigh(m)
-    return w, v

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import geom_sum
+from .bounds import _power_sum, geom_sum
 from .linalg import haar_from_gaussian, svd, validate_square
 from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
 
@@ -157,7 +157,24 @@ def van_trees_bound(d: int, n: int, s: float, eps: float) -> float:
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     denom = geom_sum((s + eps) ** 2, n) + 2.0 * (d + 2) ** 2 / eps**2
+    if math.isinf(denom):
+        # the sum is beyond float64; the bound is the exp of its log, tiny or 0.0
+        return math.exp(_van_trees_log(d, n, s, eps))
     return d**2 / denom
+
+
+def _van_trees_log(d: int, n: int, s: float, eps: float) -> float:
+    """Natural log of ``van_trees_bound``, finite where the bound underflows.
+
+    For x = (s+eps)^2 > 1 the sum is x^(N-2) sum_{j=0}^{N-2} (j+1) x^(-j),
+    whose second factor is at most 1/(1 - 1/x)^2.
+    """
+    x = (s + eps) ** 2
+    if x > 1.0:
+        log_sum = (n - 2) * math.log(x) + math.log(_power_sum(1.0 / x, range(1, n)))
+    else:
+        log_sum = math.log(geom_sum(x, n))
+    return 2.0 * math.log(d) - float(np.logaddexp(log_sum, math.log(2.0 * (d + 2) ** 2 / eps**2)))
 
 
 class RegimeBound(NamedTuple):

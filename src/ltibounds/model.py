@@ -2,8 +2,8 @@
 
 Index conventions, fixed once for every sum in this package:
 
-* a trajectory stores states ``x_0 .. x_N`` (``N`` transitions) with
-  ``x_0 = 0`` and optionally the driving noise ``e_0 .. e_{N-1}``, where
+* a trajectory has states ``x_0 .. x_N`` (``N`` transitions) with
+  ``x_0 = 0``, driven by the noise ``e_0 .. e_{N-1}``, where
   ``x_{i+1} = A x_i + B e_i``;
 * data-side sums (Gram statistics, least squares, score) run over
   ``i = 1..N`` pairing ``x_i`` with ``x_{i-1}``;
@@ -18,10 +18,9 @@ correctness hazard here; all other modules reuse these helpers instead of
 re-deriving index ranges.
 
 The underscored kernel (recursion, Gram sums, least squares, score) takes a
-leading trial axis. Monte Carlo chunks run the recursion and the Gram sums
-on whole chunks, one block of time steps at a time (see
-``montecarlo.SimulatedChunk``); the single-trajectory functions are batches
-of one, in one block.
+leading trial axis; it is the one simulator and estimator of the package.
+Monte Carlo chunks run the recursion and the Gram sums on whole chunks, one
+block of time steps at a time (see ``montecarlo.SimulatedChunk``).
 """
 
 from __future__ import annotations
@@ -32,16 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import sym_inv_sqrt, validate_matrix, validate_square
-from .rng import as_generator
-
-
-class SingularCovarianceError(ValueError):
-    """Sample covariance too ill-conditioned to invert.
-
-    For genuine Gaussian data with N >= d+1 this happens with probability
-    zero, so hitting it signals a degenerate trajectory or bad inputs.
-    """
+from .linalg import sym_inv_sqrt, validate_square
 
 
 class PsiOverflowError(ValueError):
@@ -107,48 +97,6 @@ class SystemParams:
         return _frozen(sym_inv_sqrt(self.psi_info[0]))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States x_0..x_N and, optionally, the noise e_0..e_{N-1} that drove them."""
-
-    states: np.ndarray
-    noise: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        states = validate_matrix(self.states, "states").copy()
-        if states.shape[0] < 2:
-            raise ValueError("trajectory needs at least states x_0 and x_1")
-        if np.any(states[0] != 0.0):
-            raise ValueError("x_0 must be exactly zero")
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        if self.noise is not None:
-            noise = validate_matrix(self.noise, "noise").copy()
-            if noise.shape != (states.shape[0] - 1, states.shape[1]):
-                raise ValueError(
-                    f"noise must have shape {(states.shape[0] - 1, states.shape[1])}, "
-                    f"got {noise.shape}"
-                )
-            noise.setflags(write=False)
-            object.__setattr__(self, "noise", noise)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
-
-
-@dataclass(frozen=True)
-class GramStatistics:
-    """Natural statistics: gamma = sum x_i x_{i-1}^T, sigma = sum x_{i-1} x_{i-1}^T."""
-
-    gamma: np.ndarray
-    sigma: np.ndarray
-
-
 def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, states: np.ndarray) -> None:
     """Fill ``states[:, 1:]`` with the m states after ``states[:, 0]``, for noise (count, m, d).
 
@@ -178,17 +126,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
-def _gram_sums(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial gamma = sum x_i x_{i-1}^T and symmetric sigma = sum x_{i-1} x_{i-1}^T.
-
-    The sums run over the steps of ``states``. ``montecarlo.SimulatedChunk``
-    adds up the same two products one block of steps at a time, and
-    symmetrizes sigma once, after the last block.
-    """
-    x_prev = states[:, :-1]
-    return _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev))
-
-
 def _ls_error(
     gamma: np.ndarray, sigma: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,58 +147,6 @@ def _data_score(params: SystemParams, gamma: np.ndarray, sigma: np.ndarray) -> n
     """Per-trial score of the log-likelihood in A: (BB*)^{-1} (gamma - A sigma)."""
     residual = gamma - np.einsum("ij,tjk->tik", params.a, sigma)
     return np.einsum("ij,tjk->tik", params.noise_cov_inv, residual)
-
-
-def simulate_injected(params: SystemParams, noise: np.ndarray) -> Trajectory:
-    """Run the recursion x_{i+1} = A x_i + B e_i with supplied noise rows e_i."""
-    noise = validate_matrix(noise, "noise")
-    if noise.shape != (params.n, params.d):
-        raise ValueError(f"noise must have shape {(params.n, params.d)}, got {noise.shape}")
-    states = np.zeros((1, params.n + 1, params.d))
-    _states_batch(params.a, params.b, noise[None], states)
-    return Trajectory(states=states[0], noise=noise)
-
-
-def simulate(params: SystemParams, rng, keep_noise: bool = False) -> Trajectory:
-    """Simulate one trajectory with i.i.d. standard normal noise from ``rng``."""
-    g = as_generator(rng)
-    noise = g.standard_normal((params.n, params.d))
-    traj = simulate_injected(params, noise)
-    if keep_noise:
-        return traj
-    return Trajectory(states=traj.states)
-
-
-def gram_stats(traj: Trajectory) -> GramStatistics:
-    gamma, sigma = _gram_sums(traj.states[None])
-    return GramStatistics(gamma=gamma[0], sigma=sigma[0])
-
-
-def least_squares(traj: Trajectory) -> np.ndarray:
-    """Least-squares estimate gamma @ sigma^{-1} of the dynamics matrix.
-
-    Raises SingularCovarianceError when the sample covariance has an
-    eigenvalue at most 1e-12 times its largest one.
-    """
-    gamma, sigma = _gram_sums(traj.states[None])
-    # the error against A = 0 is the estimate itself
-    singular, a_hat = _ls_error(gamma, sigma, np.zeros_like(gamma))
-    if singular[0]:
-        w = np.linalg.eigvalsh(sigma[0])
-        raise SingularCovarianceError(
-            f"sample covariance is singular (eigenvalue range {w[0]:.3e}..{w[-1]:.3e})"
-        )
-    return a_hat[0]
-
-
-def sensitivity(params: SystemParams, traj: Trajectory) -> np.ndarray:
-    """Score of the log-likelihood in A: (BB*)^{-1} (gamma - A sigma).
-
-    This form only needs states. When the trajectory was generated by
-    ``params`` and carries its noise, it equals (B*)^{-1} sum e_{i-1} x_{i-1}^T
-    up to roundoff.
-    """
-    return _data_score(params, *_gram_sums(traj.states[None]))[0]
 
 
 def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
@@ -295,27 +180,3 @@ def fisher_information(params: SystemParams) -> np.ndarray:
     """Closed-form information matrix: information_scalar(params) * (BB*)^{-1}."""
     out = information_scalar(params) * params.noise_cov_inv
     return 0.5 * (out + out.T)
-
-
-def log_likelihood(params: SystemParams, traj: Trajectory) -> float:
-    """Log density of the trajectory in natural-parameter form.
-
-    <eta(A), T(x)> - log Z(x) with the standard Gaussian partition; agrees
-    with the sum of Gaussian transition log-densities.
-    """
-    if traj.n != params.n or traj.d != params.d:
-        raise ValueError("trajectory does not match params dimensions")
-    stats = gram_stats(traj)
-    bbt = params.noise_cov()
-    bbt_inv = params.noise_cov_inv
-    x = traj.states[1:]
-    inner = float(np.sum((bbt_inv @ params.a) * stats.gamma)) - 0.5 * float(
-        np.sum((params.a.T @ bbt_inv @ params.a) * stats.sigma)
-    )
-    sign, logdet = np.linalg.slogdet(bbt)
-    if sign <= 0:
-        raise ValueError("BB* must be positive definite")
-    log_z = 0.5 * params.n * (params.d * np.log(2.0 * np.pi) + logdet) + 0.5 * float(
-        np.sum(x * (x @ bbt_inv.T))
-    )
-    return inner - log_z

@@ -226,10 +226,11 @@ class SimulatedChunk:
     ``advance`` runs the trajectories through one (count, m, d) block of
     noise in a caller's buffer of (count, m+1, d) states, starting from
     ``last``, the last state of the block before (x_0 = 0 for the first),
-    and adds the block's partial sums to ``gamma`` and ``sigma`` (those of
-    ``_gram_sums``) and, only when ``noise_gram`` is set, to ``noise_gram``,
-    the per-trial sum e_i x_i^T over the block's own steps (the i = 0 term
-    is zero, as x_0 = 0). Only ``last``, (count, d), outlives a block.
+    and adds the block's partial sums to ``gamma`` = sum x_i x_{i-1}^T and
+    ``sigma`` = sum x_{i-1} x_{i-1}^T and, only when ``noise_gram`` is set,
+    to ``noise_gram``, the per-trial sum e_i x_i^T over the block's own
+    steps (the i = 0 term is zero, as x_0 = 0). Only ``last``, (count, d),
+    outlives a block.
     ``finish`` ends the trajectories; the statistics read the sums after it.
     ``ls_error`` (``_ls_error``) is formed on first use.
     """

@@ -26,7 +26,7 @@ from ltibounds.bounds import (
     psi,
     spectral_split,
 )
-from ltibounds.linalg import haar_orthogonal, is_psd_dominated, sym_inv_sqrt
+from ltibounds.linalg import haar_orthogonal, sym_inv_sqrt
 from ltibounds.model import SystemParams, expected_gram
 from ltibounds.rng import Stream
 
@@ -75,7 +75,9 @@ def test_psi_dominates_first_term():
         a = 0.5 * g.standard_normal((2, 2))
         b = np.eye(2) + 0.1 * g.standard_normal((2, 2))
         params = SystemParams(a=a, b=b, n=9)
-        assert is_psd_dominated((params.n - 1) * b @ b.T, psi(params), 1e-9)
+        # (N-1) BB* <= Psi in the Loewner order: lambda_min(Psi - (N-1) BB*) >= -1e-9
+        diff = psi(params) - (params.n - 1) * b @ b.T
+        assert np.linalg.eigvalsh(0.5 * (diff + diff.T))[0] >= -1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ltibounds.cli import (
     rows_to_json,
 )
 from ltibounds.config import ConfigError, build_matrix, load_config, resolve_config
+from ltibounds.minimax import _van_trees_log
 from ltibounds.model import SystemParams
 from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
@@ -300,6 +301,35 @@ def test_minimax_unstable_row_carries_log_value(tmp_path):
     )
     for name in ("stable", "limit"):
         assert "log_value" not in json.loads(rows[f"minimax_rate_{name}"]["extra"])
+
+
+def test_minimax_van_trees_row_carries_log_value_below_normal_range(tmp_path):
+    # (s+eps)^2 = 1.21: the bound is exp(-954.8) at N = 5000, 0.0 in float64
+    for n, logged in [(5000, True), (3000, False)]:
+        out = tmp_path / f"mm{n}.csv"
+        path = write_config(tmp_path, system={"n": n}, run={"s": 1.0, "epsilon": 0.1})
+        assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
+        row = {r["quantity"]: r for r in read_rows(out)}["van_trees_bound"]
+        extra = json.loads(row["extra"])
+        assert (float(row["value"]) == 0.0) is logged
+        assert ("log_value" in extra) is logged
+        if logged:
+            assert extra["log_value"] == pytest.approx(-954.8368, abs=1e-4)
+
+
+def test_verify_bayes_row_carries_the_log_of_an_underflowed_van_trees_bound(tmp_path, monkeypatch):
+    # the Bayes plan reads montecarlo's van_trees_bound; --workers 1 runs it here
+    monkeypatch.setattr(ltibounds.montecarlo, "van_trees_bound", lambda *args: 0.0)
+    path = write_config(tmp_path, system={"n": 8}, run={"trials": 1000, "seed": 3, "s": 0.2})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    extra = json.loads({r["quantity"]: r for r in read_rows(out)}["bayes_dominance"]["extra"])
+    assert extra["vt_bound"] == 0.0
+    assert extra["log_vt_bound"] == _van_trees_log(2, 8, 0.2, 0.1)
+    monkeypatch.undo()
+    assert main(["verify", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+    extra = json.loads({r["quantity"]: r for r in read_rows(out)}["bayes_dominance"]["extra"])
+    assert extra["vt_bound"] > 0.0 and "log_vt_bound" not in extra
 
 
 def test_minimax_invalid_row_still_present(tmp_path):

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from ltibounds.linalg import (
-    eig_sym,
     haar_from_gaussian,
     haar_orthogonal,
-    is_psd_dominated,
-    schatten_norm,
     svd,
     sym_inv_sqrt,
     validate_matrix,
@@ -69,76 +66,6 @@ def test_svd_invariants_random():
             i = int(np.argmax(np.abs(r.u[:, j])))
             assert r.u[i, j] >= 0
     assert worst < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# schatten_norm
-# ---------------------------------------------------------------------------
-
-
-def test_schatten_identity():
-    assert schatten_norm(np.eye(4), 2) == pytest.approx(2.0)
-    assert schatten_norm(np.eye(4), np.inf) == pytest.approx(1.0)
-
-
-def test_schatten_diagonal():
-    m = np.diag([3.0, 4.0])
-    assert schatten_norm(m, np.inf) == pytest.approx(4.0)
-    assert schatten_norm(m, 2) == pytest.approx(5.0)
-    assert schatten_norm(m, 4) == pytest.approx((3.0**4 + 4.0**4) ** 0.25)
-
-
-def test_schatten_rejects_bad_order():
-    with pytest.raises(ValueError):
-        schatten_norm(np.eye(2), 3)
-
-
-def test_schatten_norm_ordering():
-    g = Stream(102).generator()
-    for _ in range(300):
-        d = int(g.integers(1, 7))
-        m = g.standard_normal((d, d))
-        inf = schatten_norm(m, np.inf)
-        s4 = schatten_norm(m, 4)
-        s2 = schatten_norm(m, 2)
-        assert inf <= s4 + 1e-12
-        assert s4 <= s2 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# is_psd_dominated
-# ---------------------------------------------------------------------------
-
-
-def test_psd_dominated_simple():
-    eye = np.eye(3)
-    assert is_psd_dominated(eye, 2 * eye, 0.0)
-    assert not is_psd_dominated(2 * eye, eye, 0.0)
-    assert is_psd_dominated(eye, eye, 0.0)
-
-
-def test_psd_dominated_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        is_psd_dominated(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-
-def test_psd_partial_order_properties():
-    g = Stream(103).generator()
-    mats = []
-    for _ in range(6):
-        r = g.standard_normal((3, 3))
-        mats.append(r @ r.T)
-    tol = 1e-10
-    for m in mats:
-        assert is_psd_dominated(m, m, tol)  # reflexive
-    for a in mats:
-        for b in mats:
-            if is_psd_dominated(a, b, tol) and is_psd_dominated(b, a, tol):
-                # antisymmetric up to tol
-                assert np.max(np.abs(a - b)) < 1e-6 or np.allclose(a, b)
-            for c in mats:
-                if is_psd_dominated(a, b, tol) and is_psd_dominated(b, c, tol):
-                    assert is_psd_dominated(a, c, 1e2 * tol)  # transitive
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +176,3 @@ def test_haar_from_gaussian_rejects_non_square_stack():
         haar_from_gaussian(np.ones((2, 3)))
     with pytest.raises(ValueError):
         haar_from_gaussian(np.ones((2, 3, 2)))
-
-
-# ---------------------------------------------------------------------------
-# eig_sym
-# ---------------------------------------------------------------------------
-
-
-def test_eig_sym_diagonal():
-    w, _ = eig_sym(np.diag([2.0, 5.0]))
-    assert np.allclose(w, [2.0, 5.0])
-
-
-def test_eig_sym_identity():
-    w, _ = eig_sym(np.eye(3))
-    assert np.allclose(w, 1.0)
-
-
-def test_eig_sym_hand_case():
-    # char. polynomial of [[2,1],[1,2]] gives eigenvalues 1 and 3
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    w, v = eig_sym(m)
-    assert np.allclose(w, [1.0, 3.0])
-    for i in range(2):
-        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) < 1e-10
-
-
-def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,6 +16,7 @@ from ltibounds.minimax import (
     sample_prior,
     sample_prior_batch,
     score_identity_lhs,
+    _van_trees_log,
     van_trees_bound,
     z_const,
 )
@@ -241,6 +243,32 @@ def test_van_trees_monotone_in_eps_toward_cr_shape():
 
 def test_van_trees_point_mass_limit():
     assert van_trees_bound(2, 8, 0.0, 1e-9) < 1e-15
+
+
+def van_trees_log_reference(d, n, s, eps):
+    """log van_trees_bound at 50 digits, the sum added term by term."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(s + eps) ** 2
+        total = mpmath.fsum((n - 1 - i) * x**i for i in range(n - 1))
+        return mpmath.log(d**2 / (total + 2 * mpmath.mpf(d + 2) ** 2 / mpmath.mpf(eps) ** 2))
+
+
+@pytest.mark.parametrize("n", [500, 3000, 5000])
+@pytest.mark.parametrize("d, s, eps", [(2, 1.0, 0.1), (3, 0.2, 0.3), (2, 0.0, 1.0)])
+def test_van_trees_log_matches_mpmath_where_the_sum_overflows(d, s, eps, n):
+    # (s+eps)^2 = 1.21 for the first system: its sum overflows float64 near N = 3700
+    ref = van_trees_log_reference(d, n, s, eps)
+    assert _van_trees_log(d, n, s, eps) == pytest.approx(float(ref), rel=1e-14)
+    assert van_trees_bound(d, n, s, eps) == pytest.approx(float(mpmath.exp(ref)), rel=1e-12)
+
+
+def test_van_trees_past_overflow_is_its_log_not_a_silent_zero():
+    assert _van_trees_log(2, 5000, 1.0, 0.1) == pytest.approx(-954.8368, abs=1e-4)
+    assert van_trees_bound(2, 5000, 1.0, 0.1) == 0.0  # exp(-954.8) is below float64
+    # a sum beyond float64 range with a subnormal bound: the bound is exp of its log
+    subnormal = van_trees_bound(2, 3850, 1.0, 0.1)
+    assert 0.0 < subnormal < np.finfo(float).tiny
+    assert subnormal == math.exp(_van_trees_log(2, 3850, 1.0, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,21 +9,15 @@ from hypothesis import strategies as st
 from ltibounds.bounds import psi
 from ltibounds.model import (
     PsiOverflowError,
-    SingularCovarianceError,
     SystemParams,
-    Trajectory,
+    _data_score,
     _ls_error,
     _states_batch,
     expected_gram,
     fisher_information,
-    gram_stats,
     information_scalar,
-    least_squares,
-    log_likelihood,
-    sensitivity,
-    simulate,
-    simulate_injected,
 )
+from ltibounds.montecarlo import SimulatedChunk
 from ltibounds.rng import Stream
 
 
@@ -30,15 +25,48 @@ def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
     return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
 
 
-def noise_form_score(params: SystemParams, traj: Trajectory) -> np.ndarray:
+def one_trajectory(a: np.ndarray, b: np.ndarray, noise: np.ndarray):
+    """One trajectory driven by ``noise`` (N, d) through the batch kernel.
+
+    A batch of one in one block: its states x_0..x_N, and the finished
+    ``SimulatedChunk`` that holds its Gram sums, e_i x_i^T sum and
+    least-squares error.
+    """
+    n, d = noise.shape
+    states = np.zeros((1, n + 1, d))
+    chunk = SimulatedChunk(np.asarray(a, float), np.asarray(b, float), 1, d, noise_gram=True)
+    chunk.advance(noise[None], states)
+    chunk.finish()
+    return states[0], chunk
+
+
+def ls_estimate(chunk: SimulatedChunk) -> np.ndarray:
+    """A_hat of a batch of one, from the kernel's least-squares error A_hat - A."""
+    singular, diff = chunk.ls_error
+    assert not singular[0]
+    return diff[0] + chunk.a
+
+
+def noise_form_score(params: SystemParams, states: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Independent oracle: (B*)^{-1} sum_{i=1}^{N} e_{i-1} x_{i-1}^T."""
-    assert traj.noise is not None
-    acc = traj.noise.T @ traj.states[:-1]
+    acc = noise.T @ states[:-1]
     return np.linalg.solve(params.b.T, acc)
 
 
+def transition_log_density(params: SystemParams, states: np.ndarray) -> float:
+    """Independent oracle: sum of Gaussian transition log-densities."""
+    bbt = params.noise_cov()
+    inv = np.linalg.inv(bbt)
+    _, logdet = np.linalg.slogdet(bbt)
+    total = 0.0
+    for i in range(1, states.shape[0]):
+        r = states[i] - params.a @ states[i - 1]
+        total += -0.5 * (params.d * np.log(2 * np.pi) + logdet + r @ inv @ r)
+    return total
+
+
 # ---------------------------------------------------------------------------
-# params / trajectory validation
+# params validation
 # ---------------------------------------------------------------------------
 
 
@@ -52,55 +80,37 @@ def test_params_rejects_short_horizon():
         SystemParams(a=np.eye(3), b=np.eye(3), n=3)
 
 
-def test_trajectory_requires_zero_start():
-    with pytest.raises(ValueError):
-        Trajectory(states=np.array([[1.0], [0.0]]))
-
-
 # ---------------------------------------------------------------------------
-# simulate / simulate_injected
+# state recursion
 # ---------------------------------------------------------------------------
 
 
 def test_injected_scalar_recursion():
-    params = scalar_params(2.0, 1.0, n=3)
-    traj = simulate_injected(params, np.array([[1.0], [0.0], [0.0]]))
-    assert np.allclose(traj.states.ravel(), [0.0, 1.0, 2.0, 4.0])
+    states, _ = one_trajectory([[2.0]], [[1.0]], np.array([[1.0], [0.0], [0.0]]))
+    assert np.allclose(states.ravel(), [0.0, 1.0, 2.0, 4.0])
 
 
 def test_injected_zero_noise():
-    params = SystemParams(a=0.3 * np.eye(2), b=np.eye(2), n=5)
-    traj = simulate_injected(params, np.zeros((5, 2)))
-    assert np.all(traj.states == 0.0)
+    states, _ = one_trajectory(0.3 * np.eye(2), np.eye(2), np.zeros((5, 2)))
+    assert np.all(states == 0.0)
 
 
 def test_injected_impulse_traces_powers():
     # one-hot noise at step 0: x_i = A^{i-1} B e_0
     a = np.array([[0.5, 0.2], [0.0, 0.4]])
-    params = SystemParams(a=a, b=np.eye(2), n=4)
     noise = np.zeros((4, 2))
     noise[0, 0] = 1.0
-    traj = simulate_injected(params, noise)
+    states, _ = one_trajectory(a, np.eye(2), noise)
     expected = np.eye(2)[:, 0]
     for i in range(1, 5):
-        assert np.allclose(traj.states[i], expected)
+        assert np.allclose(states[i], expected)
         expected = a @ expected
-    with pytest.raises(ValueError):
-        simulate_injected(params, np.zeros((3, 2)))
 
 
 def test_memoryless_case():
-    params = SystemParams(a=np.zeros((2, 2)), b=np.eye(2), n=6)
-    traj = simulate(params, Stream(7), keep_noise=True)
-    assert np.allclose(traj.states[1:], traj.noise)
-
-
-def test_simulate_replay_matches_injected():
-    params = SystemParams(a=0.5 * np.eye(2), b=np.diag([1.0, 3.0]), n=10)
-    stream = Stream(11).child(4)
-    traj = simulate(params, stream, keep_noise=True)
-    replay = simulate_injected(params, stream.generator().standard_normal((10, 2)))
-    assert np.array_equal(traj.states, replay.states)
+    noise = Stream(7).generator().standard_normal((6, 2))
+    states, _ = one_trajectory(np.zeros((2, 2)), np.eye(2), noise)
+    assert np.allclose(states[1:], noise)
 
 
 def test_simulate_two_step_covariance():
@@ -118,60 +128,59 @@ def test_simulate_two_step_covariance():
 
 
 # ---------------------------------------------------------------------------
-# gram_stats
+# Gram sums
 # ---------------------------------------------------------------------------
 
 
 def test_gram_scalar_hand_sum():
-    traj = Trajectory(states=np.array([[0.0], [1.0], [3.0]]))
-    stats = gram_stats(traj)
-    assert stats.gamma[0, 0] == pytest.approx(3.0)
-    assert stats.sigma[0, 0] == pytest.approx(1.0)
+    # states 0, 1, 3: gamma = 1*0 + 3*1, sigma = 0*0 + 1*1
+    _, chunk = one_trajectory([[1.0]], [[1.0]], np.array([[1.0], [2.0]]))
+    assert chunk.gamma[0, 0, 0] == pytest.approx(3.0)
+    assert chunk.sigma[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_gram_zero_states():
-    traj = Trajectory(states=np.zeros((4, 2)))
-    stats = gram_stats(traj)
-    assert np.all(stats.gamma == 0.0)
-    assert np.all(stats.sigma == 0.0)
+    _, chunk = one_trajectory(0.5 * np.eye(2), np.eye(2), np.zeros((3, 2)))
+    assert np.all(chunk.gamma == 0.0)
+    assert np.all(chunk.sigma == 0.0)
 
 
 def test_gram_matches_double_loop():
-    params = SystemParams(a=0.6 * np.eye(3), b=np.eye(3), n=9)
-    traj = simulate(params, Stream(13))
-    stats = gram_stats(traj)
+    noise = Stream(13).generator().standard_normal((9, 3))
+    states, chunk = one_trajectory(0.6 * np.eye(3), np.eye(3), noise)
     gamma = np.zeros((3, 3))
     sigma = np.zeros((3, 3))
     for i in range(1, 10):
-        gamma += np.outer(traj.states[i], traj.states[i - 1])
-        sigma += np.outer(traj.states[i - 1], traj.states[i - 1])
-    assert np.allclose(stats.gamma, gamma, atol=1e-12)
-    assert np.allclose(stats.sigma, sigma, atol=1e-12)
+        gamma += np.outer(states[i], states[i - 1])
+        sigma += np.outer(states[i - 1], states[i - 1])
+    assert np.allclose(chunk.gamma[0], gamma, atol=1e-12)
+    assert np.allclose(chunk.sigma[0], sigma, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# least_squares
+# least squares
 # ---------------------------------------------------------------------------
 
 
 def test_ls_scalar_hand_value():
-    traj = Trajectory(states=np.array([[0.0], [1.0], [3.0]]))
-    assert least_squares(traj)[0, 0] == pytest.approx(3.0)
+    # states 0, 1, 3: A_hat = gamma / sigma = 3
+    _, chunk = one_trajectory([[1.0]], [[1.0]], np.array([[1.0], [2.0]]))
+    assert ls_estimate(chunk)[0, 0] == pytest.approx(3.0)
 
 
 def test_ls_exact_recovery_noiseless():
-    params = scalar_params(2.0, 1.0, n=3)
-    traj = simulate_injected(params, np.array([[1.0], [0.0], [0.0]]))
-    assert least_squares(traj)[0, 0] == pytest.approx(2.0, abs=1e-14)
+    _, chunk = one_trajectory([[2.0]], [[1.0]], np.array([[1.0], [0.0], [0.0]]))
+    assert ls_estimate(chunk)[0, 0] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_ls_minimizer_property():
     params = SystemParams(a=np.array([[0.5, 0.1], [0.0, 0.3]]), b=np.eye(2), n=12)
-    traj = simulate(params, Stream(14))
-    a_hat = least_squares(traj)
+    noise = Stream(14).generator().standard_normal((params.n, params.d))
+    states, chunk = one_trajectory(params.a, params.b, noise)
+    a_hat = ls_estimate(chunk)
 
     def sq_loss(m):
-        resid = traj.states[1:] - traj.states[:-1] @ m.T
+        resid = states[1:] - states[:-1] @ m.T
         return float(np.sum(resid**2))
 
     base = sq_loss(a_hat)
@@ -181,15 +190,6 @@ def test_ls_minimizer_property():
         assert base <= sq_loss(a_hat + delta) + 1e-12
 
 
-def test_ls_raises_on_singular():
-    with pytest.raises(SingularCovarianceError, match=r"eigenvalue range 0\.000e\+00\.\.0\.000e\+00"):
-        least_squares(Trajectory(states=np.zeros((5, 2))))
-    # states on one line: sigma = diag(1 + 4, 0)
-    line = Trajectory(states=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    with pytest.raises(SingularCovarianceError, match=r"eigenvalue range 0\.000e\+00\.\.5\.000e\+00"):
-        least_squares(line)
-
-
 def test_ls_error_rejects_at_1e12_relative_eigenvalue():
     sigma = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 2e-12]), np.zeros((2, 2))])
     gamma = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
@@ -197,26 +197,34 @@ def test_ls_error_rejects_at_1e12_relative_eigenvalue():
     assert singular.tolist() == [True, False, True]
     assert np.all(diff[[0, 2]] == 0.0)
     np.testing.assert_allclose(diff[1], np.diag([2.0, 1.5e12 - 1.0]))
+    # a zero trajectory, and one whose states 0, 1, 2, 3 lie on one line:
+    # sigma = diag(0, 0) and diag(1 + 4, 0), rejected with error 0
+    for noise, sigma_line in [(np.zeros((4, 2)), 0.0), (np.array([[1.0, 0.0]] * 3), 5.0)]:
+        _, chunk = one_trajectory(np.eye(2), np.eye(2), noise)
+        np.testing.assert_array_equal(chunk.sigma[0], np.diag([sigma_line, 0.0]))
+        singular, diff = chunk.ls_error
+        assert singular.tolist() == [True]
+        assert np.all(diff == 0.0)
 
 
 # ---------------------------------------------------------------------------
-# sensitivity
+# score
 # ---------------------------------------------------------------------------
 
 
 def test_sensitivity_zero_at_ls_estimate():
     params = SystemParams(a=0.4 * np.eye(2), b=np.diag([1.0, 2.0]), n=10)
-    traj = simulate(params, Stream(16))
-    a_hat = least_squares(traj)
-    at_hat = SystemParams(a=a_hat, b=params.b, n=params.n)
-    score = sensitivity(at_hat, traj)
+    noise = Stream(16).generator().standard_normal((params.n, params.d))
+    _, chunk = one_trajectory(params.a, params.b, noise)
+    at_hat = SystemParams(a=ls_estimate(chunk), b=params.b, n=params.n)
+    score = _data_score(at_hat, chunk.gamma, chunk.sigma)[0]
     assert np.max(np.abs(score)) < 1e-9
 
 
 def test_sensitivity_zero_trajectory():
     params = scalar_params(0.5)
-    traj = Trajectory(states=np.zeros((params.n + 1, 1)))
-    assert np.all(sensitivity(params, traj) == 0.0)
+    _, chunk = one_trajectory(params.a, params.b, np.zeros((params.n, 1)))
+    assert np.all(_data_score(params, chunk.gamma, chunk.sigma) == 0.0)
 
 
 def test_sensitivity_matches_noise_form():
@@ -224,10 +232,31 @@ def test_sensitivity_matches_noise_form():
         a=np.array([[0.5, 0.2], [-0.1, 0.6]]), b=np.array([[1.0, 0.3], [0.0, 2.0]]), n=15
     )
     for k in range(10):
-        traj = simulate(params, Stream(17).child(k), keep_noise=True)
-        got = sensitivity(params, traj)
-        want = noise_form_score(params, traj)
+        noise = Stream(17).child(k).generator().standard_normal((params.n, params.d))
+        states, chunk = one_trajectory(params.a, params.b, noise)
+        got = _data_score(params, chunk.gamma, chunk.sigma)[0]
+        want = noise_form_score(params, states, noise)
         assert np.max(np.abs(got - want)) < 1e-10 * (1 + np.max(np.abs(want)))
+        # the kernel's e_i x_i^T sum is the noise form before (B*)^{-1}
+        want_gram = noise.T @ states[:-1]
+        np.testing.assert_allclose(chunk.noise_gram[0], want_gram, rtol=1e-12, atol=1e-12)
+
+
+def test_loglik_gradient_is_sensitivity():
+    params = SystemParams(a=np.array([[0.5, 0.1], [0.0, 0.4]]), b=np.diag([1.0, 2.0]), n=10)
+    noise = Stream(20).generator().standard_normal((params.n, params.d))
+    states, chunk = one_trajectory(params.a, params.b, noise)
+    score = _data_score(params, chunk.gamma, chunk.sigma)[0]
+    h = 1e-5
+    fd = np.zeros((2, 2))
+    for i in range(2):
+        for j in range(2):
+            e = np.zeros((2, 2))
+            e[i, j] = h
+            up = transition_log_density(dataclasses.replace(params, a=params.a + e), states)
+            dn = transition_log_density(dataclasses.replace(params, a=params.a - e), states)
+            fd[i, j] = (up - dn) / (2 * h)
+    assert np.max(np.abs(fd - score)) < 1e-5 * (1 + np.max(np.abs(score)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,56 +357,6 @@ def test_expected_gram_overflow_is_one_typed_error_without_warnings(a, b, cause)
             expected_gram(params)
     assert str(info.value) == f"Psi overflows float64 for {cause} at N = 2048"
     assert isinstance(info.value, ValueError)
-
-
-# ---------------------------------------------------------------------------
-# log_likelihood
-# ---------------------------------------------------------------------------
-
-
-def transition_log_density(params: SystemParams, traj: Trajectory) -> float:
-    """Independent oracle: sum of Gaussian transition log-densities."""
-    bbt = params.noise_cov()
-    inv = np.linalg.inv(bbt)
-    _, logdet = np.linalg.slogdet(bbt)
-    total = 0.0
-    for i in range(1, traj.n + 1):
-        r = traj.states[i] - params.a @ traj.states[i - 1]
-        total += -0.5 * (params.d * np.log(2 * np.pi) + logdet + r @ inv @ r)
-    return total
-
-
-def test_loglik_zero_trajectory():
-    params = SystemParams(a=np.zeros((2, 2)), b=np.eye(2), n=6)
-    traj = Trajectory(states=np.zeros((7, 2)))
-    assert log_likelihood(params, traj) == pytest.approx(-0.5 * 6 * 2 * np.log(2 * np.pi))
-
-
-def test_loglik_matches_transition_product():
-    params = SystemParams(
-        a=np.array([[0.5, 0.1], [0.2, 0.3]]), b=np.array([[1.0, 0.0], [0.4, 2.0]]), n=12
-    )
-    for k in range(5):
-        traj = simulate(params, Stream(19).child(k))
-        lhs = log_likelihood(params, traj)
-        rhs = transition_log_density(params, traj)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_loglik_gradient_is_sensitivity():
-    params = SystemParams(a=np.array([[0.5, 0.1], [0.0, 0.4]]), b=np.diag([1.0, 2.0]), n=10)
-    traj = simulate(params, Stream(20))
-    score = sensitivity(params, traj)
-    h = 1e-5
-    fd = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2))
-            e[i, j] = h
-            up = log_likelihood(SystemParams(a=params.a + e, b=params.b, n=params.n), traj)
-            dn = log_likelihood(SystemParams(a=params.a - e, b=params.b, n=params.n), traj)
-            fd[i, j] = (up - dn) / (2 * h)
-    assert np.max(np.abs(fd - score)) < 1e-5 * (1 + np.max(np.abs(score)))
 
 
 def test_params_do_not_freeze_caller_arrays():

@@ -17,13 +17,10 @@ from ltibounds.model import (
     SystemParams,
     _data_score,
     _gram,
-    _gram_sums,
     _ls_error,
     _states_batch,
     _sym,
     fisher_information,
-    least_squares,
-    simulate_injected,
 )
 from ltibounds.montecarlo import (
     BAYES,
@@ -482,6 +479,20 @@ def _full_states(a, b, noise):
     return states
 
 
+def _gram_sums(states):
+    """Whole-array reference: per-trial gamma = sum x_i x_{i-1}^T and symmetric
+    sigma = sum x_{i-1} x_{i-1}^T over every step of ``states`` (count, N+1, d)."""
+    x_prev = states[:, :-1]
+    return _gram(states[:, 1:], x_prev), _sym(_gram(x_prev, x_prev))
+
+
+def _ls_sq_error(a, b, noise):
+    """|A_hat - A|_F^2 of one trajectory driven by ``noise`` (N, d), from whole-array sums."""
+    singular, diff = _ls_error(*_gram_sums(_full_states(a, b, noise[None])), a)
+    assert not singular[0]
+    return np.sum(diff[0] ** 2)
+
+
 def _simulate_chunk(params, rng, start, count):
     noise = chunk_noise(rng, start, count, params.n, params.d)
     return noise, _full_states(params.a, params.b, noise)
@@ -770,9 +781,11 @@ def test_states_batch_one_a_per_trial_matches_simulate_injected():
     noise = Stream(96).generator().standard_normal((count, n, spec.d))
     states = np.zeros((count, n + 1, spec.d))
     _states_batch(a_stack, np.eye(spec.d), noise, states)
+    # the reference runs each trial alone, through the shared-A recursion
     for a, x, e in zip(a_stack, states, noise):
-        ref = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=n), e).states
-        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        ref = np.zeros((1, n + 1, spec.d))
+        _states_batch(a, np.eye(spec.d), e[None], ref)
+        np.testing.assert_allclose(x, ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_bayes_chunk_matches_per_trial_least_squares():
@@ -787,9 +800,8 @@ def test_bayes_chunk_matches_per_trial_least_squares():
     noise = chunk_noise(noise_rng, 0, count, params.n, params.d)
     fixed, bayes = [], []
     for a, e in zip(a_stack, noise):
-        fixed.append(np.sum((least_squares(simulate_injected(params, e)) - params.a) ** 2))
-        traj = simulate_injected(SystemParams(a=a, b=np.eye(spec.d), n=params.n), e)
-        bayes.append(np.sum((least_squares(traj) - a) ** 2))
+        fixed.append(_ls_sq_error(params.a, params.b, e))
+        bayes.append(_ls_sq_error(a, np.eye(spec.d), e))
     assert not out["failed"].any() and not out["bayes_failed"].any()
     np.testing.assert_allclose(out["mse"], fixed, rtol=1e-9)
     np.testing.assert_allclose(out["bayes_mse"], bayes, rtol=1e-9)
