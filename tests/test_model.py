@@ -190,13 +190,7 @@ def test_ls_minimizer_property():
         assert base <= sq_loss(a_hat + delta) + 1e-12
 
 
-def test_ls_error_rejects_at_1e12_relative_eigenvalue():
-    sigma = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 2e-12]), np.zeros((2, 2))])
-    gamma = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
-    singular, diff = _ls_error(gamma, sigma, np.eye(2))
-    assert singular.tolist() == [True, False, True]
-    assert np.all(diff[[0, 2]] == 0.0)
-    np.testing.assert_allclose(diff[1], np.diag([2.0, 1.5e12 - 1.0]))
+def test_ls_raises_on_singular():
     # a zero trajectory, and one whose states 0, 1, 2, 3 lie on one line:
     # sigma = diag(0, 0) and diag(1 + 4, 0), rejected with error 0
     for noise, sigma_line in [(np.zeros((4, 2)), 0.0), (np.array([[1.0, 0.0]] * 3), 5.0)]:
@@ -205,6 +199,15 @@ def test_ls_error_rejects_at_1e12_relative_eigenvalue():
         singular, diff = chunk.ls_error
         assert singular.tolist() == [True]
         assert np.all(diff == 0.0)
+
+
+def test_ls_error_rejects_at_1e12_relative_eigenvalue():
+    sigma = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 2e-12]), np.zeros((2, 2))])
+    gamma = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
+    singular, diff = _ls_error(gamma, sigma, np.eye(2))
+    assert singular.tolist() == [True, False, True]
+    assert np.all(diff[[0, 2]] == 0.0)
+    np.testing.assert_allclose(diff[1], np.diag([2.0, 1.5e12 - 1.0]))
 
 
 # ---------------------------------------------------------------------------
