@@ -48,8 +48,11 @@ def test_goldens_exist():
     assert CONFIGS == [
         "bounds_d8_n256",
         "bounds_limit_n512",
+        "bounds_mixed_n16",
+        "bounds_nonnormal_n64",
         "bounds_stable_n256",
         "bounds_unstable_n64",
+        "bounds_zero_eig_n32",
         "verify_d3_n64",
         "verify_d3_n64_t50",
         "verify_d3_n64_t500",
