@@ -24,10 +24,8 @@ from .bounds import (
     spectral_split,
 )
 from .linalg import (
-    SvdResult,
     haar_from_gaussian,
     haar_orthogonal,
-    svd,
     sym_inv_sqrt,
 )
 from .minimax import (
@@ -73,7 +71,6 @@ __all__ = [
     "RiskEstimate",
     "SpectralSplit",
     "Stream",
-    "SvdResult",
     "SystemParams",
     "bayes_risk_experiment",
     "concentration_experiment",
@@ -103,7 +100,6 @@ __all__ = [
     "sample_prior_batch",
     "score_identity_lhs",
     "spectral_split",
-    "svd",
     "sym_inv_sqrt",
     "van_trees_bound",
     "z_const",

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import validate_square
-from .model import SystemParams
+from .model import SystemParams, _frozen
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 60  # golden-section steps of the l_ab refinement
@@ -45,7 +44,14 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Eigen-decomposition of A with indices split by eigenvalue modulus."""
+    """Eigen-decomposition of A split by eigenvalue modulus, with its block quantities.
+
+    Under the diagonalizability assumption the split blocks are diagonal, so
+    |A_u^{-1}| = 1/min|lam_u|, s_min(A_u^{-1}) = 1/max|lam_u|,
+    |A_s| = max|lam_s|, s_min(A_s) = min|lam_s|; each is None when its block
+    is absent. ``gap`` is 1 minus the larger of |A_u^{-1}| and |A_s| (1 when
+    both blocks are absent), ``cond_sq`` is cond(b_tilde)^2.
+    """
 
     s_basis: np.ndarray
     eigenvalues: np.ndarray
@@ -53,7 +59,17 @@ class SpectralSplit:
     unstable_indices: tuple[int, ...]
     limit_indices: tuple[int, ...]
     b_tilde: np.ndarray
-    tol: float
+    au_inv_norm: float | None
+    au_inv_smin_sq: float | None
+    as_norm: float | None
+    as_smin_sq: float | None
+    gap: float
+    cond_sq: float
+
+    @property
+    def smin_sq_terms(self) -> list[float]:
+        """s_min(A_u^{-1})^2 and s_min(A_s)^2 of the blocks that are present."""
+        return [x for x in (self.au_inv_smin_sq, self.as_smin_sq) if x is not None]
 
 
 class LabUpperBound(NamedTuple):
@@ -224,8 +240,8 @@ def geom_sum(a: float, n: int) -> float:
 
 def geom_sum_lower(a: float, n: int, alpha: float) -> tuple[bool, float]:
     """Lower estimate (1-alpha) N / (1-a), valid once N >= 1/(alpha (1-a))."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must be in (0, 1), got {a}")
+    if not 0.0 <= a < 1.0:
+        raise ValueError(f"a must be in [0, 1), got {a}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if n < 2:
@@ -279,23 +295,17 @@ def cr_bound(
     )
 
 
-def spectral_split(a: np.ndarray, tol: float, b: np.ndarray | None = None) -> SpectralSplit:
-    """Diagonalize A and classify eigenvalues by modulus against 1 +- tol.
+def spectral_split(params: SystemParams) -> SpectralSplit:
+    """Diagonalize A and classify eigenvalues by modulus against 1 +- 1/N.
 
-    ``b`` is the noise-shaping matrix used to form b_tilde = S^{-1} B
-    (identity when omitted). Raises NotDiagonalizableError when the
-    eigenvector basis has condition number above ``SPLIT_COND_MAX`` or
-    reconstructs A only to a relative error above ``SPLIT_RECON_RTOL``.
+    b_tilde = S^{-1} B, and the block quantities are computed once here; the
+    readers take the split cached on ``params``, ``params.split``. Raises
+    NotDiagonalizableError when the eigenvector basis has condition number
+    above ``SPLIT_COND_MAX`` or reconstructs A only to a relative error above
+    ``SPLIT_RECON_RTOL``.
     """
-    a = validate_square(a, "a")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    d = a.shape[0]
-    if b is None:
-        b = np.eye(d)
-    b = validate_square(b, "b")
-    if b.shape != a.shape:
-        raise ValueError(f"b must match a's shape {a.shape}, got {b.shape}")
+    a = params.a
+    tol = 1.0 / params.n
     eigvals, basis = np.linalg.eig(a)
     sv = np.linalg.svd(basis, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > SPLIT_COND_MAX:
@@ -313,107 +323,84 @@ def spectral_split(a: np.ndarray, tol: float, b: np.ndarray | None = None) -> Sp
     stable = tuple(int(i) for i in np.flatnonzero(moduli < 1.0 - tol))
     unstable = tuple(int(i) for i in np.flatnonzero(moduli > 1.0 + tol))
     limit = tuple(
-        int(i) for i in range(d) if i not in stable and i not in unstable
+        int(i) for i in range(params.d) if i not in stable and i not in unstable
     )
+    au_inv_norm = au_inv_smin_sq = as_norm = as_smin_sq = None
+    if unstable:
+        lam_u = moduli[list(unstable)]
+        au_inv_norm = 1.0 / float(lam_u.min())
+        au_inv_smin_sq = (1.0 / float(lam_u.max())) ** 2
+    if stable:
+        lam_s = moduli[list(stable)]
+        as_norm = float(lam_s.max())
+        as_smin_sq = float(lam_s.min()) ** 2
+    norms = [x for x in (au_inv_norm, as_norm) if x is not None]
+    b_tilde = np.linalg.solve(basis, params.b.astype(complex))
+    sv_b = np.linalg.svd(b_tilde, compute_uv=False)
+    if sv_b[-1] <= 0:
+        raise ValueError("b_tilde is singular; condition number undefined")
     return SpectralSplit(
-        s_basis=basis,
-        eigenvalues=eigvals,
+        s_basis=_frozen(basis),
+        eigenvalues=_frozen(eigvals),
         stable_indices=stable,
         unstable_indices=unstable,
         limit_indices=limit,
-        b_tilde=np.linalg.solve(basis, b.astype(complex)),
-        tol=tol,
+        b_tilde=_frozen(b_tilde),
+        au_inv_norm=au_inv_norm,
+        au_inv_smin_sq=au_inv_smin_sq,
+        as_norm=as_norm,
+        as_smin_sq=as_smin_sq,
+        gap=1.0 - max(norms) if norms else 1.0,
+        cond_sq=float(sv_b[0] / sv_b[-1]) ** 2,
     )
 
 
-def _cond(m: np.ndarray) -> float:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= 0:
-        raise ValueError("b_tilde is singular; condition number undefined")
-    return float(sv[0] / sv[-1])
-
-
-def _block_moduli(split: SpectralSplit) -> dict[str, float]:
-    """Operator norms and least singular values of the diagonal blocks.
-
-    Under the diagonalizability assumption the split blocks are diagonal, so
-    |A_u^{-1}| = 1/min|lam_u|, s_min(A_u^{-1}) = 1/max|lam_u|,
-    |A_s| = max|lam_s|, s_min(A_s) = min|lam_s|.
-    """
-    moduli = np.abs(split.eigenvalues)
-    out: dict[str, float] = {}
-    if split.unstable_indices:
-        lam_u = moduli[list(split.unstable_indices)]
-        out["au_inv_norm"] = 1.0 / float(lam_u.min())
-        out["au_inv_smin_sq"] = (1.0 / float(lam_u.max())) ** 2
-    if split.stable_indices:
-        lam_s = moduli[list(split.stable_indices)]
-        out["as_norm"] = float(lam_s.max())
-        out["as_smin_sq"] = float(lam_s.min()) ** 2
-    return out
-
-
-def _spectral_gap(blocks: dict[str, float]) -> float:
-    """1 - max over present blocks of the off-circle operator norms (1 if none)."""
-    norms = [v for k, v in blocks.items() if k in ("au_inv_norm", "as_norm")]
-    return 1.0 - max(norms) if norms else 1.0
-
-
-def lab_upper_bound(split: SpectralSplit, n: int, alpha: float) -> LabUpperBound:
-    """Closed-form upper bound on l_ab from the spectral split.
+def lab_upper_bound(params: SystemParams, alpha: float) -> LabUpperBound:
+    """Closed-form upper bound on l_ab from the spectral split ``params.split``.
 
     value = (r_u + r_s + 1)^2 cond(b_tilde)^2 / min(per-block weight sums),
     with r_u = 1/(1 - |A_u^{-1}|), r_s = 1/(1 - |A_s|) dropped for absent
-    blocks. Present-block denominators: (1-alpha) N / (1 - s_min(A_s)^2) for
-    the stable block, the exact ramp sum at s_min(A_u^{-1})^2 for the
+    blocks. Present-block denominators: ``geom_sum_lower`` at s_min(A_s)^2
+    for the stable block, the exact ramp sum at s_min(A_u^{-1})^2 for the
     unstable block, and 1/3 for the limit block. Valid once
     N >= 1/(alpha (1 - max of the present s_min^2 terms)).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    blocks = _block_moduli(split)
+    split = params.split
+    n = params.n
     reciprocal = 0.0
     denominators: list[float] = []
-    smin_terms: list[float] = []
-    if "au_inv_norm" in blocks:
-        reciprocal += 1.0 / (1.0 - blocks["au_inv_norm"])
+    if split.unstable_indices:
+        reciprocal += 1.0 / (1.0 - split.au_inv_norm)
         # sum_{e=0}^{N-2} (e+1) x^e, the unstable-block weight sum
-        denominators.append(_power_sum(blocks["au_inv_smin_sq"], range(1, n)))
-        smin_terms.append(blocks["au_inv_smin_sq"])
-    if "as_norm" in blocks:
-        reciprocal += 1.0 / (1.0 - blocks["as_norm"])
-        denominators.append((1.0 - alpha) * n / (1.0 - blocks["as_smin_sq"]))
-        smin_terms.append(blocks["as_smin_sq"])
+        denominators.append(_power_sum(split.au_inv_smin_sq, range(1, n)))
+    if split.stable_indices:
+        reciprocal += 1.0 / (1.0 - split.as_norm)
+        denominators.append(geom_sum_lower(split.as_smin_sq, n, alpha)[1])
     if split.limit_indices:
         denominators.append(1.0 / 3.0)
-    if smin_terms:
-        valid = n >= 1.0 / (alpha * (1.0 - max(smin_terms)))
-    else:
-        valid = True
-    value = (reciprocal + 1.0) ** 2 * _cond(split.b_tilde) ** 2 / min(denominators)
+    smin_terms = split.smin_sq_terms
+    valid = n >= 1.0 / (alpha * (1.0 - max(smin_terms))) if smin_terms else True
+    value = (reciprocal + 1.0) ** 2 * split.cond_sq / min(denominators)
     return LabUpperBound(valid=valid, value=value)
 
 
-def prop_bound_no_limit(
-    params: SystemParams, split: SpectralSplit, epsilon: float
-) -> NoLimitBound:
+def prop_bound_no_limit(params: SystemParams, epsilon: float) -> NoLimitBound:
     """Sharp explicit bound when no eigenvalue sits near the unit circle.
 
     mse_lower = (1-eps)^2/(1+eps)^2 * d^2 / phi(|A|^2), valid once
     N >= (d v log(1/eps)) cond(b_tilde)^2 / (eps^2 gap).
     """
+    split = params.split
     if split.limit_indices:
         raise ValueError("system has a limit-stable part; use prop_bound_with_limit")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    blocks = _block_moduli(split)
-    gap = _spectral_gap(blocks)
     n_min = math.ceil(
         max(params.d, math.log(1.0 / epsilon))
-        * _cond(split.b_tilde) ** 2
-        / (epsilon**2 * gap)
+        * split.cond_sq
+        / (epsilon**2 * split.gap)
     )
     phi_value = phi(np.linalg.norm(params.a, 2) ** 2, params.n)
     mse_lower = (
@@ -422,26 +409,21 @@ def prop_bound_no_limit(
     return NoLimitBound(n_min=n_min, mse_lower=mse_lower)
 
 
-def prop_bound_with_limit(
-    params: SystemParams, split: SpectralSplit, epsilon: float
-) -> WithLimitBound:
+def prop_bound_with_limit(params: SystemParams, epsilon: float) -> WithLimitBound:
     """Rate-optimal explicit bound in the presence of a limit-stable part.
 
     The leading constant is unknown; the value is reported with constant one
     and should be read as a rate statement only. For pure limit-stable
     systems the absent stable/unstable gap terms are taken as 1.
     """
+    split = params.split
     if not split.limit_indices:
         raise ValueError("system has no limit-stable part; use prop_bound_no_limit")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    blocks = _block_moduli(split)
-    gap = _spectral_gap(blocks)
-    cond_sq = _cond(split.b_tilde) ** 2
+    gap, cond_sq = split.gap, split.cond_sq
     delta_eps = max(params.d, math.log(cond_sq / (epsilon * gap))) * cond_sq / gap
-    smin_terms = [
-        blocks[k] for k in ("au_inv_smin_sq", "as_smin_sq") if k in blocks
-    ]
+    smin_terms = split.smin_sq_terms
     n_min = math.ceil(2.0 / (1.0 - max(smin_terms))) if smin_terms else 2
     phi_value = phi(np.linalg.norm(params.a, 2) ** 2, params.n)
     mse_lower = (1.0 - epsilon) ** 2 * (params.d / delta_eps) ** 2 / phi_value

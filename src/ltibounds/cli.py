@@ -28,7 +28,6 @@ from .bounds import (
     lab_upper_bound,
     prop_bound_no_limit,
     prop_bound_with_limit,
-    spectral_split,
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .minimax import PriorSpec, _van_trees_log, minimax_regimes, sample_prior_batch, van_trees_bound
@@ -204,8 +203,7 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
         _row(cfg, "cr_eig_max", cr_eigs[-1], "ls-error-lower-bound", **consts),
         _row(cfg, "mse_lower", report.mse_lower, "ls-mse-lower-bound", **consts),
     ]
-    split = spectral_split(cfg.a, tol=1.0 / cfg.n, b=cfg.b)
-    lab = lab_upper_bound(split, cfg.n, cfg.alpha)
+    lab = lab_upper_bound(params, cfg.alpha)
     rows.append(
         _row(
             cfg,
@@ -216,8 +214,8 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
             alpha=cfg.alpha,
         )
     )
-    if split.limit_indices:
-        wl = prop_bound_with_limit(params, split, cfg.epsilon)
+    if params.split.limit_indices:
+        wl = prop_bound_with_limit(params, cfg.epsilon)
         rows.append(
             _row(
                 cfg,
@@ -232,7 +230,7 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
             )
         )
     else:
-        nl = prop_bound_no_limit(params, split, cfg.epsilon)
+        nl = prop_bound_no_limit(params, cfg.epsilon)
         rows.append(
             _row(
                 cfg,

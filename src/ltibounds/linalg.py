@@ -1,15 +1,13 @@
 """Dense real-matrix primitives shared by the model, bound, and prior code.
 
-Two conventions are fixed here once and used everywhere else:
-
-* singular values are stored in nonincreasing order;
-* SVD factors are made unique by forcing the entry of largest magnitude in
-  each left-singular column to be nonnegative, pushing the signs into V.
+Input validation, the symmetric inverse square root, and Haar orthogonal
+sampling. One sign convention is fixed here: a Haar draw with
+``canonical_signs`` has the entry of largest magnitude in each column
+nonnegative. SVDs elsewhere are plain ``np.linalg.svd`` (singular values
+nonincreasing); the prior score they feed does not depend on column signs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +42,6 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Factors of m = u @ diag(sigma) @ v.T with sigma nonincreasing."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ (self.sigma[:, None] * self.v.T)
-
-
 def _canonical_column_signs(u: np.ndarray) -> np.ndarray:
     """Signs (+1/-1) making the largest-magnitude entry of each column of u >= 0.
 
@@ -65,17 +51,6 @@ def _canonical_column_signs(u: np.ndarray) -> np.ndarray:
     rows = np.argmax(np.abs(u), axis=-2)[..., None, :]
     peak = np.take_along_axis(u, rows, axis=-2)[..., 0, :]
     return np.where(peak < 0, -1.0, 1.0)
-
-
-def svd(m: np.ndarray) -> SvdResult:
-    """Singular value decomposition of a square matrix with canonical signs."""
-    m = validate_square(m, "svd input")
-    try:
-        u, s, vt = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
-    signs = _canonical_column_signs(u)
-    return SvdResult(u=u * signs, sigma=s, v=vt.T * signs)
 
 
 def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import _power_sum, geom_sum
-from .linalg import haar_from_gaussian, svd, validate_square
+from .linalg import haar_from_gaussian, validate_square
 from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
 
 BOUNDARY_MARGIN = 1e-8
@@ -124,12 +124,12 @@ def grad_log_prior(a: np.ndarray, spec: PriorSpec) -> np.ndarray:
     a = validate_square(a, "a")
     if a.shape[0] != spec.d:
         raise ValueError(f"a must be {spec.d}x{spec.d}, got {a.shape}")
-    r = svd(a - spec.s * np.eye(spec.d))
-    if r.sigma[0] >= spec.eps - BOUNDARY_MARGIN:
+    u, sigma, vt = np.linalg.svd(a - spec.s * np.eye(spec.d))
+    if sigma[0] >= spec.eps - BOUNDARY_MARGIN:
         raise ValueError(
-            f"largest singular value {r.sigma[0]:.6g} is at or near the boundary {spec.eps}"
+            f"largest singular value {sigma[0]:.6g} is at or near the boundary {spec.eps}"
         )
-    return _score(r.u, r.sigma, r.v, spec.eps)
+    return _score(u, sigma, vt.T, spec.eps)
 
 
 def prior_fisher(d: int, eps: float) -> np.ndarray:

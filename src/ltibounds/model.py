@@ -28,10 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import sym_inv_sqrt, validate_square
+
+if TYPE_CHECKING:
+    from .bounds import SpectralSplit
 
 
 class PsiOverflowError(ValueError):
@@ -50,8 +54,9 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 class SystemParams:
     """Dynamics pair (A, B) with dimension d and sample horizon N.
 
-    ``psi_info``, ``psi_inv_sqrt`` and ``noise_cov_inv`` are computed at most
-    once per object, read-only; a pickled copy carries the ones already made.
+    ``psi_info``, ``psi_inv_sqrt``, ``noise_cov_inv`` and ``split`` are
+    computed at most once per object, read-only; a pickled copy carries the
+    ones already made.
     """
 
     a: np.ndarray
@@ -95,6 +100,17 @@ class SystemParams:
     def psi_inv_sqrt(self) -> np.ndarray:
         """Psi^{-1/2}; ValueError when Psi is not safely positive definite."""
         return _frozen(sym_inv_sqrt(self.psi_info[0]))
+
+    @cached_property
+    def split(self) -> SpectralSplit:
+        """The spectral split at tol 1/N: ``bounds.spectral_split(self)``.
+
+        Made on first read only, so an op that never reads it never raises
+        its ``NotDiagonalizableError``.
+        """
+        from .bounds import spectral_split  # bounds imports this module
+
+        return spectral_split(self)
 
 
 def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, states: np.ndarray) -> None:

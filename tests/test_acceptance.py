@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi, spectral_split
+from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi
 from ltibounds.cli import main
 from ltibounds.minimax import (
     PriorSpec,
@@ -168,8 +168,7 @@ def test_criterion_3_deterministic_formula_checks():
     for a_mat, b_mat, horizons in family:
         for n in horizons:
             params = SystemParams(a=a_mat, b=b_mat, n=n)
-            split = spectral_split(a_mat, tol=1.0 / n, b=b_mat)
-            valid, value = lab_upper_bound(split, n, alpha=0.5)
+            valid, value = lab_upper_bound(params, alpha=0.5)
             if valid:
                 assert l_ab(params) <= value * (1 + 1e-9), (a_mat, n)
                 compared += 1

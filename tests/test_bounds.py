@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltibounds.bounds
 import ltibounds.model
 from ltibounds.bounds import (
     NotDiagonalizableError,
@@ -369,7 +370,7 @@ def test_geom_sum_lower():
     assert valid and lower == pytest.approx(10.0)
     valid, _ = geom_sum_lower(0.5, 3, 0.5)
     assert not valid
-    for a in np.linspace(0.05, 0.95, 10):
+    for a in [0.0, *np.linspace(0.05, 0.95, 10)]:
         for alpha in (0.25, 0.5, 0.75):
             for n in (4, 16, 64, 256):
                 valid, lower = geom_sum_lower(float(a), n, alpha)
@@ -468,14 +469,14 @@ def test_cr_bound_epsilon_validation():
 
 
 def test_split_diagonal():
-    split = spectral_split(np.diag([0.5, 2.0]), tol=0.05)
+    split = spectral_split(SystemParams(a=np.diag([0.5, 2.0]), b=np.eye(2), n=20))
     assert split.stable_indices == (0,)
     assert split.unstable_indices == (1,)
     assert split.limit_indices == ()
 
 
 def test_split_rotation_is_limit():
-    split = spectral_split(rotation(0.4), tol=0.05)
+    split = spectral_split(SystemParams(a=rotation(0.4), b=np.eye(2), n=20))
     assert split.limit_indices == (0, 1)
 
 
@@ -483,20 +484,50 @@ def test_split_reconstruction_random():
     g = Stream(35).generator()
     for _ in range(20):
         a = g.standard_normal((4, 4))
-        split = spectral_split(a, tol=0.05)
+        split = spectral_split(SystemParams(a=a, b=np.eye(4), n=20))
         recon = (split.s_basis * split.eigenvalues) @ np.linalg.inv(split.s_basis)
         assert np.linalg.norm(recon - a) / (1 + np.linalg.norm(a)) < 1e-8
 
 
 def test_split_rejects_jordan_block():
     with pytest.raises(NotDiagonalizableError):
-        spectral_split(np.array([[1.0, 1.0], [0.0, 1.0]]), tol=0.05)
+        spectral_split(SystemParams(a=np.array([[1.0, 1.0], [0.0, 1.0]]), b=np.eye(2), n=20))
 
 
 def test_split_b_tilde():
     b = np.diag([1.0, 3.0])
-    split = spectral_split(np.diag([0.5, 0.2]), tol=0.05, b=b)
+    split = spectral_split(SystemParams(a=np.diag([0.5, 0.2]), b=b, n=20))
     assert np.allclose(split.b_tilde.real, b)
+
+
+def test_params_split_is_made_once(monkeypatch):
+    calls = []
+
+    def counting_split(params):
+        calls.append(params.n)
+        return spectral_split(params)
+
+    monkeypatch.setattr(ltibounds.bounds, "spectral_split", counting_split)
+    a = np.zeros((3, 3))
+    a[0, 0] = 0.5
+    a[1:, 1:] = rotation(0.4)
+    params = SystemParams(a=a, b=np.eye(3), n=16)
+    first = params.split
+    lab_upper_bound(params, 0.5)
+    prop_bound_with_limit(params, 0.1)
+    assert params.split is first
+    assert calls == [16]
+
+
+def test_params_split_is_read_only_and_pickled():
+    params = SystemParams(a=rotation(0.6, 0.8), b=np.diag([1.0, 2.0]), n=40)
+    split = params.split
+    assert not any(m.flags.writeable for m in (split.s_basis, split.eigenvalues, split.b_tilde))
+    copy = pickle.loads(pickle.dumps(params))
+    assert "split" in vars(copy)
+    assert np.array_equal(copy.split.b_tilde, split.b_tilde)
+    assert copy.split.limit_indices == split.limit_indices == ()
+    assert (copy.split.gap, copy.split.cond_sq) == (split.gap, split.cond_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -506,26 +537,22 @@ def test_split_b_tilde():
 
 def test_lab_upper_dominates_scalar_stable():
     params = scalar_params(0.5, n=64)
-    split = spectral_split(params.a, tol=1.0 / params.n, b=params.b)
-    valid, value = lab_upper_bound(split, params.n, alpha=0.5)
+    valid, value = lab_upper_bound(params, alpha=0.5)
     assert valid
     assert l_ab(params) <= value
 
 
 def test_lab_upper_cond_scaling():
     a = np.diag([0.5, 0.3])
-    s1 = spectral_split(a, tol=0.05, b=np.eye(2))
-    s3 = spectral_split(a, tol=0.05, b=np.diag([1.0, 3.0]))
-    v1 = lab_upper_bound(s1, 32, 0.5)
-    v3 = lab_upper_bound(s3, 32, 0.5)
+    v1 = lab_upper_bound(SystemParams(a=a, b=np.eye(2), n=32), 0.5)
+    v3 = lab_upper_bound(SystemParams(a=a, b=np.diag([1.0, 3.0]), n=32), 0.5)
     assert v3.value == pytest.approx(9.0 * v1.value, rel=1e-9)
 
 
 def test_lab_upper_invalid_below_threshold():
     # threshold N >= 1/(0.1 * (1 - 0.81)) = 52.6
-    split = spectral_split(np.array([[0.9]]), tol=0.01)
-    assert not lab_upper_bound(split, 16, 0.1).valid
-    assert lab_upper_bound(split, 64, 0.1).valid
+    assert not lab_upper_bound(scalar_params(0.9, n=16), 0.1).valid
+    assert lab_upper_bound(scalar_params(0.9, n=64), 0.1).valid
 
 
 def test_lab_upper_dominates_family():
@@ -547,8 +574,7 @@ def test_lab_upper_dominates_family():
             cases.append((a_mat, b_mat, n))
     for a_mat, b_mat, n in cases:
         params = SystemParams(a=a_mat, b=b_mat, n=n)
-        split = spectral_split(a_mat, tol=1.0 / n, b=b_mat)
-        valid, value = lab_upper_bound(split, n, alpha=0.5)
+        valid, value = lab_upper_bound(params, alpha=0.5)
         if valid:
             assert l_ab(params) <= value * (1 + 1e-9), (a_mat, n)
 
@@ -560,37 +586,32 @@ def test_lab_upper_dominates_family():
 
 def test_no_limit_hand_threshold():
     params = scalar_params(0.5, n=500)
-    split = spectral_split(params.a, tol=0.01, b=params.b)
-    n_min, mse = prop_bound_no_limit(params, split, 0.1)
+    n_min, mse = prop_bound_no_limit(params, 0.1)
     assert n_min == 461
     assert mse == pytest.approx((0.9 / 1.1) ** 2 / phi(0.25, 500))
 
 
 def test_no_limit_small_epsilon_limit():
     params = scalar_params(0.5, n=100)
-    split = spectral_split(params.a, tol=0.01, b=params.b)
-    _, mse = prop_bound_no_limit(params, split, 1e-6)
+    _, mse = prop_bound_no_limit(params, 1e-6)
     assert mse == pytest.approx(1.0 / phi(0.25, 100), rel=1e-4)
 
 
 def test_no_limit_below_ideal_scalarization():
     params = scalar_params(0.5, n=64)
-    split = spectral_split(params.a, tol=0.01, b=params.b)
-    _, mse = prop_bound_no_limit(params, split, 0.1)
+    _, mse = prop_bound_no_limit(params, 0.1)
     assert mse < 1.0 / phi(0.25, 64)
 
 
 def test_no_limit_rejects_limit_part():
     params = SystemParams(a=rotation(0.3), b=np.eye(2), n=16)
-    split = spectral_split(params.a, tol=0.05, b=params.b)
     with pytest.raises(ValueError):
-        prop_bound_no_limit(params, split, 0.1)
+        prop_bound_no_limit(params, 0.1)
 
 
 def test_with_limit_pure_rotation():
     params = SystemParams(a=rotation(0.3), b=np.eye(2), n=16)
-    split = spectral_split(params.a, tol=0.05, b=params.b)
-    n_min, delta_eps, mse = prop_bound_with_limit(params, split, 0.1)
+    n_min, delta_eps, mse = prop_bound_with_limit(params, 0.1)
     assert n_min == 2  # no stable/unstable gap terms
     assert delta_eps >= params.d
     assert mse > 0
@@ -601,8 +622,7 @@ def test_with_limit_mixed_block():
     a[0, 0] = 0.5
     a[1:, 1:] = rotation(0.4)
     params = SystemParams(a=a, b=np.eye(3), n=16)
-    split = spectral_split(a, tol=0.05, b=np.eye(3))
-    n_min, delta_eps, mse = prop_bound_with_limit(params, split, 0.1)
+    n_min, delta_eps, mse = prop_bound_with_limit(params, 0.1)
     assert np.isfinite(delta_eps) and mse > 0
     assert n_min == math.ceil(2.0 / (1.0 - 0.25))
 
@@ -617,16 +637,14 @@ def test_with_limit_dimension_factor_lost():
         a[0, 0] = lam
         a[1:, 1:] = rotation(theta)
         params = SystemParams(a=a, b=np.eye(3), n=20)
-        split = spectral_split(a, tol=0.05, b=np.eye(3))
-        _, delta_eps, _ = prop_bound_with_limit(params, split, float(g.uniform(0.05, 0.5)))
+        _, delta_eps, _ = prop_bound_with_limit(params, float(g.uniform(0.05, 0.5)))
         assert params.d / delta_eps <= 1.0
 
 
 def test_with_limit_rejects_no_limit_part():
     params = scalar_params(0.5)
-    split = spectral_split(params.a, tol=0.01, b=params.b)
     with pytest.raises(ValueError):
-        prop_bound_with_limit(params, split, 0.1)
+        prop_bound_with_limit(params, 0.1)
 
 
 def test_phi_saturates_instead_of_raising():

@@ -190,6 +190,38 @@ def test_bounds_jordan_block_exit_3(tmp_path, capsys):
     assert "diagonalizability assumption" in capsys.readouterr().err
 
 
+def _count_splits(monkeypatch) -> list:
+    calls = []
+    split = ltibounds.bounds.spectral_split
+
+    def counting_split(params):
+        calls.append(params.n)
+        return split(params)
+
+    monkeypatch.setattr(ltibounds.bounds, "spectral_split", counting_split)
+    return calls
+
+
+def test_bounds_op_splits_once(tmp_path, monkeypatch):
+    calls = _count_splits(monkeypatch)
+    path = write_config(tmp_path, system={"a": {"kind": "diag", "values": [1.0, 0.5]}})
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == [10]
+
+
+def test_only_bounds_splits_a_defective_stable_a(tmp_path, monkeypatch, capsys):
+    # a stable A that is not diagonalizable: only the explicit bounds need its split
+    calls = _count_splits(monkeypatch)
+    system = {"n": 256, "a": [[0.5, 1.0], [0.0, 0.5]]}
+    path = write_config(tmp_path, system=system, run={"trials": 200, "seed": 42})
+    out = str(tmp_path / "r.csv")
+    assert main(["verify", "--config", str(path), "--out", out]) == 0
+    assert calls == []
+    assert main(["bounds", "--config", str(path), "--out", out]) == 3
+    assert calls == [256]
+    assert "diagonalizability assumption" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_writers_refuse_a_non_finite_value_naming_the_row(tmp_path, capsys, fmt):
     # a stable but non-normal A: phi at |A|_2^2 = 4.40 overflows at N = 2048

@@ -4,7 +4,6 @@ import pytest
 from ltibounds.linalg import (
     haar_from_gaussian,
     haar_orthogonal,
-    svd,
     sym_inv_sqrt,
     validate_matrix,
 )
@@ -16,56 +15,6 @@ def test_validate_matrix_rejects_nonfinite():
         validate_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         validate_matrix(np.array([[np.inf]]))
-
-
-# ---------------------------------------------------------------------------
-# svd
-# ---------------------------------------------------------------------------
-
-
-def test_svd_identity():
-    r = svd(np.eye(3))
-    assert np.allclose(r.sigma, [1.0, 1.0, 1.0])
-
-
-def test_svd_diagonal_with_sign():
-    m = np.diag([3.0, -2.0])
-    r = svd(m)
-    assert np.allclose(r.sigma, [3.0, 2.0])
-    assert np.allclose(r.reconstruct(), m, atol=1e-12)
-
-
-def test_svd_permutation_exact():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r = svd(m)
-    assert np.allclose(r.sigma, [1.0, 1.0])
-    assert np.allclose(r.reconstruct(), m, atol=1e-14)
-
-
-def test_svd_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        svd(np.ones((2, 3)))
-
-
-def test_svd_invariants_random():
-    # reconstruction, orthogonality, ordering and the sign convention on a
-    # large random sample
-    g = Stream(101).generator()
-    worst = 0.0
-    for _ in range(10_000):
-        d = int(g.integers(1, 9))
-        m = g.uniform(-10.0, 10.0, size=(d, d))
-        r = svd(m)
-        delta = np.linalg.norm(r.reconstruct() - m) / max(np.linalg.norm(m), 1e-30)
-        worst = max(worst, delta)
-        assert np.max(np.abs(r.u @ r.u.T - np.eye(d))) < 1e-12
-        assert np.max(np.abs(r.v @ r.v.T - np.eye(d))) < 1e-12
-        assert np.all(r.sigma >= 0)
-        assert np.all(np.diff(r.sigma) <= 1e-300 + 0.0)  # nonincreasing
-        for j in range(d):
-            i = int(np.argmax(np.abs(r.u[:, j])))
-            assert r.u[i, j] >= 0
-    assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------------
