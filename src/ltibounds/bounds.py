@@ -72,6 +72,13 @@ class SpectralSplit:
         return [x for x in (self.au_inv_smin_sq, self.as_smin_sq) if x is not None]
 
 
+class LoggedValue(NamedTuple):
+    """A bound-layer number and its natural log, where the log is carried."""
+
+    value: float
+    log_value: float | None = None
+
+
 class LabUpperBound(NamedTuple):
     valid: bool
     value: float
@@ -204,7 +211,7 @@ def phi(a: float, n: int) -> float:
     """Rate function with the three decay regimes.
 
     N/(1-a) + 1/(1-a)^2 on [0, 1); N(N-1)/2 at a = 1 (within 1e-12);
-    a^N / (a-1)^2 above 1. Dominates geom_sum(a, n) everywhere.
+    a^N / (a-1)^2 above 1. Dominates geom_sum(a, n).value everywhere.
     """
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
@@ -229,13 +236,19 @@ def _power_sum(x: float, weights: range) -> float:
     return total
 
 
-def geom_sum(a: float, n: int) -> float:
-    """Exact sum_{i=0}^{N-2} (N-1-i) a^i by direct accumulation."""
+def geom_sum(a: float, n: int) -> LoggedValue:
+    """Ramp sum sum_{i=0}^{N-2} (N-1-i) a^i by direct accumulation (inf past float64), and its log.
+
+    For a > 1 the log is that of a^(N-2) sum_{j=0}^{N-2} (j+1) a^(-j), finite for every N.
+    """
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return _power_sum(a, range(n - 1, 0, -1))
+    value = _power_sum(a, range(n - 1, 0, -1))
+    if a <= 1.0:
+        return LoggedValue(value, math.log(value))
+    return LoggedValue(value, (n - 2) * math.log(a) + math.log(_power_sum(1.0 / a, range(1, n))))
 
 
 def geom_sum_lower(a: float, n: int, alpha: float) -> tuple[bool, float]:

@@ -30,7 +30,7 @@ from .bounds import (
     prop_bound_with_limit,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .minimax import PriorSpec, _van_trees_log, minimax_regimes, sample_prior_batch, van_trees_bound
+from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
 from .model import SystemParams
 from .montecarlo import (
     MIN_CONCLUSIVE_TRIALS,
@@ -88,11 +88,9 @@ def _row(cfg: ExperimentConfig, quantity: str, value: float, eq_tag: str, **extr
     )
 
 
-def _van_trees_logged(cfg: ExperimentConfig, value: float, key: str) -> dict:
-    """``{key: log of the van Trees bound}`` when ``value``, the bound, is 0.0 or subnormal."""
-    if abs(value) < sys.float_info.min:
-        return {key: _van_trees_log(cfg.d, cfg.n, cfg.s, cfg.epsilon)}
-    return {}
+def _logged(bound, key: str) -> dict:
+    """``{key: bound.log_value}`` where the bound layer carries the log of ``bound``."""
+    return {} if bound.log_value is None else {key: bound.log_value}
 
 
 def _skipped_row(
@@ -251,20 +249,16 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
         _row(
             cfg,
             "van_trees_bound",
-            vt_bound,
+            vt_bound.value,
             "bayes-risk-lower-bound",
             s=cfg.s,
             epsilon=cfg.epsilon,
-            **_van_trees_logged(cfg, vt_bound, "log_value"),
+            **_logged(vt_bound, "log_value"),
         )
     ]
     regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha if cfg.s != 1.0 else None)
     for name in ("stable", "limit", "unstable"):
         applicable = name == regime.regime
-        # the unstable rate underflows to 0.0 at large N; its log does not
-        logged = {}
-        if applicable and regime.log_value is not None:
-            logged["log_value"] = regime.log_value
         rows.append(
             _row(
                 cfg,
@@ -275,7 +269,7 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
                 valid=bool(regime.valid) if applicable else False,
                 s=cfg.s,
                 alpha=cfg.alpha,
-                **logged,
+                **(_logged(regime, "log_value") if applicable else {}),
             )
         )
     return rows, EXIT_OK
@@ -389,9 +383,9 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 "bayes_dominance",
                 bayes_risk.bayes_mse,
                 "bayes-risk-lower-bound",
-                status="pass" if bayes_risk.bayes_mse >= bayes_risk.vt_bound else "fail",
-                vt_bound=bayes_risk.vt_bound,
-                **_van_trees_logged(cfg, bayes_risk.vt_bound, "log_vt_bound"),
+                status="pass" if bayes_risk.bayes_mse >= bayes_risk.vt_bound.value else "fail",
+                vt_bound=bayes_risk.vt_bound.value,
+                **_logged(bayes_risk.vt_bound, "log_vt_bound"),
                 s=cfg.s,
                 epsilon=cfg.epsilon,
                 trials=cfg.trials,

@@ -66,7 +66,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, cr_bound, delta1, delta2
+from .bounds import BoundReport, LoggedValue, cr_bound, delta1, delta2
 from .minimax import (
     PriorSample,
     PriorSpec,
@@ -161,7 +161,7 @@ class MultiplicationResult(NamedTuple):
 
 class BayesRiskResult(NamedTuple):
     bayes_mse: float
-    vt_bound: float
+    vt_bound: LoggedValue
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_3_deterministic_formula_checks():
     1e5 pairs; hand-evaluated Bayesian bound and explicit rates to 1e-9."""
     for a in np.linspace(0.0, 3.0, 200):
         for n in range(2, 51):
-            g = geom_sum(float(a), n)
+            g = geom_sum(float(a), n).value
             assert phi(float(a), n) >= g - 1e-9 - 1e-12 * g
 
     family = [
@@ -177,7 +177,7 @@ def test_criterion_3_deterministic_formula_checks():
     worst = norm_ineq_fuzz(5, 100_000, Stream(SEED).child(30))
     assert worst >= -1e-12, worst
 
-    assert abs(van_trees_bound(2, 3, 0.0, 1.0) - 4.0 / 35.0) < 1e-9
+    assert abs(van_trees_bound(2, 3, 0.0, 1.0).value - 4.0 / 35.0) < 1e-9
     limit = minimax_regimes(2, 10, 1.0)
     assert abs(limit.value - math.log(4.0) ** 2 / 1200.0) < 1e-9
     assert abs(limit.value - 0.0016015100463940047) < 1e-9
@@ -221,9 +221,9 @@ def test_criterion_4_dominance_suite():
     bayes = bayes_risk_experiment(
         PriorSpec(s=0.0, eps=0.5, d=2), 8, TRIALS_DOMINANCE, root.child(41)
     )
-    assert bayes.bayes_mse >= bayes.vt_bound, bayes
+    assert bayes.bayes_mse >= bayes.vt_bound.value, bayes
     print(
-        f"  criterion 4 [bayes]: mse {bayes.bayes_mse:.4f} >= bound {bayes.vt_bound:.4f}"
+        f"  criterion 4 [bayes]: mse {bayes.bayes_mse:.4f} >= bound {bayes.vt_bound.value:.4f}"
     )
     print("ACCEPTANCE 4 (dominance suite + negative controls): PASS")
 

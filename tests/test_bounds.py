@@ -351,9 +351,24 @@ def test_phi_values():
 
 
 def test_geom_sum_values():
-    assert geom_sum(1.0, 10) == pytest.approx(45.0)
-    assert geom_sum(0.0, 10) == pytest.approx(9.0)
-    assert geom_sum(2.0, 3) == pytest.approx(4.0)
+    assert geom_sum(1.0, 10).value == pytest.approx(45.0)
+    assert geom_sum(0.0, 10).value == pytest.approx(9.0)
+    assert geom_sum(2.0, 3).value == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 2048, 5000])
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0 - 1e-12, 1.0, 1.02, 1.21, 2.0])
+def test_geom_sum_value_is_the_direct_accumulation(x, n):
+    # the accumulation loop geom_sum ran before it also returned the log
+    total, power = 0.0, 1.0
+    for w in range(n - 1, 0, -1):
+        total += w * power
+        power *= x
+    ramp = geom_sum(x, n)
+    assert ramp.value == total  # bitwise, inf included
+    assert math.isfinite(ramp.log_value)
+    if math.isfinite(total):
+        assert ramp.log_value == pytest.approx(math.log(total), rel=1e-14)
 
 
 def test_phi_dominates_geom_sum_grid():
@@ -361,7 +376,7 @@ def test_phi_dominates_geom_sum_grid():
     # digits (large a*N); any real violation would be O(1) relative
     for a in np.linspace(0.0, 3.0, 200):
         for n in range(2, 51):
-            g = geom_sum(float(a), n)
+            g = geom_sum(float(a), n).value
             assert phi(float(a), n) >= g - 1e-9 - 1e-12 * g
 
 
@@ -375,7 +390,7 @@ def test_geom_sum_lower():
             for n in (4, 16, 64, 256):
                 valid, lower = geom_sum_lower(float(a), n, alpha)
                 if valid:
-                    assert geom_sum(float(a), n) >= lower - 1e-9
+                    assert geom_sum(float(a), n).value >= lower - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import ltibounds.cli
 import ltibounds.linalg
 import ltibounds.model
 import ltibounds.montecarlo
-from ltibounds.bounds import cr_bound
+from ltibounds.bounds import LoggedValue, cr_bound
 from ltibounds.cli import (
     SALT_IDENTITY,
     NonFiniteReportError,
@@ -28,7 +28,7 @@ from ltibounds.cli import (
     rows_to_json,
 )
 from ltibounds.config import ConfigError, build_matrix, load_config, resolve_config
-from ltibounds.minimax import _van_trees_log
+from ltibounds.minimax import van_trees_bound
 from ltibounds.model import SystemParams
 from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
@@ -351,13 +351,17 @@ def test_minimax_van_trees_row_carries_log_value_below_normal_range(tmp_path):
 
 def test_verify_bayes_row_carries_the_log_of_an_underflowed_van_trees_bound(tmp_path, monkeypatch):
     # the Bayes plan reads montecarlo's van_trees_bound; --workers 1 runs it here
-    monkeypatch.setattr(ltibounds.montecarlo, "van_trees_bound", lambda *args: 0.0)
+    # the bound layer returns an underflowed value with its log; cli copies the log
+    log_vt = math.log(van_trees_bound(2, 8, 0.2, 0.1).value)
+    monkeypatch.setattr(
+        ltibounds.montecarlo, "van_trees_bound", lambda *args: LoggedValue(0.0, log_vt)
+    )
     path = write_config(tmp_path, system={"n": 8}, run={"trials": 1000, "seed": 3, "s": 0.2})
     out = tmp_path / "v.csv"
     assert main(["verify", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
     extra = json.loads({r["quantity"]: r for r in read_rows(out)}["bayes_dominance"]["extra"])
     assert extra["vt_bound"] == 0.0
-    assert extra["log_vt_bound"] == _van_trees_log(2, 8, 0.2, 0.1)
+    assert extra["log_vt_bound"] == log_vt
     monkeypatch.undo()
     assert main(["verify", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
     extra = json.loads({r["quantity"]: r for r in read_rows(out)}["bayes_dominance"]["extra"])

@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from ltibounds.bounds import geom_sum
 from ltibounds.minimax import (
     PriorSample,
     PriorSpec,
@@ -16,7 +17,6 @@ from ltibounds.minimax import (
     sample_prior,
     sample_prior_batch,
     score_identity_lhs,
-    _van_trees_log,
     van_trees_bound,
     z_const,
 )
@@ -228,21 +228,21 @@ def test_prior_fisher_quadrature_oracle():
 
 
 def test_van_trees_hand_value():
-    assert van_trees_bound(2, 3, 0.0, 1.0) == pytest.approx(4.0 / 35.0, abs=1e-12)
+    assert van_trees_bound(2, 3, 0.0, 1.0).value == pytest.approx(4.0 / 35.0, abs=1e-12)
 
 
 def test_van_trees_monotone_in_n():
-    vals = [van_trees_bound(2, n, 0.0, 0.5) for n in range(2, 40)]
+    vals = [van_trees_bound(2, n, 0.0, 0.5).value for n in range(2, 40)]
     assert np.all(np.diff(vals) <= 0)
 
 
 def test_van_trees_monotone_in_eps_toward_cr_shape():
-    vals = [van_trees_bound(2, 8, 0.0, e) for e in (0.1, 0.2, 0.4, 0.8)]
+    vals = [van_trees_bound(2, 8, 0.0, e).value for e in (0.1, 0.2, 0.4, 0.8)]
     assert np.all(np.diff(vals) > 0)
 
 
 def test_van_trees_point_mass_limit():
-    assert van_trees_bound(2, 8, 0.0, 1e-9) < 1e-15
+    assert van_trees_bound(2, 8, 0.0, 1e-9).value < 1e-15
 
 
 def van_trees_log_reference(d, n, s, eps):
@@ -253,22 +253,43 @@ def van_trees_log_reference(d, n, s, eps):
         return mpmath.log(d**2 / (total + 2 * mpmath.mpf(d + 2) ** 2 / mpmath.mpf(eps) ** 2))
 
 
-@pytest.mark.parametrize("n", [500, 3000, 5000])
-@pytest.mark.parametrize("d, s, eps", [(2, 1.0, 0.1), (3, 0.2, 0.3), (2, 0.0, 1.0)])
+def ramp_sum_log_reference(x, n):
+    """log of the ramp sum at the float ``x``, at 50 digits, added term by term."""
+    with mpmath.workdps(50):
+        x, power, total = mpmath.mpf(x), mpmath.mpf(1), mpmath.mpf(0)
+        for w in range(n - 1, 0, -1):
+            total += w * power
+            power *= x
+        return mpmath.log(total)
+
+
+# (s+eps)^2 = 0.3, 1-1e-12, 1.02 and 2, to the float, for the added s = 0 systems
+@pytest.mark.parametrize("n", [2, 3, 64, 500, 2048, 3000, 5000])
+@pytest.mark.parametrize(
+    "d, s, eps",
+    [(2, 1.0, 0.1), (3, 0.2, 0.3), (2, 0.0, 1.0)]
+    + [(2, 0.0, math.sqrt(x)) for x in (0.3, 1.0 - 1e-12, 1.02, 2.0)],
+)
 def test_van_trees_log_matches_mpmath_where_the_sum_overflows(d, s, eps, n):
     # (s+eps)^2 = 1.21 for the first system: its sum overflows float64 near N = 3700
+    x = (s + eps) ** 2
+    ramp = geom_sum(x, n)
+    assert ramp.log_value == pytest.approx(float(ramp_sum_log_reference(x, n)), rel=1e-14)
     ref = van_trees_log_reference(d, n, s, eps)
-    assert _van_trees_log(d, n, s, eps) == pytest.approx(float(ref), rel=1e-14)
-    assert van_trees_bound(d, n, s, eps) == pytest.approx(float(mpmath.exp(ref)), rel=1e-12)
+    bound = van_trees_bound(d, n, s, eps)
+    assert bound.value == pytest.approx(float(mpmath.exp(ref)), rel=1e-12)
+    if bound.log_value is not None:
+        assert bound.log_value == pytest.approx(float(ref), rel=1e-14)
 
 
 def test_van_trees_past_overflow_is_its_log_not_a_silent_zero():
-    assert _van_trees_log(2, 5000, 1.0, 0.1) == pytest.approx(-954.8368, abs=1e-4)
-    assert van_trees_bound(2, 5000, 1.0, 0.1) == 0.0  # exp(-954.8) is below float64
+    bound = van_trees_bound(2, 5000, 1.0, 0.1)
+    assert bound.log_value == pytest.approx(-954.8368, abs=1e-4)
+    assert bound.value == 0.0  # exp(-954.8) is below float64
     # a sum beyond float64 range with a subnormal bound: the bound is exp of its log
     subnormal = van_trees_bound(2, 3850, 1.0, 0.1)
-    assert 0.0 < subnormal < np.finfo(float).tiny
-    assert subnormal == math.exp(_van_trees_log(2, 3850, 1.0, 0.1))
+    assert 0.0 < subnormal.value < np.finfo(float).tiny
+    assert subnormal.value == math.exp(subnormal.log_value)
 
 
 # ---------------------------------------------------------------------------
@@ -349,4 +370,4 @@ def test_regime_unstable_large_horizon_underflows_to_zero():
     out = minimax_regimes(2, 2000, 3.0, 0.5)
     assert out.regime == "unstable" and out.valid
     assert out.value == 0.0
-    assert van_trees_bound(2, 2000, 3.0, 1.0) == 0.0
+    assert van_trees_bound(2, 2000, 3.0, 1.0).value == 0.0

@@ -332,14 +332,14 @@ def test_dominance_negative_control():
 
 def test_bayes_risk_dominates_van_trees():
     spec = PriorSpec(s=0.0, eps=0.5, d=2)
-    bayes_mse, vt = bayes_risk_experiment(spec, 8, 4000, Stream(80))
+    bayes_mse, (vt, _) = bayes_risk_experiment(spec, 8, 4000, Stream(80))
     assert bayes_mse >= vt
     assert vt == pytest.approx(4.0 / (np.sum([(7 - i) * 0.25**i for i in range(7)]) + 128.0))
 
 
 def test_bayes_risk_unstable_class():
     spec = PriorSpec(s=2.0, eps=0.5, d=2)
-    bayes_mse, vt = bayes_risk_experiment(spec, 8, 4000, Stream(81))
+    bayes_mse, (vt, _) = bayes_risk_experiment(spec, 8, 4000, Stream(81))
     assert bayes_mse >= vt
 
 
