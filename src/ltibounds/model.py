@@ -77,6 +77,15 @@ class SystemParams:
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable: freeze them again, the split's too
+        split = state.get("split")
+        for value in (*state.values(), *(vars(split).values() if split else ())):
+            for m in value if isinstance(value, tuple) else (value,):
+                if isinstance(m, np.ndarray):
+                    _frozen(m)
+        self.__dict__.update(state)
+
     @property
     def d(self) -> int:
         return self.a.shape[0]

@@ -538,11 +538,16 @@ def test_params_split_is_read_only_and_pickled():
     params = SystemParams(a=rotation(0.6, 0.8), b=np.diag([1.0, 2.0]), n=40)
     split = params.split
     assert not any(m.flags.writeable for m in (split.s_basis, split.eigenvalues, split.b_tilde))
+    params.psi_inv_sqrt, params.noise_cov_inv  # fill the other caches (psi_info with them)
     copy = pickle.loads(pickle.dumps(params))
     assert "split" in vars(copy)
     assert np.array_equal(copy.split.b_tilde, split.b_tilde)
     assert copy.split.limit_indices == split.limit_indices == ()
     assert (copy.split.gap, copy.split.cond_sq) == (split.gap, split.cond_sq)
+    # unpickled arrays are frozen again, the cached ones and the split's too
+    frozen = (copy.a, copy.b, copy.psi_info[0], copy.psi_inv_sqrt, copy.noise_cov_inv)
+    frozen += (copy.split.s_basis, copy.split.eigenvalues, copy.split.b_tilde)
+    assert not any(m.flags.writeable for m in frozen)
 
 
 # ---------------------------------------------------------------------------
