@@ -31,15 +31,11 @@ from .linalg import (
 from .minimax import (
     PriorSample,
     PriorSpec,
-    grad_log_prior,
     minimax_regimes,
-    prior_density,
-    prior_fisher,
     sample_prior,
     sample_prior_batch,
     score_identity_lhs,
     van_trees_bound,
-    z_const,
 )
 from .model import (
     PsiOverflowError,
@@ -54,7 +50,6 @@ from .montecarlo import (
     dominance_check,
     empirical_risk,
     multiplication_experiment,
-    norm_ineq_fuzz,
 )
 from .rng import RNG_LAYOUT, Stream
 
@@ -82,17 +77,13 @@ __all__ = [
     "fisher_information",
     "geom_sum",
     "geom_sum_lower",
-    "grad_log_prior",
     "haar_from_gaussian",
     "haar_orthogonal",
     "l_ab",
     "lab_upper_bound",
     "minimax_regimes",
     "multiplication_experiment",
-    "norm_ineq_fuzz",
     "phi",
-    "prior_density",
-    "prior_fisher",
     "prop_bound_no_limit",
     "prop_bound_with_limit",
     "psi",
@@ -102,5 +93,4 @@ __all__ = [
     "spectral_split",
     "sym_inv_sqrt",
     "van_trees_bound",
-    "z_const",
 ]

@@ -18,11 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import LoggedValue, geom_sum
-from .linalg import haar_from_gaussian, validate_square
+from .linalg import haar_from_gaussian
 from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
-
-BOUNDARY_MARGIN = 1e-8
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -53,32 +50,6 @@ class PriorSample:
     sigmas: np.ndarray
     v: np.ndarray
     a: np.ndarray
-
-
-def z_const(d: int, eps: float) -> float:
-    """Normalizer d(d+1)(d+2) / (2 eps^{d+2}) of (eps-sigma)^2 sigma^{d-1} on [0, eps]."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return d * (d + 1) * (d + 2) / (2.0 * eps ** (d + 2))
-
-
-def prior_density(a: np.ndarray, spec: PriorSpec) -> float:
-    """Density of the prior at ``a`` in the singular-value coordinates.
-
-    Product over singular values sigma_i of A - sI of z_const * (eps - sigma_i)^2;
-    zero when any sigma_i exceeds eps. The sigma^{d-1} factor belongs to the
-    change of variables, not to this density.
-    """
-    a = validate_square(a, "a")
-    if a.shape[0] != spec.d:
-        raise ValueError(f"a must be {spec.d}x{spec.d}, got {a.shape}")
-    sigmas = np.linalg.svd(a - spec.s * np.eye(spec.d), compute_uv=False)
-    if sigmas[0] > spec.eps:
-        return 0.0
-    z = z_const(spec.d, spec.eps)
-    return float(np.prod(z * (spec.eps - sigmas) ** 2))
 
 
 def sample_prior_batch(spec: PriorSpec, rng: Stream, count: int) -> PriorSample:
@@ -112,33 +83,6 @@ def sample_prior(spec: PriorSpec, rng: Stream) -> PriorSample:
 def _score(u: np.ndarray, sigmas: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """-2 U (eps I - Sigma)^{-1} V^T for one set of factors or a stack."""
     return -2.0 * (u / (eps - sigmas)[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
-def grad_log_prior(a: np.ndarray, spec: PriorSpec) -> np.ndarray:
-    """Gradient of the log prior density: -2 U (eps I - Sigma)^{-1} V^T.
-
-    Uses the SVD of a - sI. Well defined under coinciding singular values
-    (only U f(Sigma) V^T enters); raises near the boundary where some
-    sigma_i is within BOUNDARY_MARGIN of eps.
-    """
-    a = validate_square(a, "a")
-    if a.shape[0] != spec.d:
-        raise ValueError(f"a must be {spec.d}x{spec.d}, got {a.shape}")
-    u, sigma, vt = np.linalg.svd(a - spec.s * np.eye(spec.d))
-    if sigma[0] >= spec.eps - BOUNDARY_MARGIN:
-        raise ValueError(
-            f"largest singular value {sigma[0]:.6g} is at or near the boundary {spec.eps}"
-        )
-    return _score(u, sigma, vt.T, spec.eps)
-
-
-def prior_fisher(d: int, eps: float) -> np.ndarray:
-    """Information matrix of the prior itself: 2(d+1)(d+2)/eps^2 * I."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return 2.0 * (d + 1) * (d + 2) / eps**2 * np.eye(d)
 
 
 def van_trees_bound(d: int, n: int, s: float, eps: float) -> LoggedValue:

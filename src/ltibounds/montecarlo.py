@@ -396,16 +396,6 @@ def _prior_score_stats(spec: PriorSpec, sample: PriorSample) -> dict[str, np.nda
     return {"lhs": score_identity_lhs(sample, spec)}
 
 
-def _norm_ineq_chunk(d: int, rng: Stream, index: int, count: int) -> dict[str, np.ndarray]:
-    vecs = rng.child(index, KIND_NOISE).generator().standard_normal((count, 4, d))
-    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    u1, v1, u2, v2 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
-    m = np.einsum("ti,tj->tij", u1, v1) - np.einsum("ti,tj->tij", u2, v2)
-    lhs = np.linalg.svd(m, compute_uv=False)[:, 0]
-    rhs = np.linalg.norm(u1 - u2, axis=1) + np.linalg.norm(v1 - v2, axis=1)
-    return {"slack": rhs - lhs}
-
-
 # ---------------------------------------------------------------------------
 # experiments: a plan (statistic, reducer and bound task) and the function that runs it
 # ---------------------------------------------------------------------------
@@ -672,16 +662,6 @@ def bayes_risk_experiment(
     """
     draws = Draws(rng, n, spec.d, prior=rng, spec=spec)
     return run_plans(draws, trials, [bayes_plan(spec, n, trials)], workers)[0]
-
-
-def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> float:
-    """Worst slack of |u1 v1^T - u2 v2^T| <= |u1 - u2| + |v1 - v2| over random pairs."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    tasks = [partial(_norm_ineq_chunk, d, rng, *chunk) for chunk in _chunk_ranges(trials, CHUNK)]
-    return float(np.min(_gather(_run_tasks(tasks, workers))["slack"]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,10 @@ from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi
 from ltibounds.cli import main
 from ltibounds.minimax import (
     PriorSpec,
-    grad_log_prior,
     minimax_regimes,
-    prior_density,
-    prior_fisher,
     sample_prior,
     sample_prior_batch,
     van_trees_bound,
-    z_const,
 )
 from ltibounds.model import SystemParams, fisher_information
 from ltibounds.montecarlo import (
@@ -36,12 +32,12 @@ from ltibounds.montecarlo import (
     dominance_plan,
     empirical_risk,
     identity_plan,
-    norm_ineq_fuzz,
     prior_identity_check,
     risk_plan,
     run_plans,
 )
 from ltibounds.rng import Stream
+from oracles import grad_log_prior, norm_ineq_fuzz, prior_density, prior_fisher, z_const
 
 TRIALS_IDENTITY = 100_000
 TRIALS_DOMINANCE = 10_000

@@ -10,17 +10,14 @@ from ltibounds.bounds import geom_sum
 from ltibounds.minimax import (
     PriorSample,
     PriorSpec,
-    grad_log_prior,
     minimax_regimes,
-    prior_density,
-    prior_fisher,
     sample_prior,
     sample_prior_batch,
     score_identity_lhs,
     van_trees_bound,
-    z_const,
 )
 from ltibounds.rng import Stream
+from oracles import grad_log_prior, prior_density, prior_fisher, z_const
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,11 @@ from ltibounds.montecarlo import (
     identity_plan,
     multiplication_experiment,
     multiplication_plan,
-    norm_ineq_fuzz,
     prior_identity_check,
     run_plans,
 )
 from ltibounds.rng import KIND_NOISE, Stream
+from oracles import norm_ineq_fuzz
 
 
 def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
