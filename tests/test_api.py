@@ -3,7 +3,8 @@
 ``bench/tracing.py`` wraps the functions in its ``TARGETS`` by name and
 reads the ``trials`` argument of the ``montecarlo`` ones, so a rename there
 would break the traced benchmark rather than any import. The package's
-runtime dependencies are exactly the third-party modules it imports.
+runtime dependencies are exactly the third-party modules it imports, and no
+module reaches into another's underscored names beyond ``model``'s kernel.
 """
 
 import ast
@@ -57,3 +58,26 @@ def test_runtime_dependencies_are_the_third_party_imports():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert sorted(imported - set(sys.stdlib_module_names) - {"ltibounds"}) == sorted(declared)
+
+
+# the only underscored names of one ltibounds module that another may import:
+# model's batched kernel and the array freezer
+SHARED_PRIVATE = {
+    ("model", name)
+    for name in ("_states_batch", "_gram", "_ls_error", "_data_score", "_sym", "_frozen")
+}
+
+
+def test_no_module_imports_another_modules_underscored_name():
+    reached = []
+    for path in sorted((ROOT / "src" / "ltibounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("ltibounds"):
+                continue
+            module = (node.module or "").removeprefix("ltibounds.")
+            for alias in node.names:
+                if alias.name.startswith("_") and (module, alias.name) not in SHARED_PRIVATE:
+                    reached.append(f"{path.stem} <- {module}.{alias.name}")
+    assert reached == []
