@@ -1,20 +1,24 @@
-"""Oracles that only the tests read: the prior's density, its normalizer,
-Fisher information and log-density gradient, and the rank-one norm
-inequality fuzz.
+"""Oracles and helpers that only the tests read: the prior's density, its
+normalizer, Fisher information and log-density gradient, the rank-one norm
+inequality fuzz, and the systems and bounds that several test modules share.
 
 The package samples the operator-ball prior and uses its score; these are
-the closed forms that the tests check those against.
+the closed forms that the tests check those against. Each helper has its
+one definition here, which ``tests/test_api.py`` checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 
 import numpy as np
 
+from ltibounds.bounds import cr_bound
 from ltibounds.linalg import validate_square
 from ltibounds.minimax import PriorSpec, _score
 from ltibounds.montecarlo import CHUNK, _chunk_ranges, _gather, _run_tasks
+from ltibounds.model import SystemParams
 from ltibounds.rng import KIND_NOISE, Stream
 
 BOUNDARY_MARGIN = 1e-8
@@ -95,3 +99,18 @@ def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> flo
         raise ValueError(f"trials must be >= 1, got {trials}")
     tasks = [partial(_norm_ineq_chunk, d, rng, *chunk) for chunk in _chunk_ranges(trials, CHUNK)]
     return float(np.min(_gather(_run_tasks(tasks, workers))["slack"]))
+
+
+def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return scale * np.array([[c, -s], [s, c]])
+
+
+def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
+    return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
+
+
+def inflated_cr_bound(*args, **kwargs):
+    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
+    report = cr_bound(*args, **kwargs)
+    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)

@@ -5,7 +5,6 @@ PASS line once all of its assertions hold (a failed criterion shows up as the
 test's FAILED line).
 """
 
-import dataclasses
 import math
 import time
 from functools import partial
@@ -37,16 +36,19 @@ from ltibounds.montecarlo import (
     run_plans,
 )
 from ltibounds.rng import Stream
-from oracles import grad_log_prior, norm_ineq_fuzz, prior_density, prior_fisher, z_const
+from oracles import (
+    grad_log_prior,
+    inflated_cr_bound,
+    norm_ineq_fuzz,
+    prior_density,
+    prior_fisher,
+    rotation,
+    z_const,
+)
 
 TRIALS_IDENTITY = 100_000
 TRIALS_DOMINANCE = 10_000
 SEED = 20260810
-
-
-def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return scale * np.array([[c, -s], [s, c]])
 
 
 def _system(a, b, n) -> SystemParams:
@@ -185,12 +187,6 @@ DOMINANCE_FAMILY = [
     ("2d 0.5*I", _system(0.5 * np.eye(2), np.eye(2), 500)),
     ("2d diag(0.5,0.8)", _system(np.diag([0.5, 0.8]), np.eye(2), 500)),
 ]
-
-
-def inflated_cr_bound(*args, **kwargs):
-    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
-    report = cr_bound(*args, **kwargs)
-    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
 
 
 def test_criterion_4_dominance_suite():

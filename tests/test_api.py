@@ -5,6 +5,8 @@ reads the ``trials`` argument of the ``montecarlo`` ones, so a rename there
 would break the traced benchmark rather than any import. The package's
 runtime dependencies are exactly the third-party modules it imports, and no
 module reaches into another's underscored names beyond ``model``'s kernel.
+A helper that several test modules share has one definition, in
+``tests/oracles.py``.
 """
 
 import ast
@@ -81,3 +83,12 @@ def test_no_module_imports_another_modules_underscored_name():
                 if alias.name.startswith("_") and (module, alias.name) not in SHARED_PRIVATE:
                     reached.append(f"{path.stem} <- {module}.{alias.name}")
     assert reached == []
+
+
+def test_no_two_test_modules_define_the_same_helper():
+    owners: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("test_"):
+                owners.setdefault(node.name, []).append(path.stem)
+    assert {name: stems for name, stems in owners.items() if len(stems) > 1} == {}

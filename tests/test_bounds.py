@@ -30,15 +30,7 @@ from ltibounds.bounds import (
 from ltibounds.linalg import haar_orthogonal, sym_inv_sqrt
 from ltibounds.model import SystemParams, expected_gram
 from ltibounds.rng import Stream
-
-
-def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return scale * np.array([[c, -s], [s, c]])
-
-
-def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
-    return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
+from oracles import rotation, scalar_params
 
 
 # ---------------------------------------------------------------------------

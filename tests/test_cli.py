@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import math
 import multiprocessing
@@ -32,6 +31,7 @@ from ltibounds.minimax import van_trees_bound
 from ltibounds.model import SystemParams
 from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
+from oracles import inflated_cr_bound
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -432,12 +432,6 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     rows = {r["quantity"]: r for r in read_rows(out1)}
     for name in ("selfnorm_identity", "fisher_information", "score_mean_zero", "prior_score_identity"):
         assert json.loads(rows[name]["extra"])["status"] == "pass"
-
-
-def inflated_cr_bound(*args, **kwargs):
-    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
-    report = cr_bound(*args, **kwargs)
-    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
 
 
 def test_verify_negative_control_exit_1(tmp_path, monkeypatch):

@@ -19,10 +19,7 @@ from ltibounds.model import (
 )
 from ltibounds.montecarlo import SimulatedChunk
 from ltibounds.rng import Stream
-
-
-def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
-    return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
+from oracles import scalar_params
 
 
 def one_trajectory(a: np.ndarray, b: np.ndarray, noise: np.ndarray):

@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 import tracemalloc
 from functools import partial
@@ -59,16 +58,7 @@ from ltibounds.montecarlo import (
     run_plans,
 )
 from ltibounds.rng import KIND_NOISE, Stream
-from oracles import norm_ineq_fuzz
-
-
-def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return scale * np.array([[c, -s], [s, c]])
-
-
-def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
-    return SystemParams(a=np.array([[a]]), b=np.array([[b]]), n=n)
+from oracles import inflated_cr_bound, norm_ineq_fuzz, rotation, scalar_params
 
 
 def chunk_noise(rng, index, count, n, d):
@@ -315,12 +305,6 @@ def test_dominance_grid_points_reach_l_ab(monkeypatch):
     monkeypatch.setattr(ltibounds.bounds, "l_ab", recording_l_ab)
     dominance_check(scalar_params(0.5, n=64), 200, 0.1, Stream(86), grid_points=128)
     assert grids == [128]
-
-
-def inflated_cr_bound(*args, **kwargs):
-    """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
-    report = cr_bound(*args, **kwargs)
-    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
 
 
 def test_dominance_negative_control():
