@@ -13,13 +13,12 @@ from .bounds import (
     cr_bound,
     delta1,
     delta2,
+    explicit_bound,
     geom_sum,
     geom_sum_lower,
     l_ab,
     lab_upper_bound,
     phi,
-    prop_bound_no_limit,
-    prop_bound_with_limit,
     psi,
     spectral_split,
 )
@@ -74,6 +73,7 @@ __all__ = [
     "delta2",
     "dominance_check",
     "empirical_risk",
+    "explicit_bound",
     "fisher_information",
     "geom_sum",
     "geom_sum_lower",
@@ -84,8 +84,6 @@ __all__ = [
     "minimax_regimes",
     "multiplication_experiment",
     "phi",
-    "prop_bound_no_limit",
-    "prop_bound_with_limit",
     "psi",
     "sample_prior",
     "sample_prior_batch",

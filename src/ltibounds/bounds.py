@@ -84,15 +84,12 @@ class LabUpperBound(NamedTuple):
     value: float
 
 
-class NoLimitBound(NamedTuple):
+class ExplicitBound(NamedTuple):
+    """The explicit bound of a system's regime; ``delta_eps`` is None without a limit-stable part."""
+
     n_min: int
     mse_lower: float
-
-
-class WithLimitBound(NamedTuple):
-    n_min: int
-    delta_eps: float
-    mse_lower: float
+    delta_eps: float | None = None
 
 
 def psi(params: SystemParams) -> np.ndarray:
@@ -263,6 +260,11 @@ def geom_sum_lower(a: float, n: int, alpha: float) -> tuple[bool, float]:
     return valid, (1.0 - alpha) * n / (1.0 - a)
 
 
+def _phi_at_norm(params: SystemParams) -> float:
+    """The rate function at |A|_2^2, the denominator of every ``mse_lower``."""
+    return phi(np.linalg.norm(params.a, 2) ** 2, params.n)
+
+
 def cr_bound(
     params: SystemParams,
     epsilon: float,
@@ -295,7 +297,7 @@ def cr_bound(
     d = params.d
     shrink = (1.0 - epsilon) ** 2 / (1.0 + constant * d1) ** 2
     cr_matrix = (d**2) * shrink * params.noise_cov() / info
-    phi_value = phi(np.linalg.norm(params.a, 2) ** 2, params.n)
+    phi_value = _phi_at_norm(params)
     mse_lower = shrink * d**2 / phi_value
     return BoundReport(
         psi=psi_m,
@@ -399,45 +401,30 @@ def lab_upper_bound(params: SystemParams, alpha: float) -> LabUpperBound:
     return LabUpperBound(valid=valid, value=value)
 
 
-def prop_bound_no_limit(params: SystemParams, epsilon: float) -> NoLimitBound:
-    """Sharp explicit bound when no eigenvalue sits near the unit circle.
+def explicit_bound(params: SystemParams, epsilon: float) -> ExplicitBound:
+    """Explicit bound of the regime that ``params.split`` puts the system in.
 
+    No eigenvalue near the unit circle: the sharp bound
     mse_lower = (1-eps)^2/(1+eps)^2 * d^2 / phi(|A|^2), valid once
-    N >= (d v log(1/eps)) cond(b_tilde)^2 / (eps^2 gap).
-    """
-    split = params.split
-    if split.limit_indices:
-        raise ValueError("system has a limit-stable part; use prop_bound_with_limit")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    n_min = math.ceil(
-        max(params.d, math.log(1.0 / epsilon))
-        * split.cond_sq
-        / (epsilon**2 * split.gap)
-    )
-    phi_value = phi(np.linalg.norm(params.a, 2) ** 2, params.n)
-    mse_lower = (
-        (1.0 - epsilon) ** 2 / (1.0 + epsilon) ** 2 * params.d**2 / phi_value
-    )
-    return NoLimitBound(n_min=n_min, mse_lower=mse_lower)
-
-
-def prop_bound_with_limit(params: SystemParams, epsilon: float) -> WithLimitBound:
-    """Rate-optimal explicit bound in the presence of a limit-stable part.
-
-    The leading constant is unknown; the value is reported with constant one
+    N >= (d v log(1/eps)) cond(b_tilde)^2 / (eps^2 gap), with no ``delta_eps``.
+    A limit-stable part: the rate-optimal bound
+    mse_lower = (1-eps)^2 (d / delta_eps)^2 / phi(|A|^2), with
+    delta_eps = (d v log(cond(b_tilde)^2 / (eps gap))) cond(b_tilde)^2 / gap.
+    Its leading constant is unknown; the value is reported with constant one
     and should be read as a rate statement only. For pure limit-stable
     systems the absent stable/unstable gap terms are taken as 1.
     """
-    split = params.split
-    if not split.limit_indices:
-        raise ValueError("system has no limit-stable part; use prop_bound_no_limit")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    split = params.split
     gap, cond_sq = split.gap, split.cond_sq
+    phi_value = _phi_at_norm(params)
+    if not split.limit_indices:
+        n_min = math.ceil(max(params.d, math.log(1.0 / epsilon)) * cond_sq / (epsilon**2 * gap))
+        mse_lower = (1.0 - epsilon) ** 2 / (1.0 + epsilon) ** 2 * params.d**2 / phi_value
+        return ExplicitBound(n_min=n_min, mse_lower=mse_lower)
     delta_eps = max(params.d, math.log(cond_sq / (epsilon * gap))) * cond_sq / gap
     smin_terms = split.smin_sq_terms
     n_min = math.ceil(2.0 / (1.0 - max(smin_terms))) if smin_terms else 2
-    phi_value = phi(np.linalg.norm(params.a, 2) ** 2, params.n)
     mse_lower = (1.0 - epsilon) ** 2 * (params.d / delta_eps) ** 2 / phi_value
-    return WithLimitBound(n_min=n_min, delta_eps=delta_eps, mse_lower=mse_lower)
+    return ExplicitBound(n_min=n_min, mse_lower=mse_lower, delta_eps=delta_eps)

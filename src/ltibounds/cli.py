@@ -22,13 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import (
-    NotDiagonalizableError,
-    cr_bound,
-    lab_upper_bound,
-    prop_bound_no_limit,
-    prop_bound_with_limit,
-)
+from .bounds import NotDiagonalizableError, cr_bound, explicit_bound, lab_upper_bound
 from .config import ConfigError, ExperimentConfig, load_config
 from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
 from .model import SystemParams
@@ -212,34 +206,24 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
             alpha=cfg.alpha,
         )
     )
-    if params.split.limit_indices:
-        wl = prop_bound_with_limit(params, cfg.epsilon)
-        rows.append(
-            _row(
-                cfg,
-                "limit_regime_mse_lower",
-                wl.mse_lower,
-                "limit-explicit-bound",
-                n_min=wl.n_min,
-                delta_eps=wl.delta_eps,
-                valid=cfg.n >= wl.n_min,
-                rate_only=True,
-                epsilon=cfg.epsilon,
-            )
-        )
+    explicit = explicit_bound(params, cfg.epsilon)
+    if explicit.delta_eps is None:
+        name, tag, regime_extra = "no_limit_mse_lower", "no-limit-explicit-bound", {}
     else:
-        nl = prop_bound_no_limit(params, cfg.epsilon)
-        rows.append(
-            _row(
-                cfg,
-                "no_limit_mse_lower",
-                nl.mse_lower,
-                "no-limit-explicit-bound",
-                n_min=nl.n_min,
-                valid=cfg.n >= nl.n_min,
-                epsilon=cfg.epsilon,
-            )
+        name, tag = "limit_regime_mse_lower", "limit-explicit-bound"
+        regime_extra = {"delta_eps": explicit.delta_eps, "rate_only": True}
+    rows.append(
+        _row(
+            cfg,
+            name,
+            explicit.mse_lower,
+            tag,
+            n_min=explicit.n_min,
+            valid=cfg.n >= explicit.n_min,
+            epsilon=cfg.epsilon,
+            **regime_extra,
         )
+    )
     return rows, EXIT_OK
 
 
@@ -256,7 +240,7 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
             **_logged(vt_bound, "log_value"),
         )
     ]
-    regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha if cfg.s != 1.0 else None)
+    regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha)
     for name in ("stable", "limit", "unstable"):
         applicable = name == regime.regime
         rows.append(

@@ -17,13 +17,12 @@ from ltibounds.bounds import (
     cr_bound,
     delta1,
     delta2,
+    explicit_bound,
     geom_sum,
     geom_sum_lower,
     l_ab,
     lab_upper_bound,
     phi,
-    prop_bound_no_limit,
-    prop_bound_with_limit,
     psi,
     spectral_split,
 )
@@ -521,7 +520,7 @@ def test_params_split_is_made_once(monkeypatch):
     params = SystemParams(a=a, b=np.eye(3), n=16)
     first = params.split
     lab_upper_bound(params, 0.5)
-    prop_bound_with_limit(params, 0.1)
+    explicit_bound(params, 0.1)
     assert params.split is first
     assert calls == [16]
 
@@ -596,37 +595,40 @@ def test_lab_upper_dominates_family():
 # ---------------------------------------------------------------------------
 
 
+def test_explicit_bound_takes_the_limit_form_iff_the_split_has_a_limit_part():
+    for params, limit in [
+        (SystemParams(a=rotation(0.3), b=np.eye(2), n=16), True),
+        (scalar_params(0.5), False),
+    ]:
+        assert bool(params.split.limit_indices) is limit
+        assert (explicit_bound(params, 0.1).delta_eps is not None) is limit
+
+
 def test_no_limit_hand_threshold():
     params = scalar_params(0.5, n=500)
-    n_min, mse = prop_bound_no_limit(params, 0.1)
-    assert n_min == 461
-    assert mse == pytest.approx((0.9 / 1.1) ** 2 / phi(0.25, 500))
+    bound = explicit_bound(params, 0.1)
+    assert bound.n_min == 461
+    assert bound.mse_lower == pytest.approx((0.9 / 1.1) ** 2 / phi(0.25, 500))
 
 
 def test_no_limit_small_epsilon_limit():
     params = scalar_params(0.5, n=100)
-    _, mse = prop_bound_no_limit(params, 1e-6)
+    mse = explicit_bound(params, 1e-6).mse_lower
     assert mse == pytest.approx(1.0 / phi(0.25, 100), rel=1e-4)
 
 
 def test_no_limit_below_ideal_scalarization():
     params = scalar_params(0.5, n=64)
-    _, mse = prop_bound_no_limit(params, 0.1)
+    mse = explicit_bound(params, 0.1).mse_lower
     assert mse < 1.0 / phi(0.25, 64)
-
-
-def test_no_limit_rejects_limit_part():
-    params = SystemParams(a=rotation(0.3), b=np.eye(2), n=16)
-    with pytest.raises(ValueError):
-        prop_bound_no_limit(params, 0.1)
 
 
 def test_with_limit_pure_rotation():
     params = SystemParams(a=rotation(0.3), b=np.eye(2), n=16)
-    n_min, delta_eps, mse = prop_bound_with_limit(params, 0.1)
-    assert n_min == 2  # no stable/unstable gap terms
-    assert delta_eps >= params.d
-    assert mse > 0
+    bound = explicit_bound(params, 0.1)
+    assert bound.n_min == 2  # no stable/unstable gap terms
+    assert bound.delta_eps >= params.d
+    assert bound.mse_lower > 0
 
 
 def test_with_limit_mixed_block():
@@ -634,9 +636,9 @@ def test_with_limit_mixed_block():
     a[0, 0] = 0.5
     a[1:, 1:] = rotation(0.4)
     params = SystemParams(a=a, b=np.eye(3), n=16)
-    n_min, delta_eps, mse = prop_bound_with_limit(params, 0.1)
-    assert np.isfinite(delta_eps) and mse > 0
-    assert n_min == math.ceil(2.0 / (1.0 - 0.25))
+    bound = explicit_bound(params, 0.1)
+    assert np.isfinite(bound.delta_eps) and bound.mse_lower > 0
+    assert bound.n_min == math.ceil(2.0 / (1.0 - 0.25))
 
 
 def test_with_limit_dimension_factor_lost():
@@ -649,14 +651,8 @@ def test_with_limit_dimension_factor_lost():
         a[0, 0] = lam
         a[1:, 1:] = rotation(theta)
         params = SystemParams(a=a, b=np.eye(3), n=20)
-        _, delta_eps, _ = prop_bound_with_limit(params, float(g.uniform(0.05, 0.5)))
+        delta_eps = explicit_bound(params, float(g.uniform(0.05, 0.5))).delta_eps
         assert params.d / delta_eps <= 1.0
-
-
-def test_with_limit_rejects_no_limit_part():
-    params = scalar_params(0.5)
-    with pytest.raises(ValueError):
-        prop_bound_with_limit(params, 0.1)
 
 
 def test_phi_saturates_instead_of_raising():
