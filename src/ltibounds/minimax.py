@@ -12,6 +12,7 @@ Bayesian (van Trees) bound work.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,13 +86,25 @@ def _score(u: np.ndarray, sigmas: np.ndarray, v: np.ndarray, eps: float) -> np.n
     return -2.0 * (u / (eps - sigmas)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
+def _in_float64(form, what: str) -> float:
+    """``form()``, or a ValueError naming ``what`` where it is not a finite float64."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"{what} is beyond the float64 range (max {sys.float_info.max:.4g})")
+    return value
+
+
 def van_trees_bound(d: int, n: int, s: float, eps: float) -> LoggedValue:
     """Bayesian lower bound on the minimax mean-square risk over the class.
 
     d^2 / (sum_{i=0}^{N-2} (N-1-i)(s+eps)^{2i} + 2(d+2)^2/eps^2), with its natural
     log as ``log_value`` only where the value is 0.0 or subnormal. The second
     denominator term follows the stated bound; the derivation supports the
-    slightly smaller 2(d+1)(d+2)/eps^2.
+    slightly smaller 2(d+1)(d+2)/eps^2. Raises ValueError where (s+eps)^2 or
+    that term is past float64.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -101,8 +114,9 @@ def van_trees_bound(d: int, n: int, s: float, eps: float) -> LoggedValue:
         raise ValueError(f"s must be >= 0, got {s}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    ramp = geom_sum((s + eps) ** 2, n)
-    prior = 2.0 * (d + 2) ** 2 / eps**2
+    x = _in_float64(lambda: (s + eps) ** 2, f"(s + eps)^2 at s = {s!r}, eps = {eps!r}")
+    prior = _in_float64(lambda: 2.0 * (d + 2) ** 2 / eps**2, f"2(d+2)^2/eps^2 at eps = {eps!r}")
+    ramp = geom_sum(x, n)
     log_value = 2.0 * math.log(d) - float(np.logaddexp(ramp.log_value, math.log(prior)))
     denom = ramp.value + prior
     value = math.exp(log_value) if math.isinf(denom) else d**2 / denom  # inf: sum past float64
@@ -123,7 +137,8 @@ def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> Reg
 
     Three regimes: s < 1 decays like 1/N, s = 1 like 1/N^2, s > 1 like
     (s+1)^{-2N}. ``alpha`` in (0, 1) is required for s != 1 and trades the
-    leading constant against the validity threshold on N.
+    leading constant against the validity threshold on N. Raises ValueError
+    where the unstable rate's leading factor is past float64.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -137,15 +152,17 @@ def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> Reg
     if alpha is None or not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1) for s != 1, got {alpha}")
     if s < 1.0:
-        valid = n >= 16.0 * (d + 2) ** 2 / (alpha * (1.0 - s) ** 2)
+        scale = alpha * (1.0 - s) ** 2  # 0.0 for a subnormal alpha: no N is enough
+        valid = scale > 0.0 and n >= 16.0 * (d + 2) ** 2 / scale
         value = d**2 * (1.0 - (s + 1.0) ** 2 / 4.0) / ((1.0 + alpha) * n)
         return RegimeBound(regime="stable", valid=valid, value=value)
     valid = n >= math.log2((d + 2) / alpha) + 3.0
     # log space: (s+1)^{2N} overflows floats long before the value matters
-    log_value = (
-        math.log(d**2 * ((s + 1.0) ** 2 - 1.0) ** 2 / (1.0 + alpha))
-        - 2.0 * n * math.log(s + 1.0)
+    lead = _in_float64(
+        lambda: d**2 * ((s + 1.0) ** 2 - 1.0) ** 2 / (1.0 + alpha),
+        f"d^2 ((s+1)^2 - 1)^2 / (1 + alpha) at s = {s!r}",
     )
+    log_value = math.log(lead) - 2.0 * n * math.log(s + 1.0)
     value = math.exp(log_value)  # underflows to 0.0 for huge N; log_value does not
     return RegimeBound(regime="unstable", valid=valid, value=value, log_value=log_value)
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ltibounds
 import ltibounds.bounds
@@ -25,6 +28,7 @@ from ltibounds.cli import (
     main,
     rows_to_csv,
     rows_to_json,
+    run_minimax,
 )
 from ltibounds.config import ConfigError, build_matrix, load_config, resolve_config
 from ltibounds.minimax import van_trees_bound
@@ -376,6 +380,74 @@ def test_minimax_invalid_row_still_present(tmp_path):
     extra = json.loads(rows["minimax_rate_stable"]["extra"])
     assert extra["applicable"] is True
     assert extra["valid"] is False  # N=10 below the stable-regime threshold
+
+
+def test_minimax_subnormal_alpha_marks_the_stable_rate_invalid(tmp_path):
+    # alpha (1-s)^2 underflows to 0.0: the threshold on N is infinite, not a division by zero
+    out = tmp_path / "mm.csv"
+    path = write_config(tmp_path, run={"s": 0.5, "alpha": 5e-324})
+    assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
+    extra = json.loads({r["quantity"]: r for r in read_rows(out)}["minimax_rate_stable"]["extra"])
+    assert extra["applicable"] is True and extra["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "run, named",
+    [
+        ({"s": 1e80}, "d^2 ((s+1)^2 - 1)^2 / (1 + alpha) at s = 1e+80"),
+        ({"s": 1e200}, "(s + eps)^2 at s = 1e+200, eps = 0.1"),
+        ({"epsilon": 1e-170}, "2(d+2)^2/eps^2 at eps = 1e-170"),
+        ({"epsilon": 1e-158}, "2(d+2)^2/eps^2 at eps = 1e-158"),
+    ],
+    ids=["unstable-rate-s", "van-trees-s", "eps-squared-zero", "eps-squared-subnormal"],
+)
+def test_minimax_past_float64_exits_3_naming_the_field(tmp_path, capsys, run, named):
+    path = write_config(tmp_path, run=run)
+    out = tmp_path / "mm.csv"
+    assert main(["minimax", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"precondition violation: {named} is beyond the float64 range (max 1.798e+308)\n"
+    assert not out.exists()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 10),
+    log2_n=st.floats(1.0, 12.0),
+    s=st.one_of(st.just(0.0), st.just(1.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    log10_eps=st.floats(-300.0, 300.0),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(d=2, log2_n=3.0, s=1e80, log10_eps=-1.0, alpha=0.5)
+@example(d=2, log2_n=3.0, s=1e200, log10_eps=-1.0, alpha=0.5)
+@example(d=2, log2_n=3.0, s=0.0, log10_eps=-170.0, alpha=0.5)
+@example(d=2, log2_n=3.0, s=0.0, log10_eps=-158.0, alpha=0.5)
+@example(d=2, log2_n=3.0, s=0.5, log10_eps=-1.0, alpha=5e-324)
+def test_minimax_rows_are_finite_and_logged_below_normal_or_the_op_stops_typed(
+    d, log2_n, s, log10_eps, alpha
+):
+    raw = {
+        "system": {
+            "d": d,
+            "n": max(round(2.0**log2_n), d + 1),
+            "a": {"kind": "identity", "scale": 0.0},
+            "b": {"kind": "identity", "scale": 1.0},
+        },
+        "run": {"seed": 0, "s": s, "epsilon": 10.0**log10_eps, "alpha": alpha},
+    }
+    cfg = resolve_config(raw)
+    try:
+        text = rows_to_csv(run_minimax(cfg)[0], cfg)
+    except NonFiniteReportError:
+        raise
+    except ValueError:
+        return
+    for row in csv.DictReader(io.StringIO(text)):
+        extra = json.loads(row["extra"])
+        if row["quantity"] == "config" or extra.get("applicable") is False:
+            continue  # the echo and the rates of other regimes are 0.0 by design
+        if abs(float(row["value"])) < sys.float_info.min:
+            assert math.isfinite(extra["log_value"]), row
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -368,3 +369,11 @@ def test_regime_unstable_large_horizon_underflows_to_zero():
     assert out.regime == "unstable" and out.valid
     assert out.value == 0.0
     assert van_trees_bound(2, 2000, 3.0, 1.0).value == 0.0
+
+
+def test_van_trees_bound_stops_exactly_where_s_plus_eps_squared_leaves_float64():
+    edge = math.sqrt(sys.float_info.max)  # edge**2 is a float64, the next float's square is not
+    bound = van_trees_bound(2, 8, edge, 1e-100)
+    assert bound.value == 0.0 and math.isfinite(bound.log_value)
+    with pytest.raises(ValueError, match=r"\(s \+ eps\)\^2 at s = .* float64 range"):
+        van_trees_bound(2, 8, math.nextafter(edge, math.inf), 1e-100)
