@@ -17,8 +17,8 @@ import numpy as np
 from ltibounds.bounds import cr_bound
 from ltibounds.linalg import validate_square
 from ltibounds.minimax import PriorSpec, _score
-from ltibounds.montecarlo import CHUNK, _chunk_ranges, _gather, _run_tasks
 from ltibounds.model import SystemParams
+from ltibounds.montecarlo import CHUNK, _chunk_ranges, _gather, _run_tasks
 from ltibounds.rng import KIND_NOISE, Stream
 
 BOUNDARY_MARGIN = 1e-8

@@ -5,10 +5,12 @@ Each ``tests/golden/<command>_<name>.json`` config has the report of
 ``verify_readme_rotation`` runs three ``CHUNK``-sized chunks, each shared by
 all of its experiments; ``verify_d3_n64`` runs one such chunk; ``verify_d3_n64_t50`` and
 ``verify_d3_n64_t500`` pin the skipped and inconclusive rows below the 100-
-and 1000-trial minimums. The ``bounds`` goldens are the seed-1 configs of a
-stable, a limit-stable, an unstable and a d=8 system of the benchmark's
-``bounds_sweep`` workload. A change that alters any Monte Carlo draw,
-summation order or bound value on purpose regenerates them with
+and 1000-trial minimums. Four of the seven ``bounds`` goldens are the seed-1
+configs of a stable, a limit-stable, an unstable and a d=8 system of the
+benchmark's ``bounds_sweep`` workload; the other three pin a split with a
+stable, a limit-stable and an unstable block, a non-normal A and a zero
+eigenvalue. A change that alters any Monte Carlo draw, summation order or
+bound value on purpose regenerates them with
 ``ltibounds <command> --config tests/golden/<name>.json --out tests/golden/<name>.csv``.
 
 The ``verify`` goldens were generated under RNG layout
