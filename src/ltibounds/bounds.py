@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import in_float64
 from .model import SystemParams, _frozen
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,24 +122,24 @@ def _freq_norm_sq(
 def _grid_freq_norm_sq(
     w: np.ndarray, powers: np.ndarray, b: np.ndarray, grid_points: int
 ) -> np.ndarray:
-    """``_freq_norm_sq`` at s = m / grid_points for every m, by one FFT.
+    """``_freq_norm_sq`` at s = m / grid_points for every m, by one real FFT.
 
-    e^{j 2 pi k m / M} depends on k mod M only, so powers beyond M are folded
-    onto their residues first; M * ifft then gives sum_k A^k e^{+j 2 pi k m/M}.
-    The products W F B and their SVDs run ``GRID_SLICE`` frequencies at a
-    time, so no temporary beyond F spans the whole grid.
+    e^{j 2 pi k m / M} depends on k mod M only, so each M-block of powers is
+    added in order onto the first. rfft gives conj(sum_k A^k e^{+j 2 pi k m/M})
+    for m <= M/2; W, A and B are real, so the matrix at M - m is the conjugate
+    of the one at m, with the same singular values, and the upper half mirrors.
     """
     count = powers.shape[0]
     if count > grid_points:
-        pad = np.zeros((-count % grid_points,) + powers.shape[1:])
-        powers = np.concatenate([powers, pad])
-        powers = powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
-    f = np.fft.ifft(powers, n=grid_points, axis=0)
-    f *= grid_points
+        stack, powers = powers, powers[:grid_points].copy()
+        for lo in range(grid_points, count, grid_points):
+            powers[: count - lo] += stack[lo : lo + grid_points]
+    f = np.fft.rfft(powers, n=grid_points, axis=0)
     vals = np.empty(grid_points)
-    for lo in range(0, grid_points, GRID_SLICE):
+    for lo in range(0, len(f), GRID_SLICE):
         g = w @ f[lo : lo + GRID_SLICE] @ b
-        vals[lo : lo + GRID_SLICE] = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+        vals[lo : lo + len(g)] = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+    vals[len(f) :] = vals[grid_points - len(f) : 0 : -1]
     return vals
 
 
@@ -163,13 +164,13 @@ def _golden_max(fn, lo: float, hi: float) -> float:
 def l_ab(params: SystemParams, grid_points: int = 4096) -> float:
     """Frequency supremum sup_s |Psi^{-1/2} (sum_{k=0}^{N-2} A^k e^{j2pi ks}) B|^2.
 
-    The uniform grid s = m / ``grid_points`` is evaluated as one zero-padded
-    FFT of the power sequence A^0 .. A^{N-2}; when N-1 exceeds ``grid_points``
-    the powers are first folded modulo ``grid_points``. One golden-section
-    refinement around the grid argmax then evaluates the direct sum at single
-    frequencies. The result is a lower approximation of the true supremum;
-    the grid-convergence tests guard the resolution. Psi^{-1/2} is
-    ``params.psi_inv_sqrt``.
+    The uniform grid s = m / ``grid_points`` is one real FFT of the power
+    sequence A^0 .. A^{N-2} (folded modulo ``grid_points``) over s <= 1/2:
+    A, B and Psi^{-1/2} are real, so the matrix at 1 - s is the conjugate of
+    the one at s, with the same norm. One golden-section refinement around
+    the grid argmax then evaluates the direct sum at single frequencies. The
+    result is a lower approximation of the true supremum; the grid-convergence
+    tests guard the resolution. Psi^{-1/2} is ``params.psi_inv_sqrt``.
     """
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
@@ -281,8 +282,8 @@ def cr_bound(
     ``constant`` is the unknown universal constant C multiplying Delta; the
     CLI rows that depend on it echo it, so no number masquerades as
     constant-free. The deviation rate is taken at t = log(L/eps), clamped to
-    zero when negative.
-    Psi, Psi^{-1/2} and the information scalar are the ones cached on
+    zero when negative; a ValueError names ``run.epsilon`` where L/eps leaves
+    float64. Psi, Psi^{-1/2} and the information scalar are cached on
     ``params``, so a system walks A^(k-1)B once however often it is bounded.
     """
     if not 0.0 < epsilon < 1.0:
@@ -291,7 +292,8 @@ def cr_bound(
         raise ValueError(f"constant must be > 0, got {constant}")
     psi_m, info = params.psi_info
     l_val = l_ab(params, grid_points)
-    t = max(math.log(l_val / epsilon) if l_val > 0 else 0.0, 0.0)
+    ratio = in_float64(lambda: l_val / epsilon, f"l_ab / run.epsilon at run.epsilon = {epsilon!r}")
+    t = max(math.log(ratio) if l_val > 0 else 0.0, 0.0)
     d1 = delta1(params, t, l_val)
     d2 = delta2(params, l_val)
     d = params.d
@@ -412,7 +414,8 @@ def explicit_bound(params: SystemParams, epsilon: float) -> ExplicitBound:
     delta_eps = (d v log(cond(b_tilde)^2 / (eps gap))) cond(b_tilde)^2 / gap.
     Its leading constant is unknown; the value is reported with constant one
     and should be read as a rate statement only. For pure limit-stable
-    systems the absent stable/unstable gap terms are taken as 1.
+    systems the absent stable/unstable gap terms are taken as 1. A ValueError
+    names ``run.epsilon`` where n_min or delta_eps leaves float64.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -420,10 +423,14 @@ def explicit_bound(params: SystemParams, epsilon: float) -> ExplicitBound:
     gap, cond_sq = split.gap, split.cond_sq
     phi_value = _phi_at_norm(params)
     if not split.limit_indices:
-        n_min = math.ceil(max(params.d, math.log(1.0 / epsilon)) * cond_sq / (epsilon**2 * gap))
+        n_min = in_float64(
+            lambda: math.ceil(max(params.d, math.log(1.0 / epsilon)) * cond_sq / (epsilon**2 * gap)),
+            f"n_min at run.epsilon = {epsilon!r}",
+        )
         mse_lower = (1.0 - epsilon) ** 2 / (1.0 + epsilon) ** 2 * params.d**2 / phi_value
         return ExplicitBound(n_min=n_min, mse_lower=mse_lower)
-    delta_eps = max(params.d, math.log(cond_sq / (epsilon * gap))) * cond_sq / gap
+    ratio = in_float64(lambda: cond_sq / (epsilon * gap), f"delta_eps at run.epsilon = {epsilon!r}")
+    delta_eps = max(params.d, math.log(ratio)) * cond_sq / gap
     smin_terms = split.smin_sq_terms
     n_min = math.ceil(2.0 / (1.0 - max(smin_terms))) if smin_terms else 2
     mse_lower = (1.0 - epsilon) ** 2 * (params.d / delta_eps) ** 2 / phi_value

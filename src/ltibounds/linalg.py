@@ -1,13 +1,17 @@
 """Dense real-matrix primitives shared by the model, bound, and prior code.
 
-Input validation, the symmetric inverse square root, and Haar orthogonal
-sampling. One sign convention is fixed here: a Haar draw with
-``canonical_signs`` has the entry of largest magnitude in each column
-nonnegative. SVDs elsewhere are plain ``np.linalg.svd`` (singular values
-nonincreasing); the prior score they feed does not depend on column signs.
+Input validation, the float64 range guard, the symmetric inverse square
+root, and Haar orthogonal sampling. One sign convention is fixed here: a
+Haar draw with ``canonical_signs`` has the entry of largest magnitude in
+each column nonnegative. SVDs elsewhere are plain ``np.linalg.svd``
+(singular values nonincreasing); the prior score they feed does not depend
+on column signs.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -40,6 +44,17 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if np.max(np.abs(out - out.T)) > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within tolerance")
     return out
+
+
+def in_float64(form, what: str) -> float:
+    """``form()``, or a ValueError naming ``what`` where it is not a finite float64."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"{what} is beyond the float64 range (max {sys.float_info.max:.4g})")
+    return value
 
 
 def _canonical_column_signs(u: np.ndarray) -> np.ndarray:

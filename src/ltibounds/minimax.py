@@ -12,14 +12,13 @@ Bayesian (van Trees) bound work.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import LoggedValue, geom_sum
-from .linalg import haar_from_gaussian
+from .linalg import haar_from_gaussian, in_float64
 from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
 
 @dataclass(frozen=True)
@@ -86,17 +85,6 @@ def _score(u: np.ndarray, sigmas: np.ndarray, v: np.ndarray, eps: float) -> np.n
     return -2.0 * (u / (eps - sigmas)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _in_float64(form, what: str) -> float:
-    """``form()``, or a ValueError naming ``what`` where it is not a finite float64."""
-    try:
-        value = form()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if math.isinf(value):
-        raise ValueError(f"{what} is beyond the float64 range (max {sys.float_info.max:.4g})")
-    return value
-
-
 def van_trees_bound(d: int, n: int, s: float, eps: float) -> LoggedValue:
     """Bayesian lower bound on the minimax mean-square risk over the class.
 
@@ -114,8 +102,8 @@ def van_trees_bound(d: int, n: int, s: float, eps: float) -> LoggedValue:
         raise ValueError(f"s must be >= 0, got {s}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    x = _in_float64(lambda: (s + eps) ** 2, f"(s + eps)^2 at s = {s!r}, eps = {eps!r}")
-    prior = _in_float64(lambda: 2.0 * (d + 2) ** 2 / eps**2, f"2(d+2)^2/eps^2 at eps = {eps!r}")
+    x = in_float64(lambda: (s + eps) ** 2, f"(s + eps)^2 at s = {s!r}, eps = {eps!r}")
+    prior = in_float64(lambda: 2.0 * (d + 2) ** 2 / eps**2, f"2(d+2)^2/eps^2 at eps = {eps!r}")
     ramp = geom_sum(x, n)
     log_value = 2.0 * math.log(d) - float(np.logaddexp(ramp.log_value, math.log(prior)))
     denom = ramp.value + prior
@@ -158,7 +146,7 @@ def minimax_regimes(d: int, n: int, s: float, alpha: float | None = None) -> Reg
         return RegimeBound(regime="stable", valid=valid, value=value)
     valid = n >= math.log2((d + 2) / alpha) + 3.0
     # log space: (s+1)^{2N} overflows floats long before the value matters
-    lead = _in_float64(
+    lead = in_float64(
         lambda: d**2 * ((s + 1.0) ** 2 - 1.0) ** 2 / (1.0 + alpha),
         f"d^2 ((s+1)^2 - 1)^2 / (1 + alpha) at s = {s!r}",
     )

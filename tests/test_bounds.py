@@ -158,7 +158,7 @@ def test_lab_is_invariant_under_b_times_orthogonal(seed, d, spectrum, extra):
     assert l_ab(SystemParams(a=a, b=b @ q, n=n)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-# the uniform l_ab grid: one FFT of the power sequence against the direct sum
+# the uniform l_ab grid: one real FFT of the power sequence against the direct sum
 
 
 def direct_grid(w, powers, b, grid_points, stride=1, block=256):
@@ -250,15 +250,42 @@ def test_lab_fft_grid_keeps_the_argmax(a, b, n):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
 
-def one_shot_grid(w, powers, b, grid_points):
-    """``_grid_freq_norm_sq`` with W F B and its SVD formed over the whole grid at once."""
+def padded_fold(powers, grid_points):
+    """The powers folded modulo grid_points by a zero pad and one reshaped sum."""
     count = powers.shape[0]
-    if count > grid_points:
-        pad = np.zeros((-count % grid_points,) + powers.shape[1:])
-        powers = np.concatenate([powers, pad])
-        powers = powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
-    f = grid_points * np.fft.ifft(powers, n=grid_points, axis=0)
+    if count <= grid_points:
+        return powers
+    pad = np.zeros((-count % grid_points,) + powers.shape[1:])
+    powers = np.concatenate([powers, pad])
+    return powers.reshape((-1, grid_points) + powers.shape[1:]).sum(axis=0)
+
+
+def ifft_grid(w, powers, b, grid_points):
+    """The whole grid from one complex ifft, with W F B and its SVD at every frequency."""
+    f = grid_points * np.fft.ifft(padded_fold(powers, grid_points), n=grid_points, axis=0)
     return np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
+
+
+def one_shot_grid(w, powers, b, grid_points):
+    """``_grid_freq_norm_sq`` with W F B and its SVD formed over the half spectrum at once."""
+    f = np.fft.rfft(padded_fold(powers, grid_points), n=grid_points, axis=0)
+    half = np.linalg.svd(w @ f @ b, compute_uv=False)[:, 0] ** 2
+    return np.concatenate([half, half[grid_points - len(half) : 0 : -1]])
+
+
+@pytest.mark.parametrize("grid_points", [64, 1000, 1001, 4096, 4097])
+@pytest.mark.parametrize("kind", ["stable", "limit", "unstable"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_half_spectrum_grid_matches_the_full_complex_grid(d, kind, grid_points):
+    # the upper half is the mirror of the lower, for even and odd grids; the
+    # tolerance scales with the maximum, since points cancelled to ~1e-28 of
+    # it carry no relative accuracy
+    for count in (39, grid_points + 5):
+        w, powers, b = random_system(d, kind, count, seed=5)
+        want = ifft_grid(w, powers, b, grid_points)
+        got = _grid_freq_norm_sq(w, powers, b, grid_points)
+        assert got.shape == (grid_points,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max(), err_msg=str(count))
 
 
 @pytest.mark.parametrize("grid_points", [64, 1000, 4096])
@@ -271,9 +298,22 @@ def test_sliced_grid_is_bitwise_the_one_shot_product(grid_points, d, kind):
         assert np.array_equal(got, one_shot_grid(w, powers, b, grid_points)), count
 
 
-def test_d8_lab_grid_peaks_below_8_mb():
-    # the (4096, 8, 8) complex F alone is 4 MB; its products and SVDs run a
-    # slice of frequencies at a time, where the whole grid at once peaked at 13 MB
+def test_fold_adds_the_blocks_in_order_bitwise_as_the_padded_sum(monkeypatch):
+    # the fold adds each grid-sized block into a copy of the first, with no
+    # padded copy of the stack, and leaves the caller's powers untouched
+    w, powers, b = random_system(8, "stable", 3 * 4096 + 7, seed=4)
+    before = powers.copy()
+    transformed = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, **kw: transformed.append(x.copy()) or rfft(x, **kw))
+    _grid_freq_norm_sq(w, powers, b, 4096)
+    assert np.array_equal(transformed[0], padded_fold(powers, 4096))
+    assert np.array_equal(powers, before)
+
+
+def test_d8_lab_grid_peaks_below_4_5_mb():
+    # the (2049, 8, 8) complex half-spectrum F is 2 MB and the power stack 1 MB;
+    # the products and SVDs run a slice of frequencies at a time
     params = SystemParams(a=d8_similarity(38), b=np.eye(8), n=2048)
     params.psi_inv_sqrt  # the walk and Psi^{-1/2} are cached before the grid is measured
     tracemalloc.start()
@@ -282,7 +322,7 @@ def test_d8_lab_grid_peaks_below_8_mb():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 4.5 * 2**20
 
 
 def test_lab_grid_memory_stays_small():
@@ -602,6 +642,28 @@ def test_explicit_bound_takes_the_limit_form_iff_the_split_has_a_limit_part():
     ]:
         assert bool(params.split.limit_indices) is limit
         assert (explicit_bound(params, 0.1).delta_eps is not None) is limit
+
+
+@pytest.mark.parametrize(
+    "a, epsilon, named",
+    [
+        (np.diag([0.5, 0.3]), 1e-200, "n_min"),  # epsilon^2 is 0.0
+        (np.diag([0.5, 0.3]), 1e-160, "n_min"),  # n_min is inf
+        (np.diag([1.0, 0.5]), 5e-324, "delta_eps"),  # epsilon * gap is 0.0
+        (np.diag([1.0, 0.5]), 1e-320, "delta_eps"),  # cond^2 / (epsilon * gap) is inf
+    ],
+)
+def test_explicit_bound_names_run_epsilon_where_the_regime_bound_leaves_float64(a, epsilon, named):
+    params = SystemParams(a=a, b=np.eye(2), n=64)
+    with pytest.raises(ValueError, match=rf"^{named} at run\.epsilon = {epsilon!r} is beyond the float64 range"):
+        explicit_bound(params, epsilon)
+
+
+def test_cr_bound_names_run_epsilon_where_l_ab_over_epsilon_leaves_float64():
+    params = SystemParams(a=np.diag([1.0, 0.5]), b=np.eye(2), n=64)
+    with pytest.raises(ValueError, match=r"^l_ab / run\.epsilon at run\.epsilon = 1e-320 is beyond"):
+        cr_bound(params, 1e-320, grid_points=128)
+    assert math.isfinite(cr_bound(params, 1e-300, grid_points=128).delta1)
 
 
 def test_no_limit_hand_threshold():

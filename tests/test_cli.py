@@ -194,6 +194,26 @@ def test_bounds_jordan_block_exit_3(tmp_path, capsys):
     assert "diagonalizability assumption" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "a, epsilon, named",
+    [
+        ([[0.5, 0.0], [0.0, 0.3]], 1e-200, "n_min at run.epsilon = 1e-200"),
+        ([[0.5, 0.0], [0.0, 0.3]], 1e-160, "n_min at run.epsilon = 1e-160"),
+        ([[1.0, 0.0], [0.0, 0.5]], 1e-320, "l_ab / run.epsilon at run.epsilon = 1e-320"),
+    ],
+    ids=["eps-squared-zero", "n-min-infinite", "l-ab-over-eps-infinite"],
+)
+def test_bounds_tiny_epsilon_exits_3_naming_run_epsilon(tmp_path, capsys, a, epsilon, named):
+    # epsilon^2 is 0.0 at 1e-200 and n_min is inf at 1e-160 (no limit-stable
+    # part); l_ab / epsilon is inf at 1e-320: one stderr line, no traceback
+    path = write_config(tmp_path, system={"n": 64, "a": a}, run={"epsilon": epsilon})
+    out = tmp_path / "report.csv"
+    assert main(["bounds", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"precondition violation: {named} is beyond the float64 range (max 1.798e+308)\n"
+    assert not out.exists()
+
+
 def _count_splits(monkeypatch) -> list:
     calls = []
     split = ltibounds.bounds.spectral_split
