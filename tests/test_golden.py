@@ -3,7 +3,10 @@
 Each ``tests/golden/<command>_<name>.json`` config has the report of
 ``ltibounds <command>`` committed next to it as ``<command>_<name>.csv``.
 ``verify_readme_rotation`` runs three ``CHUNK``-sized chunks, each shared by
-all of its experiments; ``verify_d3_n64`` runs one such chunk; ``verify_d3_n64_t50`` and
+all of its experiments; ``verify_readme_rotation_n200`` runs the same system
+at N = 200 over chunks of 4096 and 904 trials, each as blocks of 64, 64, 64
+and 8 steps, so it pins the block carry-over and the join of the chunks on
+the trial axis; ``verify_d3_n64`` runs one such chunk; ``verify_d3_n64_t50`` and
 ``verify_d3_n64_t500`` pin the skipped and inconclusive rows below the 100-
 and 1000-trial minimums. Four of the seven ``bounds`` goldens are the seed-1
 configs of a stable, a limit-stable, an unstable and a d=8 system of the
@@ -59,6 +62,7 @@ def test_goldens_exist():
         "verify_d3_n64_t50",
         "verify_d3_n64_t500",
         "verify_readme_rotation",
+        "verify_readme_rotation_n200",
     ]
 
 
