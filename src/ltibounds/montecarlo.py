@@ -1,14 +1,17 @@
 """Seeded Monte Carlo experiments checking the identities behind the bounds.
 
-Each experiment is a ``ChunkPlan``: a per-chunk statistic and a reducer of
-the chunks' results, plus at most one ``cr_bound`` task whose report the
-reducer also reads. ``run_plans`` is the one runner. It lists one task per
-chunk of trials, then each distinct bound task, and runs that list: with
-``workers`` > 1 in one process pool of ``min(workers, tasks)`` processes,
-submitted in list order, so the long chunk tasks go first and the short
-bound beside them; otherwise in this process, in order. The reducers then
-run in this process, in plan order, so the first exception in task order,
-then in reducer order, is the one raised whatever the worker count. The
+Each experiment is a ``ChunkPlan``: a per-chunk statistic of one source of
+draws, a reducer of that statistic's arrays over every trial, and at most
+one ``cr_bound`` task whose report the reducer also reads. ``run_plans`` is
+the one runner. It lists one task per chunk of trials, then each distinct
+bound task, and runs that list: with ``workers`` > 1 in one process pool of
+``min(workers, tasks)`` processes, submitted in list order, so the long
+chunk tasks go first and the short bound beside them; otherwise in this
+process, in order. A chunk task returns one dict per plan; ``run_plans``
+joins each plan's dicts on the trial axis, in chunk order, and hands them to
+that plan's reducer alone. The reducers run in this process, in plan order,
+so the first exception in task order, then in reducer order, is the one
+raised whatever the worker count. The
 public functions (``empirical_risk``, ``identity_checks``, ...) run one plan
 each; the CLI ``verify`` command runs all of its plans in one call, so one
 op opens at most one pool.
@@ -18,12 +21,14 @@ Plans read them while they are built, in this process, so every task pickles
 ``params`` with them and A^(k-1)B is walked once per system.
 
 One chunk task, ``_chunk``, serves every experiment on random draws. A
-plan's statistic reads a ``SimulatedChunk`` of the fixed system, a
-``SimulatedChunk`` of one prior draw of A per trial (the Bayes experiment,
-B = I), or the chunk's prior draws (the prior-score identity). ``run_plans``
-gives several plans one task per chunk, which draws each block of the
-chunk's noise once and its prior once, simulates each set of trajectories
-once, forms each Gram sum at most once per block and computes every plan's
+plan names the source its statistic reads: a ``SimulatedChunk`` of the
+fixed system without (``FIXED``) or with (``NOISE``) its per-trial sum
+e_i x_i^T, a ``SimulatedChunk`` of one prior draw of A per trial (``BAYES``,
+the Bayes experiment, B = I), or the chunk's prior draws (``PRIOR``, the
+prior-score identity). ``run_plans`` gives several plans one task per chunk,
+which draws each block of the chunk's noise once and its prior once,
+simulates each set of trajectories once, forms each Gram sum at most once
+per block (e_i x_i^T only for a ``NOISE`` plan) and computes every plan's
 statistic; ``verify`` runs all six of its Monte Carlo experiments so, and
 the Bayes trajectories are driven by the same noise as the fixed-system
 ones. Gram sums are BLAS products, so another BLAS build or CPU kernel may
@@ -98,6 +103,8 @@ BLOCK = 64
 # every other experiment
 MIN_RISK_TRIALS = 100
 MIN_CONCLUSIVE_TRIALS = 1000
+# standard errors an entrywise check's worst entry may deviate from its target
+CHECK_SE = 4.0
 
 
 class AllTrialsSingularError(RuntimeError):
@@ -212,11 +219,11 @@ def _chunk_ranges(trials: int, size: int) -> list[tuple[int, int]]:
     return [(start // size, min(size, trials - start)) for start in range(0, trials, size)]
 
 
-def _gather(parts: list[dict[str, np.ndarray]], *keys: str) -> dict[str, np.ndarray]:
-    """The parts' arrays ``keys`` (default all) joined on the trial axis; one part as is."""
+def _gather(parts: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The parts' arrays joined on the trial axis, key by key; one part as is."""
     if len(parts) == 1:
         return parts[0]
-    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in keys or parts[0]}
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
 class SimulatedChunk:
@@ -229,8 +236,8 @@ class SimulatedChunk:
     and adds the block's partial sums to ``gamma`` = sum x_i x_{i-1}^T and
     ``sigma`` = sum x_{i-1} x_{i-1}^T and, only when ``noise_gram`` is set,
     to ``noise_gram``, the per-trial sum e_i x_i^T over the block's own
-    steps (the i = 0 term is zero, as x_0 = 0). Only ``last``, (count, d),
-    outlives a block.
+    steps (the i = 0 term is zero, as x_0 = 0); otherwise ``noise_gram`` is
+    None. Only ``last``, (count, d), outlives a block.
     ``finish`` ends the trajectories; the statistics read the sums after it.
     ``ls_error`` (``_ls_error``) is formed on first use.
     """
@@ -241,8 +248,7 @@ class SimulatedChunk:
         self.a, self.b = a, b
         self.last = np.zeros((count, d))
         self.gamma, self.sigma = np.zeros((count, d, d)), np.zeros((count, d, d))
-        if noise_gram:
-            self.noise_gram = np.zeros((count, d, d))
+        self.noise_gram = np.zeros((count, d, d)) if noise_gram else None
 
     def advance(self, noise: np.ndarray, states: np.ndarray) -> None:
         states[:, 0] = self.last
@@ -252,7 +258,7 @@ class SimulatedChunk:
         x_prev = states[:, :-1]
         self.gamma += _gram(states[:, 1:], x_prev)
         self.sigma += _gram(x_prev, x_prev)
-        if hasattr(self, "noise_gram"):
+        if self.noise_gram is not None:
             self.noise_gram += _gram(noise, x_prev)
 
     def finish(self) -> None:
@@ -290,59 +296,53 @@ class Draws(NamedTuple):
     spec: PriorSpec | None = None
 
 
-def _apply(stats: tuple, data) -> dict[str, np.ndarray]:
-    return {key: value for stat in stats for key, value in stat(data).items()}
+def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str, np.ndarray]]:
+    """Each plan's statistic of chunk ``index`` (``count`` trials), one dict per plan.
 
-
-def _chunk(
-    draws: Draws, fixed: tuple, bayes: tuple, prior: tuple, index: int, count: int
-) -> dict[str, np.ndarray]:
-    """Every statistic of chunk ``index`` (``count`` trials), in one dict.
-
-    ``fixed`` and ``bayes`` are statistics of a ``SimulatedChunk`` of the fixed
-    system and of the prior draws of A; ``prior`` are statistics of the
-    chunk's ``PriorSample``. The prior is drawn only when a ``bayes`` or
-    ``prior`` statistic reads it, and the noise only when a ``fixed`` or
-    ``bayes`` one does. Each block of noise is drawn once and advances both
+    ``stats`` holds one (source, statistic) pair per plan, in plan order; see
+    ``ChunkPlan``. The prior is drawn only when a ``BAYES`` or ``PRIOR``
+    statistic reads it, and the noise only when a ``FIXED``, ``NOISE`` or
+    ``BAYES`` one does. Each block of noise is drawn once and advances both
     sets of trajectories in one shared buffer of states, so no worker holds
     more than one block of noise. The fixed system's sum e_i x_i^T is formed
-    only when a ``fixed`` statistic reads it; no ``bayes`` one does.
+    only when a ``NOISE`` statistic reads it.
     """
-    out = {}
-    if bayes or prior:
+    out: list = [None] * len(stats)
+    reads = {source for source, _ in stats}
+
+    def compute(sources: tuple, data) -> None:
+        for i, (source, stat) in enumerate(stats):
+            if source in sources:
+                out[i] = stat(data)
+
+    if reads & {BAYES, PRIOR}:
         sample = sample_prior_batch(draws.spec, draws.prior.child(index), count)
-        out.update(_apply(prior, sample))
+        compute((PRIOR,), sample)
         a_stack = sample.a
         del sample  # the Haar factors die once the A stack and the score are formed
-    if not (fixed or bayes):
-        return out
     n, d = draws.n, draws.d
-    chunks = []
-    if fixed:
-        params = draws.params
-        fixed_chunk = SimulatedChunk(
-            params.a, params.b, count, d, noise_gram=_reads_noise_gram(fixed)
-        )
-        chunks.append(fixed_chunk)
-    if bayes:
-        bayes_chunk = SimulatedChunk(a_stack, np.eye(d), count, d)
-        chunks.append(bayes_chunk)
-    states = np.empty((count, min(n, BLOCK) + 1, d))
-    noise_stream = draws.noise.child(index, KIND_NOISE)
-    for block, start in enumerate(range(0, n, BLOCK)):
-        steps = min(BLOCK, n - start)
-        noise = noise_stream.child(block).generator().standard_normal((count, steps, d))
-        for chunk in chunks:
-            chunk.advance(noise, states[:, : steps + 1])
-        del noise  # the next block is drawn with this one gone
-    for chunk in chunks:
-        chunk.finish()
-    del chunks, states
-    if fixed:
-        out.update(_apply(fixed, fixed_chunk))
-        del fixed_chunk  # its sums and least-squares errors die before the Bayes statistics run
-    if bayes:
-        out.update(_apply(bayes, bayes_chunk))
+    sims = []
+    if reads & {FIXED, NOISE}:
+        a, b = draws.params.a, draws.params.b
+        sims.append(((FIXED, NOISE), SimulatedChunk(a, b, count, d, noise_gram=NOISE in reads)))
+    if BAYES in reads:
+        sims.append(((BAYES,), SimulatedChunk(a_stack, np.eye(d), count, d)))
+    if sims:
+        states = np.empty((count, min(n, BLOCK) + 1, d))
+        noise_stream = draws.noise.child(index, KIND_NOISE)
+        for block, start in enumerate(range(0, n, BLOCK)):
+            steps = min(BLOCK, n - start)
+            noise = noise_stream.child(block).generator().standard_normal((count, steps, d))
+            for _, sim in sims:
+                sim.advance(noise, states[:, : steps + 1])
+            del noise  # the next block is drawn with this one gone
+        del states
+    while sims:
+        # the fixed system's sums and least-squares errors die before the Bayes statistics run
+        sources, sim = sims.pop(0)
+        sim.finish()
+        compute(sources, sim)
+        del sim
     return out
 
 
@@ -355,10 +355,6 @@ def _risk_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
     diff = chunk.ls_error[1]
     # err before mse: the other order lifts a d=2 pool worker's peak RSS 1.2 MB (heap layout)
     return {"err": np.einsum("tij,tkj->tik", diff, diff), **_mse_stats(chunk)}
-
-
-def _bayes_stats(chunk: SimulatedChunk) -> dict[str, np.ndarray]:
-    return {f"bayes_{key}": value for key, value in _mse_stats(chunk).items()}
 
 
 def _identity_stats(
@@ -384,14 +380,6 @@ def _multiplication_stats(w: np.ndarray, chunk: SimulatedChunk) -> dict[str, np.
     return {"mult": np.linalg.svd(g, compute_uv=False)[:, 0] ** 2}
 
 
-# the statistics that read a SimulatedChunk's noise_gram, as a chunk lists them
-_NOISE_GRAM_READERS = frozenset({_identity_stats, _multiplication_stats})
-
-
-def _reads_noise_gram(stats: tuple) -> bool:
-    return any(getattr(stat, "func", stat) in _NOISE_GRAM_READERS for stat in stats)
-
-
 def _prior_score_stats(spec: PriorSpec, sample: PriorSample) -> dict[str, np.ndarray]:
     return {"lhs": score_identity_lhs(sample, spec)}
 
@@ -401,17 +389,19 @@ def _prior_score_stats(spec: PriorSpec, sample: PriorSample) -> dict[str, np.nda
 # ---------------------------------------------------------------------------
 
 # what a plan's statistic reads; see ChunkPlan
-FIXED, BAYES, PRIOR = "fixed", "bayes", "prior"
+FIXED, NOISE, BAYES, PRIOR = "fixed", "noise", "bayes", "prior"
 
 
 class ChunkPlan(NamedTuple):
     """An experiment on the draws of ``Draws``, before they are chunked.
 
-    ``statistic`` maps the draws of its ``source`` to the arrays the reducer
-    reads: the chunk's ``SimulatedChunk`` of the fixed system (``FIXED``) or
-    of one prior draw of A per trial (``BAYES``), or its ``PriorSample``
-    (``PRIOR``). ``reduce`` gets the list of the chunks' results and, when
-    ``bound`` is a ``cr_bound`` task, that task's report after it.
+    ``statistic`` maps one chunk's draws of its ``source`` to a dict of
+    per-trial arrays: the chunk's ``SimulatedChunk`` of the fixed system
+    without (``FIXED``) or with (``NOISE``) its sum e_i x_i^T, or of one prior
+    draw of A per trial (``BAYES``), or its ``PriorSample`` (``PRIOR``).
+    ``reduce`` gets those arrays joined over every trial, as
+    ``reduce(data)``, or ``reduce(data, report)`` when ``bound`` is a
+    ``cr_bound`` task; it never sees chunks or another plan's arrays.
     """
 
     statistic: Callable[[Any], dict]
@@ -420,20 +410,15 @@ class ChunkPlan(NamedTuple):
     bound: Callable[[], BoundReport] | None = None
 
 
-def _chunks(draws: Draws, trials: int, plans: Sequence[ChunkPlan]) -> list[Callable[[], dict]]:
+def _chunks(draws: Draws, trials: int, plans: Sequence[ChunkPlan]) -> list[Callable[[], list]]:
     """One ``_chunk`` task per chunk of ``trials``, computing every plan's statistic.
 
     A chunk that simulates trajectories holds ``_chunk_trials(n * d)`` trials.
     """
-    fixed, bayes, prior = (
-        tuple(p.statistic for p in plans if p.source == source)
-        for source in (FIXED, BAYES, PRIOR)
-    )
-    size = _chunk_trials(draws.n * draws.d if fixed or bayes else 0)
-    return [
-        partial(_chunk, draws, fixed, bayes, prior, index, count)
-        for index, count in _chunk_ranges(trials, size)
-    ]
+    stats = tuple((p.source, p.statistic) for p in plans)
+    simulates = any(p.source != PRIOR for p in plans)
+    size = _chunk_trials(draws.n * draws.d if simulates else 0)
+    return [partial(_chunk, draws, stats, index, count) for index, count in _chunk_ranges(trials, size)]
 
 
 def run_plans(
@@ -441,19 +426,25 @@ def run_plans(
 ) -> list:
     """The reduced result of each plan, in order; None for a None plan.
 
-    Every plan reads one set of chunk tasks, each run once. Each distinct
-    bound task (plans may share one) runs once, after the chunks, so a pool
-    gets the long tasks first; ``_run_tasks`` runs the list. The reducers run
-    after every task is done, so a task's error comes before any reducer's.
+    Every plan reads one set of chunk tasks, each run once, which return one
+    dict per plan. Each distinct bound task (plans may share one) runs once,
+    after the chunks, so a pool gets the long tasks first; ``_run_tasks``
+    runs the list. The reducers run after every task is done, so a task's
+    error comes before any reducer's. Each plan's dicts are joined on the
+    trial axis, in chunk order, just before its reducer runs, so one plan's
+    joined arrays are alive at a time.
     """
     live = [p for p in plans if p is not None]
     chunks = _chunks(draws, trials, live)
     bounds = list(dict.fromkeys(p.bound for p in live if p.bound is not None))
     results = _run_tasks([*chunks, *bounds], workers)
-    parts, reports = results[: len(chunks)], dict(zip(bounds, results[len(chunks) :]))
+    reports = dict(zip(bounds, results[len(chunks) :]))
+    # each live plan's dicts over the chunks, in plan order
+    own = iter(zip(*results[: len(chunks)]))
 
     def reduce(plan: ChunkPlan):
-        return plan.reduce(parts) if plan.bound is None else plan.reduce(parts, reports[plan.bound])
+        data = _gather(next(own))
+        return plan.reduce(data) if plan.bound is None else plan.reduce(data, reports[plan.bound])
 
     return [None if p is None else reduce(p) for p in plans]
 
@@ -481,8 +472,7 @@ def risk_plan(params: SystemParams, trials: int) -> ChunkPlan:
     """Plan of ``empirical_risk``."""
     _require_trials(trials, MIN_RISK_TRIALS)
 
-    def reduce(parts) -> RiskEstimate:
-        data = _gather(parts, "failed", "err", "mse")
+    def reduce(data) -> RiskEstimate:
         n_ok = _accepted_trials(data["failed"], "trials")
         error_matrix = np.sum(data["err"], axis=0) / n_ok
         error_matrix = 0.5 * (error_matrix + error_matrix.T)
@@ -527,8 +517,8 @@ def concentration_plan(
     if not levels or levels[0] <= 0:
         raise ValueError(f"t_levels must be positive, got {t_levels}")
 
-    def reduce(parts, report: BoundReport) -> ConcentrationReport:
-        devs = np.sort(_gather(parts, "dev")["dev"])
+    def reduce(data, report: BoundReport) -> ConcentrationReport:
+        devs = np.sort(data["dev"])
         deltas = tuple(delta1(params, t, report.l_ab) for t in levels)
         fitted = 0.0
         for t, delta in zip(levels, deltas):
@@ -578,13 +568,13 @@ def multiplication_plan(
     """Plan of ``multiplication_experiment``; ``rate`` as in ``concentration_plan``."""
     _require_trials(trials, MIN_CONCLUSIVE_TRIALS)
 
-    def reduce(parts, report: BoundReport) -> MultiplicationResult:
+    def reduce(data, report: BoundReport) -> MultiplicationResult:
         return MultiplicationResult(
-            mc_value=float(_gather(parts, "mult")["mult"].mean()),
+            mc_value=float(data["mult"].mean()),
             bound_value=params.d * delta2(params, report.l_ab),
         )
 
-    return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), reduce, bound=rate)
+    return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), reduce, NOISE, rate)
 
 
 def multiplication_experiment(
@@ -606,8 +596,8 @@ def dominance_plan(
     """Plan of ``dominance_check``; ``bound`` is the task returning the bound it checks."""
     risk = risk_plan(params, trials)
 
-    def reduce(parts, report: BoundReport) -> DominanceResult:
-        diff = risk.reduce(parts).error_matrix - report.cr_matrix
+    def reduce(data, report: BoundReport) -> DominanceResult:
+        diff = risk.reduce(data).error_matrix - report.cr_matrix
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
         return DominanceResult(holds=margin >= 0.0, margin=margin)
 
@@ -639,15 +629,14 @@ def bayes_plan(spec: PriorSpec, n: int, trials: int) -> ChunkPlan:
     if n < spec.d + 1:
         raise ValueError(f"n must be >= d + 1 = {spec.d + 1}, got {n}")
 
-    def reduce(parts) -> BayesRiskResult:
-        data = _gather(parts, "bayes_failed", "bayes_mse")
-        n_ok = _accepted_trials(data["bayes_failed"], "Bayes trials")
-        bayes_mse = float(np.sum(data["bayes_mse"]) / n_ok)
+    def reduce(data) -> BayesRiskResult:
+        n_ok = _accepted_trials(data["failed"], "Bayes trials")
+        bayes_mse = float(np.sum(data["mse"]) / n_ok)
         return BayesRiskResult(
             bayes_mse=bayes_mse, vt_bound=van_trees_bound(spec.d, n, spec.s, spec.eps)
         )
 
-    return ChunkPlan(_bayes_stats, reduce, BAYES)
+    return ChunkPlan(_mse_stats, reduce, BAYES)
 
 
 def bayes_risk_experiment(
@@ -669,9 +658,7 @@ def bayes_risk_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _entrywise_check(
-    name: str, samples: np.ndarray, target: np.ndarray, n_se: float
-) -> CheckResult:
+def _entrywise_check(name: str, samples: np.ndarray, target: np.ndarray) -> CheckResult:
     trials = samples.shape[0]
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -681,9 +668,9 @@ def _entrywise_check(
     worst = float(np.max(units))
     return CheckResult(
         name=name,
-        passed=bool(worst <= n_se) if trials >= MIN_CONCLUSIVE_TRIALS else None,
+        passed=bool(worst <= CHECK_SE) if trials >= MIN_CONCLUSIVE_TRIALS else None,
         statistic=worst,
-        threshold=n_se,
+        threshold=CHECK_SE,
         value=float(np.trace(np.atleast_2d(mean))),
         target=float(np.trace(np.atleast_2d(target))),
         std_error=float(np.max(se)),
@@ -701,15 +688,14 @@ def identity_plan(params: SystemParams) -> ChunkPlan:
     psi_inv = np.linalg.solve(params.psi_info[0], np.eye(d))
     fisher = fisher_information(params)
 
-    def reduce(parts) -> list[CheckResult]:
-        data = _gather(parts, "selfnorm", "fisher", "score")
+    def reduce(data) -> list[CheckResult]:
         return [
-            _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d), 4.0),
-            _entrywise_check("fisher_information", data["fisher"], fisher, 4.0),
-            _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d)), 4.0),
+            _entrywise_check("selfnorm_identity", data["selfnorm"], d * np.eye(d)),
+            _entrywise_check("fisher_information", data["fisher"], fisher),
+            _entrywise_check("score_mean_zero", data["score"], np.zeros((d, d))),
         ]
 
-    return ChunkPlan(partial(_identity_stats, params, psi_inv), reduce)
+    return ChunkPlan(partial(_identity_stats, params, psi_inv), reduce, NOISE)
 
 
 def identity_checks(
@@ -729,10 +715,8 @@ def identity_checks(
 def prior_identity_plan(spec: PriorSpec) -> ChunkPlan:
     """Plan of ``prior_identity_check``."""
 
-    def reduce(parts) -> CheckResult:
-        return _entrywise_check(
-            "prior_score_identity", _gather(parts, "lhs")["lhs"], spec.d * np.eye(spec.d), 4.0
-        )
+    def reduce(data) -> CheckResult:
+        return _entrywise_check("prior_score_identity", data["lhs"], spec.d * np.eye(spec.d))
 
     return ChunkPlan(partial(_prior_score_stats, spec), reduce, PRIOR)
 

@@ -26,7 +26,6 @@ from ltibounds.minimax import (
 from ltibounds.model import SystemParams, fisher_information
 from ltibounds.montecarlo import (
     Draws,
-    _gather,
     bayes_risk_experiment,
     dominance_plan,
     empirical_risk,
@@ -75,7 +74,7 @@ def test_criterion_1_exact_identity_suite():
         # one run of the identity chunks: the checks, and the Fisher samples
         # reduced to a relative Frobenius distance instead of an entrywise check
         identity = identity_plan(params)
-        plan = identity._replace(reduce=lambda parts: (identity.reduce(parts), _gather(parts)))
+        plan = identity._replace(reduce=lambda data: (identity.reduce(data), data))
         draws = Draws(root.child(10, idx), params.n, params.d, params)
         ((checks, samples),) = run_plans(draws, TRIALS_IDENTITY, [plan])
         checks = {c.name: c for c in checks}

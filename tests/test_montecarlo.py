@@ -25,13 +25,14 @@ from ltibounds.montecarlo import (
     BAYES,
     BLOCK,
     CHUNK,
+    FIXED,
+    NOISE,
     PRIOR,
     AllTrialsSingularError,
     ChunkPlan,
     Draws,
     TooManySingularTrialsError,
     _accepted_trials,
-    _bayes_stats,
     _chunk,
     _chunk_ranges,
     _chunk_trials,
@@ -39,6 +40,7 @@ from ltibounds.montecarlo import (
     _concentration_stats,
     _gather,
     _identity_stats,
+    _mse_stats,
     _multiplication_stats,
     _prior_score_stats,
     SimulatedChunk,
@@ -92,8 +94,19 @@ def fixed_draws(params, rng):
 
 
 def fixed_chunk(params, stats, rng, index, count):
-    """``_chunk`` with only the statistics ``stats`` of the fixed system."""
-    return _chunk(fixed_draws(params, rng), stats, (), (), index, count)
+    """``_chunk`` with only the (source, statistic) pairs ``stats`` of the fixed system."""
+    return _chunk(fixed_draws(params, rng), stats, index, count)
+
+
+def joined_chunks(draws, stats, trials):
+    """Each plan's ``_chunk`` dicts over ``trials`` in ``CHUNK``-sized chunks, joined on the trial axis."""
+    parts = [_chunk(draws, stats, i, c) for i, c in _chunk_ranges(trials, CHUNK)]
+    return [_gather(own) for own in zip(*parts)]
+
+
+def _arrays(data):
+    """A reducer that returns its plan's arrays, joined over every trial."""
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +154,7 @@ def test_risk_worker_independence():
 
 def identity_samples(params, trials, rng):
     """Per-trial selfnorm, score and Fisher samples of ``identity_checks``' chunks."""
-    plan = identity_plan(params)._replace(reduce=_gather)
+    plan = identity_plan(params)._replace(reduce=_arrays)
     return run_plans(fixed_draws(params, rng), trials, [plan])[0]
 
 
@@ -399,9 +412,9 @@ def test_chunk_size_depends_on_the_noise_of_a_trial():
         draws = Draws(Stream(1), n, d, params, Stream(2), spec)
         return [task.args[-2:] for task in _chunks(draws, trials, [plan])]
 
-    risk = ChunkPlan(_risk_stats, _gather)
-    bayes = ChunkPlan(_bayes_stats, _gather, BAYES)
-    prior = ChunkPlan(partial(_prior_score_stats, spec), _gather, PRIOR)
+    risk = ChunkPlan(_risk_stats, _arrays)
+    bayes = ChunkPlan(_mse_stats, _arrays, BAYES)
+    prior = ChunkPlan(partial(_prior_score_stats, spec), _arrays, PRIOR)
     # N*d = 1024, at and above CHUNK trials
     assert chunks(512, 2, CHUNK, risk) == [(0, CHUNK)]
     assert chunks(512, 2, CHUNK + 1, bayes) == [(0, CHUNK), (1, 1)]
@@ -423,24 +436,29 @@ def _assert_prefix_equal(short: dict, long: dict) -> None:
 
 
 def _statistics(params, psi_inv, w):
-    """Every trajectory statistic ``verify`` computes, as ``verify`` orders them."""
+    """Every trajectory statistic ``verify`` computes, with its source, as ``verify`` orders them."""
     return (
-        partial(_identity_stats, params, psi_inv),
-        _risk_stats,
-        partial(_concentration_stats, w),
-        partial(_multiplication_stats, w),
+        (NOISE, partial(_identity_stats, params, psi_inv)),
+        (FIXED, _risk_stats),
+        (FIXED, partial(_concentration_stats, w)),
+        (NOISE, partial(_multiplication_stats, w)),
     )
+
+
+# the arrays of each statistic of _statistics, in its order
+IDENTITY_KEYS, RISK_KEYS, MSE_KEYS = {"selfnorm", "score", "fisher"}, {"failed", "err", "mse"}, {"failed", "mse"}
+TRAJECTORY_KEYS = [IDENTITY_KEYS, RISK_KEYS, {"dev"}, {"mult"}]
 
 
 def test_trajectory_chunk_trial_prefix_invariance():
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
-    chunk = partial(fixed_chunk, params, _statistics(params, np.eye(2), 0.5 * np.eye(2)))
+    stats = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     short, long = (
-        _gather([chunk(Stream(90), i, c) for i, c in _chunk_ranges(t, CHUNK)])
-        for t in (PREFIX_TRIALS, LONGER_TRIALS)
+        joined_chunks(fixed_draws(params, Stream(90)), stats, t) for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
-    assert short.keys() == {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"}
-    _assert_prefix_equal(short, long)
+    assert [own.keys() for own in short] == TRAJECTORY_KEYS
+    for own_short, own_long in zip(short, long):
+        _assert_prefix_equal(own_short, own_long)
 
 
 # the per-plan chunk functions of RNG layout 2, each simulating its own
@@ -537,9 +555,11 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
     ]
     for index, count in _chunk_ranges(CHUNK + 300, CHUNK):
         shared = fixed_chunk(params, _statistics(params, psi_inv, w), Stream(99), index, count)
-        for reference in references:
-            for key, value in reference(Stream(99), index, count).items():
-                assert np.array_equal(shared[key], value), (key, index)
+        for own, reference in zip(shared, references, strict=True):
+            expected = reference(Stream(99), index, count)
+            assert own.keys() == expected.keys()
+            for key, value in expected.items():
+                assert np.array_equal(own[key], value), (key, index)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +571,14 @@ def test_shared_chunk_statistics_are_bitwise_the_per_plan_chunks(a, b, n):
 def verify_plans(stats, spec):
     """A ``ChunkPlan`` per statistic of a ``verify`` chunk, each reducing to its arrays."""
     return [
-        *(ChunkPlan(stat, _gather) for stat in stats),
-        ChunkPlan(_bayes_stats, _gather, BAYES),
-        ChunkPlan(partial(_prior_score_stats, spec), _gather, PRIOR),
+        *(ChunkPlan(stat, _arrays, source) for source, stat in stats),
+        ChunkPlan(_mse_stats, _arrays, BAYES),
+        ChunkPlan(partial(_prior_score_stats, spec), _arrays, PRIOR),
     ]
 
 
-VERIFY_KEYS = {"failed", "err", "mse", "selfnorm", "score", "fisher", "dev", "mult"} | {
-    "bayes_failed",
-    "bayes_mse",
-    "lhs",
-}
+# the arrays of each plan of verify_plans, in its order
+VERIFY_KEYS = [*TRAJECTORY_KEYS, MSE_KEYS, {"lhs"}]
 
 
 def _peak_bytes(task) -> int:
@@ -642,28 +659,24 @@ def test_run_plans_lists_the_chunks_before_the_bound(monkeypatch):
     assert [task.func for task in tasks] == [_chunk, _chunk, cr_bound]
     assert tasks[-1] is bound
     # both plans' statistics are computed by the same chunk tasks
-    assert all(task.args[1] == tuple(p.statistic for p in plans) for task in tasks[:-1])
+    assert all(task.args[1] == tuple((p.source, p.statistic) for p in plans) for task in tasks[:-1])
 
 
 def test_bayes_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(91), 6, 2, prior=Stream(91), spec=spec)
-    short, long = (
-        _gather([_chunk(draws, (), (_bayes_stats,), (), i, c) for i, c in _chunk_ranges(t, CHUNK)])
-        for t in (PREFIX_TRIALS, LONGER_TRIALS)
+    (short,), (long,) = (
+        joined_chunks(draws, ((BAYES, _mse_stats),), t) for t in (PREFIX_TRIALS, LONGER_TRIALS)
     )
-    assert short.keys() == {"bayes_failed", "bayes_mse"}
+    assert short.keys() == MSE_KEYS
     _assert_prefix_equal(short, long)
 
 
 def test_prior_identity_chunk_trial_prefix_invariance():
     spec = PriorSpec(s=0.5, eps=1.0, d=3)
     draws = Draws(Stream(92), 0, 3, prior=Stream(92), spec=spec)
-    prior = (partial(_prior_score_stats, spec),)
-    short, long = (
-        _gather([_chunk(draws, (), (), prior, i, c) for i, c in _chunk_ranges(t, CHUNK)])
-        for t in (PREFIX_TRIALS, LONGER_TRIALS)
-    )
+    prior = ((PRIOR, partial(_prior_score_stats, spec)),)
+    (short,), (long,) = (joined_chunks(draws, prior, t) for t in (PREFIX_TRIALS, LONGER_TRIALS))
     assert short.keys() == {"lhs"}
     _assert_prefix_equal(short, long)
 
@@ -678,14 +691,12 @@ def test_verify_chunks_are_trial_prefix_invariant_at_every_chunk_size(monkeypatc
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(104), params.n, params.d, params, Stream(105), spec)
     plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
-    short, long = (
-        run_plans(draws, trials, plans)[0]
-        for trials in (305, 612)
-    )
-    assert short.keys() == VERIFY_KEYS
-    for key in short:
-        assert len(short[key]) == 305
-        assert np.array_equal(short[key], long[key][:305]), key
+    short, long = (run_plans(draws, trials, plans) for trials in (305, 612))
+    assert [own.keys() for own in short] == VERIFY_KEYS
+    for own_short, own_long in zip(short, long):
+        for key in own_short:
+            assert len(own_short[key]) == 305
+            assert np.array_equal(own_short[key], own_long[key][:305]), key
 
 
 @pytest.mark.parametrize("n", [6, 197])
@@ -696,10 +707,11 @@ def test_verify_chunks_do_not_depend_on_workers(monkeypatch, n):
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(111), params.n, params.d, params, Stream(112), spec)
     plans = verify_plans(_statistics(params, np.eye(2), 0.5 * np.eye(2)), spec)
-    one, two = (run_plans(draws, 700, plans, workers)[0] for workers in (1, 2))
-    assert one.keys() == two.keys() == VERIFY_KEYS
-    for key in one:
-        assert np.array_equal(one[key], two[key]), key
+    one, two = (run_plans(draws, 700, plans, workers) for workers in (1, 2))
+    assert [own.keys() for own in one] == [own.keys() for own in two] == VERIFY_KEYS
+    for own_one, own_two in zip(one, two):
+        for key in own_one:
+            assert np.array_equal(own_one[key], own_two[key]), key
     assert multiprocessing.active_children() == []
 
 
@@ -710,14 +722,15 @@ def test_chunk_draws_each_block_of_noise_from_its_own_stream():
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     noise_rng, prior_rng, count = Stream(113), Stream(114), 30
     draws = Draws(noise_rng, params.n, params.d, params, prior_rng, spec)
-    out = _chunk(draws, (_risk_stats,), (_bayes_stats,), (), 1, count)
+    out = _chunk(draws, ((FIXED, _risk_stats), (BAYES, _mse_stats)), 1, count)
     noise = chunk_noise(noise_rng, 1, count, params.n, params.d)
     a_stack = sample_prior_batch(spec, prior_rng.child(1), count).a
     fixed = _risk_stats(simulated(params.a, params.b, noise))
-    bayes = _bayes_stats(simulated(a_stack, np.eye(2), noise))
-    assert out.keys() == fixed.keys() | bayes.keys()
-    for key, value in {**fixed, **bayes}.items():
-        assert np.array_equal(out[key], value), key
+    bayes = _mse_stats(simulated(a_stack, np.eye(2), noise))
+    for own, expected in zip(out, (fixed, bayes), strict=True):
+        assert own.keys() == expected.keys()
+        for key, value in expected.items():
+            assert np.array_equal(own[key], value), key
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +792,16 @@ def test_bayes_chunk_matches_per_trial_least_squares():
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     count, noise_rng, prior_rng = 50, Stream(97), Stream(197)
     draws = Draws(noise_rng, params.n, params.d, params, prior_rng, spec)
-    out = _chunk(draws, (_risk_stats,), (_bayes_stats,), (), 0, count)
+    out, bayes_out = _chunk(draws, ((FIXED, _risk_stats), (BAYES, _mse_stats)), 0, count)
     a_stack = sample_prior_batch(spec, prior_rng.child(0), count).a
     noise = chunk_noise(noise_rng, 0, count, params.n, params.d)
     fixed, bayes = [], []
     for a, e in zip(a_stack, noise):
         fixed.append(_ls_sq_error(params.a, params.b, e))
         bayes.append(_ls_sq_error(a, np.eye(spec.d), e))
-    assert not out["failed"].any() and not out["bayes_failed"].any()
+    assert not out["failed"].any() and not bayes_out["failed"].any()
     np.testing.assert_allclose(out["mse"], fixed, rtol=1e-9)
-    np.testing.assert_allclose(out["bayes_mse"], bayes, rtol=1e-9)
+    np.testing.assert_allclose(bayes_out["mse"], bayes, rtol=1e-9)
 
 
 def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkeypatch):
@@ -804,28 +817,24 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
-    prior = partial(_prior_score_stats, spec)
+    bayes, prior = (BAYES, _mse_stats), (PRIOR, partial(_prior_score_stats, spec))
     draws = Draws(Stream(98), params.n, params.d, params, Stream(98), spec)
     every = (identity, risk, concentration, multiplication)
-    identity_keys = {"selfnorm", "score", "fisher"}
-    risk_keys = {"failed", "err", "mse"}
-    every_keys = identity_keys | risk_keys | {"dev", "mult"}
-    bayes_keys = {"bayes_failed", "bayes_mse"}
     # each set of trajectories forms gamma and sigma, the fixed system's
-    # sum e_i x_i^T only on demand; the prior score forms none
+    # sum e_i x_i^T only for a NOISE plan; the prior score forms none
     expected = [
-        (every, (), (), 3, every_keys),
-        ((identity,), (), (), 3, identity_keys),
-        ((risk,), (), (), 2, risk_keys),
-        ((concentration,), (), (), 2, {"dev"}),
-        ((multiplication,), (), (), 3, {"mult"}),
-        ((), (_bayes_stats,), (), 2, bayes_keys),
-        ((), (), (prior,), 0, {"lhs"}),
-        (every, (_bayes_stats,), (prior,), 5, every_keys | bayes_keys | {"lhs"}),
+        (every, 3, TRAJECTORY_KEYS),
+        ((identity,), 3, [IDENTITY_KEYS]),
+        ((risk,), 2, [RISK_KEYS]),
+        ((concentration,), 2, [{"dev"}]),
+        ((multiplication,), 3, [{"mult"}]),
+        ((bayes,), 2, [MSE_KEYS]),
+        ((prior,), 0, [{"lhs"}]),
+        ((*every, bayes, prior), 5, [*TRAJECTORY_KEYS, MSE_KEYS, {"lhs"}]),
     ]
-    for fixed, bayes, prior_stats, sums, keys in expected:
+    for stats, sums, keys in expected:
         calls.clear()
-        assert set(_chunk(draws, fixed, bayes, prior_stats, 0, 10)) == keys
+        assert [own.keys() for own in _chunk(draws, stats, 0, 10)] == keys
         assert len(calls) == sums, keys
 
 
@@ -857,7 +866,7 @@ def test_streamed_sums_match_the_whole_array_formula(n, shared):
             scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), name
     assert np.array_equal(chunk.sigma, np.swapaxes(chunk.sigma, 1, 2))
-    assert not hasattr(SimulatedChunk(a, b, count, d), "noise_gram")
+    assert SimulatedChunk(a, b, count, d).noise_gram is None
 
 
 def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
@@ -877,27 +886,27 @@ def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
     identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
     draws = Draws(Stream(108), params.n, params.d, params, Stream(108), spec)
+    bayes = (BAYES, _mse_stats)
     expected = [
-        ((identity, risk, concentration, multiplication), (), 3),
-        ((risk,), (), 2),
-        ((), (_bayes_stats,), 2),
-        ((identity,), (_bayes_stats,), 5),
+        ((identity, risk, concentration, multiplication), 3),
+        ((risk,), 2),
+        ((bayes,), 2),
+        ((identity, bayes), 5),
     ]
-    for fixed, bayes, sums in expected:
+    for stats, sums in expected:
         calls.clear()
-        _chunk(draws, fixed, bayes, (), 0, 10)
-        assert len(calls) == sums * blocks, (fixed, bayes)
+        _chunk(draws, stats, 0, 10)
+        assert len(calls) == sums * blocks, stats
         # every product spans at most one block's steps
         assert max(shape[1] for shape in calls) <= ltibounds.montecarlo.BLOCK
 
 
-def test_gather_joins_only_the_named_arrays():
+def test_gather_joins_every_array_on_the_trial_axis():
     parts = [{"x": np.arange(2), "y": np.zeros(2)}, {"x": np.arange(2, 5), "y": np.ones(3)}]
-    assert _gather(parts, "x").keys() == {"x"}
-    assert np.array_equal(_gather(parts, "x")["x"], np.arange(5))
     assert _gather(parts).keys() == {"x", "y"}
-    # one part is returned as is, whatever it holds besides
-    assert _gather(parts[:1], "x") is parts[0]
+    assert np.array_equal(_gather(parts)["x"], np.arange(5))
+    # one part is returned as is
+    assert _gather(parts[:1]) is parts[0]
 
 
 def test_all_singular_raises():
@@ -932,11 +941,11 @@ def _task_error(message):
     raise ValueError(message)
 
 
-def _reducer_error(parts):
-    raise LookupError(f"reducer saw {len(parts)} parts")
+def _reducer_error(data):
+    raise LookupError(f"reducer saw {len(data)} arrays")
 
 
-def _other_reducer_error(parts):
+def _other_reducer_error(data):
     raise RuntimeError("second reducer")
 
 
@@ -948,25 +957,45 @@ def test_run_tasks_returns_each_result_in_order(workers):
     assert multiprocessing.active_children() == []
 
 
-def _trial_count(parts):
-    return sum(len(part["mse"]) for part in parts)
+def _trial_count(data):
+    return len(data["mse"])
 
 
-def _trial_count_and_report(parts, report):
-    return _trial_count(parts), report
+def _trial_count_and_report(data, report):
+    return _trial_count(data), report
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_plans_reduces_each_plan_in_order(workers):
-    # two chunks and a bound task; a plan with a bound gets its result after the chunks'
+    # two chunks and a bound task; a plan with a bound gets its result after
+    # its arrays, and a plan sees its own arrays only
     plans = [
         ChunkPlan(_risk_stats, _trial_count),
         None,
         ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_square, 5)),
-        ChunkPlan(_risk_stats, len),
+        ChunkPlan(_mse_stats, sorted),
     ]
     draws = fixed_draws(scalar_params(0.5), Stream(8))
-    assert run_plans(draws, CHUNK + 3, plans, workers) == [CHUNK + 3, None, (CHUNK + 3, 25), 2]
+    assert run_plans(draws, CHUNK + 3, plans, workers) == [
+        CHUNK + 3, None, (CHUNK + 3, 25), ["failed", "mse"]
+    ]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plans_whose_statistics_share_a_key_each_reduce_their_own_arrays(workers):
+    # the fixed system's and the Bayes least-squares errors are both "mse":
+    # run together over two chunks, each plan reduces its own, as it does alone
+    params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
+    spec = PriorSpec(s=0.5, eps=0.5, d=2)
+    draws = Draws(Stream(115), params.n, params.d, params, Stream(116), spec)
+    plans = [ChunkPlan(_mse_stats, _arrays), ChunkPlan(_mse_stats, _arrays, BAYES)]
+    together = run_plans(draws, CHUNK + 3, plans, workers)
+    for own, plan in zip(together, plans, strict=True):
+        (alone,) = run_plans(draws, CHUNK + 3, [plan])
+        assert own.keys() == MSE_KEYS and len(own["mse"]) == CHUNK + 3
+        assert np.array_equal(own["mse"], alone["mse"])
+    assert not np.array_equal(together[0]["mse"], together[1]["mse"])
     assert multiprocessing.active_children() == []
 
 
