@@ -283,7 +283,7 @@ def cr_bound(
     CLI rows that depend on it echo it, so no number masquerades as
     constant-free. The deviation rate is taken at t = log(L/eps), clamped to
     zero when negative; a ValueError names ``run.epsilon`` where L/eps leaves
-    float64. Psi, Psi^{-1/2} and the information scalar are cached on
+    float64, and ``run.constant_c`` where (1 + C Delta1)^2 does. Psi, Psi^{-1/2} and the information scalar are cached on
     ``params``, so a system walks A^(k-1)B once however often it is bounded.
     """
     if not 0.0 < epsilon < 1.0:
@@ -297,7 +297,10 @@ def cr_bound(
     d1 = delta1(params, t, l_val)
     d2 = delta2(params, l_val)
     d = params.d
-    shrink = (1.0 - epsilon) ** 2 / (1.0 + constant * d1) ** 2
+    inflation = in_float64(
+        lambda: (1.0 + constant * d1) ** 2, f"(1 + C Delta1)^2 at run.constant_c = {constant!r}"
+    )
+    shrink = (1.0 - epsilon) ** 2 / inflation
     cr_matrix = (d**2) * shrink * params.noise_cov() / info
     phi_value = _phi_at_norm(params)
     mse_lower = shrink * d**2 / phi_value

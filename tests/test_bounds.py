@@ -666,6 +666,16 @@ def test_cr_bound_names_run_epsilon_where_l_ab_over_epsilon_leaves_float64():
     assert math.isfinite(cr_bound(params, 1e-300, grid_points=128).delta1)
 
 
+def test_cr_bound_names_run_constant_c_where_its_square_leaves_float64():
+    # Delta1 is about 1: (1 + C Delta1)^2 fits float64 at C = 1e153, not at 1e154
+    params = SystemParams(a=np.diag([1.0, 0.5]), b=np.eye(2), n=64)
+    assert cr_bound(params, 0.1, 1e153, grid_points=128).mse_lower > 0.0
+    with pytest.raises(
+        ValueError, match=r"^\(1 \+ C Delta1\)\^2 at run\.constant_c = 1e\+154 is beyond the float64 range"
+    ):
+        cr_bound(params, 0.1, 1e154, grid_points=128)
+
+
 def test_no_limit_hand_threshold():
     params = scalar_params(0.5, n=500)
     bound = explicit_bound(params, 0.1)

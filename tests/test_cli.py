@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import ltibounds
 import ltibounds.bounds
@@ -20,7 +22,7 @@ import ltibounds.cli
 import ltibounds.linalg
 import ltibounds.model
 import ltibounds.montecarlo
-from ltibounds.bounds import LoggedValue, cr_bound
+from ltibounds.bounds import LoggedValue, NotDiagonalizableError, cr_bound
 from ltibounds.cli import (
     SALT_IDENTITY,
     NonFiniteReportError,
@@ -28,11 +30,12 @@ from ltibounds.cli import (
     main,
     rows_to_csv,
     rows_to_json,
+    run_bounds,
     run_minimax,
 )
 from ltibounds.config import ConfigError, build_matrix, load_config, resolve_config
 from ltibounds.minimax import van_trees_bound
-from ltibounds.model import SystemParams
+from ltibounds.model import PsiOverflowError, SystemParams
 from ltibounds.montecarlo import Draws, risk_plan, run_plans
 from ltibounds.rng import KIND_HAAR_U, KIND_HAAR_V, KIND_NOISE, KIND_SIGMAS, Stream
 from oracles import inflated_cr_bound
@@ -210,6 +213,26 @@ def test_bounds_tiny_epsilon_exits_3_naming_run_epsilon(tmp_path, capsys, a, eps
     out = tmp_path / "report.csv"
     assert main(["bounds", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
+    assert err == f"precondition violation: {named} is beyond the float64 range (max 1.798e+308)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize(
+    "a, n, constant",
+    [([[1.0, 0.0], [0.0, 0.5]], 64, 1e154), ([[0.5, 0.0], [0.0, 0.3]], 16, 1e308)],
+    ids=["limit-n64", "stable-n16"],
+)
+def test_huge_constant_c_exits_3_naming_run_constant_c(tmp_path, capsys, command, a, n, constant):
+    # (1 + C Delta1)^2 overflows; verify meets it in its bound task: one
+    # stderr line, no traceback, no report
+    path = write_config(
+        tmp_path, system={"n": n, "a": a}, run={"trials": 200, "constant_c": constant}
+    )
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    named = f"(1 + C Delta1)^2 at run.constant_c = {constant!r}"
     assert err == f"precondition violation: {named} is beyond the float64 range (max 1.798e+308)\n"
     assert not out.exists()
 
@@ -468,6 +491,80 @@ def test_minimax_rows_are_finite_and_logged_below_normal_or_the_op_stops_typed(
             continue  # the echo and the rates of other regimes are 0.0 by design
         if abs(float(row["value"])) < sys.float_info.min:
             assert math.isfinite(extra["log_value"]), row
+
+
+# the typed errors a bounds op may stop with, each with the start of its message
+BOUNDS_TYPED_ERRORS = [
+    (ValueError, r"matrix is too ill-conditioned: "),
+    (ValueError, r"matrix is not positive definite: "),
+    (PsiOverflowError, r"Psi overflows float64 for "),
+    (NotDiagonalizableError, r""),
+    (NonFiniteReportError, r"report row '\w+' has "),
+    (ValueError, r".* at run\.epsilon = \S+ is beyond the float64 range"),
+    (ValueError, r".* at run\.constant_c = \S+ is beyond the float64 range"),
+]
+# eigenvalue moduli of each regime at horizon N
+MODULI = {
+    "stable": lambda n: (0.0, 0.99),
+    "limit": lambda n: (1.0 - 0.5 / n, 1.0 + 0.5 / n),
+    "unstable": lambda n: (1.01, 1.3),
+}
+
+
+def _spectral_system(d, n, regime, normal, rng):
+    """A = S L S^{-1} with L real block-diagonal (1x1 and scaled 2x2 rotation blocks)
+    whose moduli lie in ``regime``'s range ("mixed": a regime per block), S
+    orthogonal when ``normal``; B a full-rank orthogonal matrix times a diagonal."""
+    blocks, i = [], 0
+    while i < d:
+        kind = rng.choice(list(MODULI)) if regime == "mixed" else regime
+        r = rng.uniform(*MODULI[kind](n))
+        if i + 1 < d and rng.random() < 0.5:
+            t = rng.uniform(0.0, math.pi)
+            blocks.append(r * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]))
+        else:
+            blocks.append(np.array([[rng.choice([-1.0, 1.0]) * r]]))
+        i += len(blocks[-1])
+    s = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    if not normal:
+        s = s @ (np.eye(d) + 0.5 * np.triu(rng.standard_normal((d, d)), 1))
+    a = s @ block_diag(*blocks) @ np.linalg.inv(s)
+    b = np.linalg.qr(rng.standard_normal((d, d)))[0] * rng.uniform(0.5, 2.0, d)
+    return a, b
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 10),
+    n_frac=st.floats(0.0, 1.0),
+    regime=st.sampled_from(["stable", "limit", "unstable", "mixed"]),
+    normal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    log10_eps=st.floats(-300.0, math.log10(0.99)),
+    log10_c=st.floats(-300.0, 300.0),
+)
+@example(d=2, n_frac=0.0, regime="limit", normal=True, seed=0, log10_eps=-1.0, log10_c=154.0)
+@example(d=4, n_frac=0.5, regime="unstable", normal=False, seed=0, log10_eps=-1.0, log10_c=0.0)
+def test_bounds_rows_are_finite_or_the_op_stops_typed(
+    d, n_frac, regime, normal, seed, log10_eps, log10_c
+):
+    # N log-uniform from d+1 to 4096; a bare OverflowError, ZeroDivisionError,
+    # LinAlgError or numpy warning (an error under this suite's filter) fails
+    n = round(math.exp(math.log(d + 1) + n_frac * (math.log(4096) - math.log(d + 1))))
+    a, b = _spectral_system(d, n, regime, normal, np.random.default_rng(seed))
+    raw = {
+        "system": {"d": d, "n": n, "a": a.tolist(), "b": b.tolist()},
+        "run": {"seed": 0, "epsilon": 10.0**log10_eps, "constant_c": 10.0**log10_c},
+    }
+    cfg = resolve_config(raw)
+    try:
+        text = rows_to_csv(run_bounds(cfg)[0], cfg)
+    except ValueError as exc:
+        allowed = [pattern for kind, pattern in BOUNDS_TYPED_ERRORS if type(exc) is kind]
+        assert any(re.match(pattern, str(exc)) for pattern in allowed), repr(exc)
+        return
+    for row in csv.DictReader(io.StringIO(text)):
+        assert math.isfinite(float(row["value"])), row
 
 
 # ---------------------------------------------------------------------------
