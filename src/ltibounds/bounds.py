@@ -283,8 +283,9 @@ def cr_bound(
     CLI rows that depend on it echo it, so no number masquerades as
     constant-free. The deviation rate is taken at t = log(L/eps), clamped to
     zero when negative; a ValueError names ``run.epsilon`` where L/eps leaves
-    float64, and ``run.constant_c`` where (1 + C Delta1)^2 does. Psi, Psi^{-1/2} and the information scalar are cached on
-    ``params``, so a system walks A^(k-1)B once however often it is bounded.
+    float64, and ``run.constant_c`` where (1 + C Delta1)^2 does. Psi,
+    Psi^{-1/2} and the information scalar are cached on ``params``, so a
+    system walks A^(k-1)B once however often it is bounded.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")

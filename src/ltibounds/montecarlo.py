@@ -336,11 +336,12 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
             for _, sim in sims:
                 sim.advance(noise, states[:, : steps + 1])
             del noise  # the next block is drawn with this one gone
+        for _, sim in sims:
+            sim.finish()
         del states
     while sims:
         # the fixed system's sums and least-squares errors die before the Bayes statistics run
         sources, sim = sims.pop(0)
-        sim.finish()
         compute(sources, sim)
         del sim
     return out
