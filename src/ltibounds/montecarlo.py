@@ -11,10 +11,9 @@ process, in order. A chunk task returns one dict per plan; ``run_plans``
 joins each plan's dicts on the trial axis, in chunk order, and hands them to
 that plan's reducer alone. The reducers run in this process, in plan order,
 so the first exception in task order, then in reducer order, is the one
-raised whatever the worker count. The
-public functions (``empirical_risk``, ``identity_checks``, ...) run one plan
-each; the CLI ``verify`` command runs all of its plans in one call, so one
-op opens at most one pool.
+raised whatever the worker count. The public functions (``empirical_risk``,
+``identity_checks``, ...) run one plan each; the CLI ``verify`` command runs
+all of its plans in one call, so one op opens at most one pool.
 
 Psi, Psi^{-1/2} and (BB*)^{-1} are the values cached on ``SystemParams``.
 Plans read them while they are built, in this process, so every task pickles
