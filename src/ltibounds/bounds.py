@@ -104,7 +104,7 @@ def _matrix_powers(a: np.ndarray, count: int) -> np.ndarray:
     powers = np.empty((count, d, d))
     powers[0] = np.eye(d)
     for k in range(1, count):
-        powers[k] = a @ powers[k - 1]
+        np.matmul(a, powers[k - 1], out=powers[k])
     return powers
 
 
@@ -177,6 +177,8 @@ def l_ab(params: SystemParams, grid_points: int = 4096) -> float:
     w = params.psi_inv_sqrt
     powers = _matrix_powers(params.a, params.n - 1)
     vals = _grid_freq_norm_sq(w, powers, params.b, grid_points)
+    # cast once, not in each of the refinement's tensordots; the real stack goes
+    powers = powers.astype(complex)
     best = int(np.argmax(vals))
     step = 1.0 / grid_points
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -524,5 +525,19 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+
+def entry() -> None:
+    """Process entry point: exit with ``main()``'s code.
+
+    ``gc.freeze()`` first moves every live object out of the collector's
+    reach, so the interpreter's collections at exit have nothing to walk.
+    It is not in ``main()``, which tests and the traced benchmark call in
+    their own process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

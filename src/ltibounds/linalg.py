@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import Stream
 
 SYMMETRY_RTOL = 1e-10
 INV_SQRT_RTOL = 1e-12  # sym_inv_sqrt needs smallest/largest eigenvalue above this
@@ -72,7 +72,8 @@ def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     m = require_symmetric(m, "sym_inv_sqrt input")
     w, v = np.linalg.eigh(m)
-    if w[0] <= 0.0:
+    # a smallest eigenvalue within rounding of zero, either sign, is ill-conditioned
+    if w[-1] <= 0.0 or w[0] < -INV_SQRT_RTOL * w[-1]:
         raise ValueError(f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}")
     if w[0] <= INV_SQRT_RTOL * w[-1]:
         raise ValueError(
@@ -103,9 +104,15 @@ def haar_from_gaussian(z: np.ndarray, *, canonical_signs: bool = True) -> np.nda
     return q
 
 
-def haar_orthogonal(d: int, rng, *, canonical_signs: bool = True) -> np.ndarray:
+def haar_orthogonal(
+    d: int, rng: Stream | np.random.Generator, *, canonical_signs: bool = True
+) -> np.ndarray:
     """One Haar orthogonal d x d matrix: :func:`haar_from_gaussian` of one draw."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    z = as_generator(rng).standard_normal((1, d, d))
+    if isinstance(rng, Stream):
+        rng = rng.generator()
+    elif not isinstance(rng, np.random.Generator):
+        raise TypeError(f"expected Stream or numpy Generator, got {type(rng).__name__}")
+    z = rng.standard_normal((1, d, d))
     return haar_from_gaussian(z, canonical_signs=canonical_signs)[0]

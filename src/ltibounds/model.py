@@ -187,7 +187,7 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.n):
             out += (params.n - k) * (c @ c.T)
-            total += (params.n - k) * float(np.sum(c * c))
+            total += (params.n - k) * float((c * c).sum())
             c = params.a @ c
     if not (np.all(np.isfinite(out)) and math.isfinite(total)):
         rho = float(np.max(np.abs(np.linalg.eigvals(params.a))))

@@ -72,11 +72,3 @@ class Stream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.SFC64(ss))
 
-
-def as_generator(rng: "Stream | np.random.Generator") -> np.random.Generator:
-    """Accept either a Stream or an already-built numpy generator."""
-    if isinstance(rng, Stream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected Stream or numpy Generator, got {type(rng).__name__}")

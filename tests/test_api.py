@@ -3,23 +3,27 @@
 ``bench/tracing.py`` wraps the functions in its ``TARGETS`` by name and
 reads the ``trials`` argument of the ``montecarlo`` ones, so a rename there
 would break the traced benchmark rather than any import. The package's
-runtime dependencies are exactly the third-party modules it imports, and no
-module reaches into another's underscored names beyond ``model``'s kernel.
-A helper that several test modules share has one definition, in
-``tests/oracles.py``.
+runtime dependencies are exactly the third-party modules it imports. The
+package root holds its submodules, ``RNG_LAYOUT`` and ``__version__`` only,
+and the installed command exits through ``cli.entry``. No module reaches
+into another's underscored names beyond ``model``'s kernel. A helper that
+several test modules share has one definition, in ``tests/oracles.py``.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import ltibounds
+import ltibounds.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -36,6 +40,31 @@ def _load_tracing(monkeypatch):
 
 def test_every_exported_name_resolves():
     assert [name for name in ltibounds.__all__ if not hasattr(ltibounds, name)] == []
+
+
+SUBMODULES = ["bounds", "linalg", "minimax", "model", "montecarlo", "rng"]
+
+
+def test_the_root_holds_only_its_submodules_and_versions():
+    # every function is imported from its defining module
+    assert sorted(ltibounds.__all__) == sorted(["RNG_LAYOUT", "__version__", *SUBMODULES])
+    # a fresh process, so no other test's import has bound a submodule yet
+    script = "import ltibounds; print(sorted(n for n in vars(ltibounds) if not n.startswith('_')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        check=True,
+    )
+    assert proc.stdout.strip() == repr(sorted(["RNG_LAYOUT", *SUBMODULES]))
+
+
+def test_the_installed_command_ends_through_the_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module_name, name = scripts["ltibounds"].split(":")
+    assert getattr(importlib.import_module(module_name), name) is ltibounds.cli.entry
 
 
 def test_every_traced_target_exists(monkeypatch):

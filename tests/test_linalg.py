@@ -56,6 +56,15 @@ def test_sym_inv_sqrt_error_names_the_failed_condition():
     with pytest.raises(ValueError, match=r"eigenvalue ratio 1\.000e-12 <= rtol 1\.0e-12"):
         sym_inv_sqrt(np.diag([1e-12, 1.0]))
     assert np.isfinite(sym_inv_sqrt(np.diag([2e-12, 1.0]))).all()
+    # an eigenvalue within rtol of zero is rounding, whatever its sign
+    with pytest.raises(ValueError, match=r"too ill-conditioned: .* ratio -1\.000e-16 <= rtol"):
+        sym_inv_sqrt(np.diag([-1e-16, 1.0]))
+    with pytest.raises(ValueError, match=r"too ill-conditioned: .* ratio 0\.000e\+00 <= rtol"):
+        sym_inv_sqrt(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"not positive definite: smallest eigenvalue -2\.000e-12"):
+        sym_inv_sqrt(np.diag([-2e-12, 1.0]))
+    with pytest.raises(ValueError, match=r"not positive definite: smallest eigenvalue 0\.000e\+00"):
+        sym_inv_sqrt(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +76,12 @@ def test_haar_dimension_one_is_plus_one():
     for k in range(20):
         u = haar_orthogonal(1, Stream(105).child(k))
         assert np.allclose(u, [[1.0]])
+
+
+def test_haar_orthogonal_takes_a_stream_or_a_generator():
+    assert np.array_equal(haar_orthogonal(3, Stream(111)), haar_orthogonal(3, Stream(111).generator()))
+    with pytest.raises(TypeError, match="expected Stream or numpy Generator, got int"):
+        haar_orthogonal(3, 111)
 
 
 def test_haar_orthogonality():
