@@ -525,7 +525,6 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-
 def entry() -> None:
     """Process entry point: exit with ``main()``'s code.
 

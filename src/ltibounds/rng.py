@@ -71,4 +71,3 @@ class Stream:
         """Fresh numpy generator keyed by (seed, path); same key, same draws."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.SFC64(ss))
-
