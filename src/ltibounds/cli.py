@@ -5,8 +5,9 @@ Subcommands: ``bounds`` (deterministic bound quantities), ``minimax``
 squares), ``verify`` (the seeded identity and dominance check suite), and
 ``sample-prior`` (draws from the operator-ball prior).
 
-Exit codes: 0 success, 1 check failure, 2 config error or unwritable report,
-3 precondition violation, including a report number that is not finite.
+Exit codes: 0 success, 1 check failure (some row, of any command, has
+status ``fail``), 2 config error or unwritable report, 3 precondition
+violation, including a report number that is not finite.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ def _logged(bound, key: str) -> dict:
     return {} if bound.log_value is None else {key: bound.log_value}
 
 
-def _skipped_row(
-    cfg: ExperimentConfig, quantity: str, eq_tag: str, minimum: int = MIN_CONCLUSIVE_TRIALS
-) -> ReportRow:
+def _skipped_row(cfg: ExperimentConfig, quantity: str, eq_tag: str, minimum: int) -> ReportRow:
     skipped = f"trials below the {minimum}-trial minimum"
     return _row(cfg, quantity, 0.0, eq_tag, status="inconclusive", skipped=skipped)
 
@@ -175,7 +174,7 @@ def _system(cfg: ExperimentConfig) -> SystemParams:
 # ---------------------------------------------------------------------------
 
 
-def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
+def run_bounds(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.epsilon >= 1.0:
         raise ConfigError("run.epsilon", "must be in (0, 1) for the bounds command")
     params = _system(cfg)
@@ -225,10 +224,10 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
             **regime_extra,
         )
     )
-    return rows, EXIT_OK
+    return rows
 
 
-def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
+def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
     vt_bound = van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon)
     rows = [
         _row(
@@ -257,10 +256,10 @@ def run_minimax(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
                 **(_logged(regime, "log_value") if applicable else {}),
             )
         )
-    return rows, EXIT_OK
+    return rows
 
 
-def run_risk(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]:
+def run_risk(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     if cfg.trials < MIN_RISK_TRIALS:
         raise ConfigError(
             "run.trials", f"must be >= {MIN_RISK_TRIALS} for the risk command, got {cfg.trials}"
@@ -275,10 +274,10 @@ def run_risk(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]
         _row(cfg, "risk_eig_min", eigs[0], "empirical-risk"),
         _row(cfg, "risk_eig_max", eigs[-1], "empirical-risk"),
     ]
-    return rows, EXIT_OK
+    return rows
 
 
-def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], int]:
+def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     if cfg.epsilon >= 1.0:
         raise ConfigError("run.epsilon", "must be in (0, 1) for the verify command")
     if cfg.trials < 2:
@@ -287,26 +286,58 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
     params = _system(cfg)
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
-    conclusive = cfg.trials >= MIN_CONCLUSIVE_TRIALS
-    # every plan of the op, and the bound, run in one call of run_plans, and
-    # its six Monte Carlo experiments read one set of chunks.
-    # Building the plans fills params' cached Psi and (BB*)^{-1} here, and
-    # Psi^{-1/2} when the concentration plan exists, so an ill-conditioned Psi
-    # stops the op before any task runs and the pickled params carries the one
-    # walk into the bound task. An experiment below its trial minimum is None
-    # and gets a skipped row. The bound is the one `bounds` reports for this
-    # config; concentration and multiplication read only its l_ab.
+    trials = cfg.trials
+    conclusive = trials >= MIN_CONCLUSIVE_TRIALS
+    # The bound is the one `bounds` reports for this config; concentration and
+    # multiplication read only its l_ab. Each experiment after the identity
+    # checks is named once below: quantity, eq tag, trial minimum, plan, and the
+    # value and extra of its row. One below its minimum is not run and gets a
+    # skipped row. All plans run in one call of run_plans, so the six Monte
+    # Carlo experiments read one set of chunks. Building them fills params'
+    # cached Psi, (BB*)^{-1} and, with the concentration plan, Psi^{-1/2}, so an
+    # ill-conditioned Psi stops the op before any task runs and the pickled
+    # params carries the one walk into the bound task.
     bound = partial(cr_bound, params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
-    dominance = concentration = multiplication = bayes = None
-    if cfg.trials >= MIN_RISK_TRIALS:
-        dominance = dominance_plan(params, cfg.trials, bound)
-    if conclusive:
-        concentration = concentration_plan(params, cfg.trials, list(cfg.t_levels), bound)
-        multiplication = multiplication_plan(params, cfg.trials, bound)
-        bayes = bayes_plan(spec, cfg.n, cfg.trials)
-    plans = [identity_plan(params), prior_identity_plan(spec), dominance, bayes, concentration, multiplication]
+    experiments = [
+        (
+            "risk_dominance", "risk-dominance", MIN_RISK_TRIALS,
+            lambda: dominance_plan(params, trials, bound),
+            lambda dom: (dom.margin, {
+                "status": ("pass" if dom.holds else "fail") if conclusive else "inconclusive",
+                "constant_c": cfg.constant_c, "epsilon": cfg.epsilon,
+            }),
+        ),
+        (
+            "bayes_dominance", "bayes-risk-lower-bound", MIN_CONCLUSIVE_TRIALS,
+            lambda: bayes_plan(spec, cfg.n, trials),
+            lambda bayes: (bayes.bayes_mse, {
+                "status": "pass" if bayes.bayes_mse >= bayes.vt_bound.value else "fail",
+                "vt_bound": bayes.vt_bound.value, **_logged(bayes.vt_bound, "log_vt_bound"),
+                "s": cfg.s, "epsilon": cfg.epsilon,
+            }),
+        ),
+        # constant-dependent experiments: descriptive ("info"), never drive the exit code
+        (
+            "concentration_constant", "gram-deviation-rate", MIN_CONCLUSIVE_TRIALS,
+            lambda: concentration_plan(params, trials, list(cfg.t_levels), bound),
+            lambda fit: (fit.fitted_constant, {
+                "status": "info", "t_levels": list(fit.t_levels),
+                "exceedance": list(fit.empirical_exceedance), "delta1_levels": list(fit.delta1_levels),
+            }),
+        ),
+        (
+            "multiplication_ratio", "multiplication-rate", MIN_CONCLUSIVE_TRIALS,
+            lambda: multiplication_plan(params, trials, bound),
+            lambda mult: (mult.mc_value / mult.bound_value, {
+                "status": "info", "mc_value": mult.mc_value, "bound_value": mult.bound_value,
+            }),
+        ),
+    ]
+    plans = [plan() for _, _, minimum, plan, _ in experiments if trials >= minimum]
     draws = Draws(root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec)
-    checks, prior_check, dom, bayes_risk, fit, mult = run_plans(draws, cfg.trials, plans, workers)
+    checks, prior_check, *results = run_plans(
+        draws, trials, [identity_plan(params), prior_identity_plan(spec), *plans], workers
+    )
 
     rows: list[ReportRow] = []
     if not conclusive:
@@ -314,7 +345,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
             _row(
                 cfg,
                 "warning_low_trials",
-                float(cfg.trials),
+                float(trials),
                 "check-policy",
                 message="SE too large for 4-SE test; checks marked inconclusive",
             )
@@ -339,81 +370,21 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> tuple[list[ReportRow], in
                 statistic=check.statistic,
                 threshold=check.threshold,
                 std_error=check.std_error,
-                trials=cfg.trials,
+                trials=trials,
             )
         )
 
-    if dom is None:
-        rows.append(_skipped_row(cfg, "risk_dominance", "risk-dominance", MIN_RISK_TRIALS))
-    else:
-        rows.append(
-            _row(
-                cfg,
-                "risk_dominance",
-                dom.margin,
-                "risk-dominance",
-                status=("pass" if dom.holds else "fail") if conclusive else "inconclusive",
-                constant_c=cfg.constant_c,
-                epsilon=cfg.epsilon,
-                trials=cfg.trials,
-            )
-        )
-
-    if bayes_risk is None:
-        rows.append(_skipped_row(cfg, "bayes_dominance", "bayes-risk-lower-bound"))
-    else:
-        rows.append(
-            _row(
-                cfg,
-                "bayes_dominance",
-                bayes_risk.bayes_mse,
-                "bayes-risk-lower-bound",
-                status="pass" if bayes_risk.bayes_mse >= bayes_risk.vt_bound.value else "fail",
-                vt_bound=bayes_risk.vt_bound.value,
-                **_logged(bayes_risk.vt_bound, "log_vt_bound"),
-                s=cfg.s,
-                epsilon=cfg.epsilon,
-                trials=cfg.trials,
-            )
-        )
-
-    # constant-dependent experiments: descriptive ("info"), never drive the exit code
-    if fit is None:
-        rows.append(_skipped_row(cfg, "concentration_constant", "gram-deviation-rate"))
-    else:
-        rows.append(
-            _row(
-                cfg,
-                "concentration_constant",
-                fit.fitted_constant,
-                "gram-deviation-rate",
-                status="info",
-                t_levels=list(fit.t_levels),
-                exceedance=list(fit.empirical_exceedance),
-                delta1_levels=list(fit.delta1_levels),
-                trials=cfg.trials,
-            )
-        )
-    if mult is None:
-        rows.append(_skipped_row(cfg, "multiplication_ratio", "multiplication-rate"))
-    else:
-        rows.append(
-            _row(
-                cfg,
-                "multiplication_ratio",
-                mult.mc_value / mult.bound_value,
-                "multiplication-rate",
-                status="info",
-                mc_value=mult.mc_value,
-                bound_value=mult.bound_value,
-                trials=cfg.trials,
-            )
-        )
-    failed = any(row.extra.get("status") == "fail" for row in rows)
-    return rows, (EXIT_CHECK_FAILED if failed else EXIT_OK)
+    outcome = iter(results)
+    for quantity, eq_tag, minimum, _, row in experiments:
+        if trials < minimum:
+            rows.append(_skipped_row(cfg, quantity, eq_tag, minimum))
+        else:
+            value, extra = row(next(outcome))
+            rows.append(_row(cfg, quantity, value, eq_tag, **extra, trials=trials))
+    return rows
 
 
-def run_sample_prior(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
+def run_sample_prior(cfg: ExperimentConfig) -> list[ReportRow]:
     spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     draws = sample_prior_batch(spec, Stream(cfg.seed).child(SALT_SAMPLES), cfg.trials)
     rows = []
@@ -429,7 +400,7 @@ def run_sample_prior(cfg: ExperimentConfig) -> tuple[list[ReportRow], int]:
                 a=[[float(x) for x in row] for row in a],
             )
         )
-    return rows, EXIT_OK
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +458,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "bounds":
-            rows, code = run_bounds(cfg)
+            rows = run_bounds(cfg)
         elif args.command == "minimax":
-            rows, code = run_minimax(cfg)
+            rows = run_minimax(cfg)
         elif args.command == "risk":
-            rows, code = run_risk(cfg, args.workers)
+            rows = run_risk(cfg, args.workers)
         elif args.command == "verify":
-            rows, code = run_verify(cfg, args.workers)
+            rows = run_verify(cfg, args.workers)
         else:
-            rows, code = run_sample_prior(cfg)
+            rows = run_sample_prior(cfg)
         fmt = args.format or cfg.out_format
         text = rows_to_csv(rows, cfg) if fmt == "csv" else rows_to_json(rows, cfg)
     except ConfigError as exc:
@@ -522,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         where = "stdout" if path is None else repr(path)
         print(f"cannot write the report to {where}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    return code
+    return EXIT_CHECK_FAILED if any(row.extra.get("status") == "fail" for row in rows) else EXIT_OK
 
 
 def entry() -> None:

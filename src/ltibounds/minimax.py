@@ -21,6 +21,7 @@ from .bounds import LoggedValue, geom_sum
 from .linalg import haar_from_gaussian, in_float64
 from .rng import KIND_HAAR_U, KIND_HAAR_V, KIND_SIGMAS, Stream
 
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Prior parameters: least-singular-value offset s, ball radius eps, size d."""
@@ -163,4 +164,3 @@ def score_identity_lhs(sample: PriorSample, spec: PriorSpec) -> np.ndarray:
     """
     grad = _score(sample.u, sample.sigmas, sample.v, spec.eps)
     return -sample.a @ np.swapaxes(grad, -1, -2)
-

@@ -70,7 +70,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, LoggedValue, cr_bound, delta1, delta2
+from .bounds import BoundReport, LoggedValue, cr_bound, delta1
 from .minimax import (
     PriorSample,
     PriorSpec,
@@ -421,10 +421,8 @@ def _chunks(draws: Draws, trials: int, plans: Sequence[ChunkPlan]) -> list[Calla
     return [partial(_chunk, draws, stats, index, count) for index, count in _chunk_ranges(trials, size)]
 
 
-def run_plans(
-    draws: Draws, trials: int, plans: Sequence[ChunkPlan | None], workers: int = 1
-) -> list:
-    """The reduced result of each plan, in order; None for a None plan.
+def run_plans(draws: Draws, trials: int, plans: Sequence[ChunkPlan], workers: int = 1) -> list:
+    """The reduced result of each plan, in order.
 
     Every plan reads one set of chunk tasks, each run once, which return one
     dict per plan. Each distinct bound task (plans may share one) runs once,
@@ -434,19 +432,17 @@ def run_plans(
     trial axis, in chunk order, just before its reducer runs, so one plan's
     joined arrays are alive at a time.
     """
-    live = [p for p in plans if p is not None]
-    chunks = _chunks(draws, trials, live)
-    bounds = list(dict.fromkeys(p.bound for p in live if p.bound is not None))
+    chunks = _chunks(draws, trials, plans)
+    bounds = list(dict.fromkeys(p.bound for p in plans if p.bound is not None))
     results = _run_tasks([*chunks, *bounds], workers)
     reports = dict(zip(bounds, results[len(chunks) :]))
-    # each live plan's dicts over the chunks, in plan order
-    own = iter(zip(*results[: len(chunks)]))
 
-    def reduce(plan: ChunkPlan):
-        data = _gather(next(own))
+    def reduce(plan: ChunkPlan, dicts: tuple):
+        data = _gather(dicts)
         return plan.reduce(data) if plan.bound is None else plan.reduce(data, reports[plan.bound])
 
-    return [None if p is None else reduce(p) for p in plans]
+    # each plan with its dicts over the chunks
+    return [reduce(plan, dicts) for plan, dicts in zip(plans, zip(*results[: len(chunks)]))]
 
 
 def _require_trials(trials: int, minimum: int) -> None:
@@ -571,7 +567,7 @@ def multiplication_plan(
     def reduce(data, report: BoundReport) -> MultiplicationResult:
         return MultiplicationResult(
             mc_value=float(data["mult"].mean()),
-            bound_value=params.d * delta2(params, report.l_ab),
+            bound_value=params.d * report.delta2,
         )
 
     return ChunkPlan(partial(_multiplication_stats, params.psi_inv_sqrt), reduce, NOISE, rate)

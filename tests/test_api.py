@@ -8,6 +8,8 @@ package root holds its submodules, ``RNG_LAYOUT`` and ``__version__`` only,
 and the installed command exits through ``cli.entry``. No module reaches
 into another's underscored names beyond ``model``'s kernel. A helper that
 several test modules share has one definition, in ``tests/oracles.py``.
+With no linter installed, a check here keeps the source and test files to
+one final newline and two blank lines above each top-level definition.
 """
 
 import ast
@@ -121,3 +123,30 @@ def test_no_two_test_modules_define_the_same_helper():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("test_"):
                 owners.setdefault(node.name, []).append(path.stem)
     assert {name: stems for name, stems in owners.items() if len(stems) > 1} == {}
+
+
+def _blank_lines_above(lines: list[str], lineno: int) -> int:
+    """Blank lines above 1-based ``lineno``, past the comment lines right above it."""
+    i = lineno - 2
+    while i >= 0 and lines[i].lstrip().startswith("#"):
+        i -= 1
+    blanks = 0
+    while i >= 0 and not lines[i].strip():
+        blanks, i = blanks + 1, i - 1
+    return blanks
+
+
+def test_each_source_file_ends_in_one_newline_and_spaces_its_definitions_by_two_lines():
+    stray = []
+    for path in sorted([*(ROOT / "src" / "ltibounds").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        text = path.read_text()
+        name = path.relative_to(ROOT)
+        if not text.endswith("\n") or text.endswith("\n\n"):
+            stray.append(f"{name}: does not end in exactly one newline")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                if _blank_lines_above(lines, first) != 2:
+                    stray.append(f"{name}:{first}: not two blank lines above {node.name}")
+    assert stray == []

@@ -481,7 +481,7 @@ def test_minimax_rows_are_finite_and_logged_below_normal_or_the_op_stops_typed(
     }
     cfg = resolve_config(raw)
     try:
-        text = rows_to_csv(run_minimax(cfg)[0], cfg)
+        text = rows_to_csv(run_minimax(cfg), cfg)
     except NonFiniteReportError:
         raise
     except ValueError:
@@ -559,7 +559,7 @@ def test_bounds_rows_are_finite_or_the_op_stops_typed(
     }
     cfg = resolve_config(raw)
     try:
-        text = rows_to_csv(run_bounds(cfg)[0], cfg)
+        text = rows_to_csv(run_bounds(cfg), cfg)
     except ValueError as exc:
         allowed = [pattern for kind, pattern in BOUNDS_TYPED_ERRORS if type(exc) is kind]
         assert any(re.match(pattern, str(exc)) for pattern in allowed), repr(exc)
@@ -637,6 +637,17 @@ def test_verify_negative_control_exit_1(tmp_path, monkeypatch):
         assert main(["verify", "--config", str(path), "--out", str(out), "--workers", workers]) == 1
         rows = {r["quantity"]: r for r in read_rows(out)}
         assert json.loads(rows["risk_dominance"]["extra"])["status"] == "fail"
+
+
+@pytest.mark.parametrize(("status", "code"), [("fail", 1), ("pass", 0)])
+def test_main_exits_1_iff_a_row_of_any_command_fails(tmp_path, monkeypatch, status, code):
+    # main derives the exit status from the rows, whichever command made them
+    row = ReportRow("probe", 1.0, "probe", 2, 10, 42, {"status": status})
+    monkeypatch.setattr(ltibounds.cli, "run_bounds", lambda cfg: [row])
+    path = write_config(tmp_path)
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--config", str(path), "--out", str(out)]) == code
+    assert [r["quantity"] for r in read_rows(out)] == ["config", "probe"]
 
 
 def test_verify_checks_the_bound_that_bounds_reports(tmp_path):

@@ -971,13 +971,12 @@ def test_run_plans_reduces_each_plan_in_order(workers):
     # its arrays, and a plan sees its own arrays only
     plans = [
         ChunkPlan(_risk_stats, _trial_count),
-        None,
         ChunkPlan(_risk_stats, _trial_count_and_report, bound=partial(_square, 5)),
         ChunkPlan(_mse_stats, sorted),
     ]
     draws = fixed_draws(scalar_params(0.5), Stream(8))
     assert run_plans(draws, CHUNK + 3, plans, workers) == [
-        CHUNK + 3, None, (CHUNK + 3, 25), ["failed", "mse"]
+        CHUNK + 3, (CHUNK + 3, 25), ["failed", "mse"]
     ]
     assert multiprocessing.active_children() == []
 
