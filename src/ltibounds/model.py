@@ -17,10 +17,12 @@ Off-by-one errors between these two families of sums are the main
 correctness hazard here; all other modules reuse these helpers instead of
 re-deriving index ranges.
 
-The underscored kernel (recursion, Gram sums, least squares, score) takes a
-leading trial axis; it is the one simulator and estimator of the package.
-Monte Carlo chunks run the recursion and the Gram sums on whole chunks, one
-block of time steps at a time (see ``montecarlo.SimulatedChunk``).
+The underscored kernel (recursion, Gram sums, least squares, score) is the
+one simulator and estimator of the package. The Gram sums, least squares
+and score take a leading trial axis; the recursion, ``_states_batch``, takes
+the trial axis last, so each time step is one contiguous pass over every
+trial. Monte Carlo chunks run the recursion and the Gram sums on whole
+chunks, one block of time steps at a time (see ``montecarlo.SimulatedChunk``).
 """
 
 from __future__ import annotations
@@ -122,21 +124,28 @@ class SystemParams:
         return spectral_split(self)
 
 
-def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, states: np.ndarray) -> None:
-    """Fill ``states[:, 1:]`` with the m states after ``states[:, 0]``, for noise (count, m, d).
+def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, x: np.ndarray) -> None:
+    """Fill ``x[1:]`` with the m states after ``x[0]``, for noise (count, m, d).
 
-    ``states`` is (count, m+1, d); its first state is x_0 = 0 of a whole
-    trajectory, or the last state of the block before. ``a`` is one (d, d)
-    matrix shared by every trial, or one per trial, (count, d, d).
+    Trials last: ``x`` is (m+1, d, count), so each step is one pass over
+    every trial. ``x[0]`` is x_0 = 0 of a whole trajectory, or the last
+    state of the block before. ``a`` is one (d, d) matrix shared by every
+    trial, or one per trial, trials last too: (d, d, count).
+
+    With two trials or more, a shared ``a`` gives bitwise the states of the
+    trial-major step x_{i+1} += x_i A^T; one ``a`` per trial sums over j in
+    index order. A single trial runs a matrix-vector product instead, whose
+    last digits may differ.
     """
-    # shocks B e_i go straight into the state buffer: no second noise-sized array
-    np.matmul(noise, b.T, out=states[:, 1:])
+    # shocks B e_i go straight into the state buffer: BLAS reads the
+    # trial-major noise through a transposed view, so no noise-sized copy
+    np.matmul(b, noise.transpose(1, 2, 0), out=x[1:])
     if a.ndim == 2:
         for i in range(noise.shape[1]):
-            states[:, i + 1] += states[:, i] @ a.T
+            x[i + 1] += a @ x[i]
     else:
         for i in range(noise.shape[1]):
-            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
+            x[i + 1] += np.einsum("ijt,jt->it", a, x[i])
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:

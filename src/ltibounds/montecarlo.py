@@ -48,12 +48,17 @@ reports are bit-identical for any ``workers`` value.
 
 A chunk task simulates all of its trials at once, ``BLOCK`` time steps at a
 time: it draws one block of noise, (count, min(N, BLOCK), d), advances each
-set of trajectories through it in one shared buffer of BLOCK+1 states per
-trial, and drops it before the next block is drawn (``SimulatedChunk``).
-So a worker holds one block of noise and one block of states, never a
-chunk's noise or a (count, N+1, d) state array, and its memory does not
-grow with N. The blocks' partial Gram sums are added in time order: for
-N > BLOCK their last digits depend on BLOCK, never on the worker count.
+set of trajectories through it, and drops it before the next block is
+drawn (``SimulatedChunk``). Both sets share two buffers of BLOCK+1 states
+per trial: the recursion runs trials last, so each step is one pass over
+the chunk's trials, and one copy per block turns it trial-major for the
+Gram sums' per-trial BLAS products. So a worker holds one block of noise
+and two blocks of states, never a chunk's noise or a (count, N+1, d) state
+array, and its memory does not grow with N. The blocks' partial Gram sums
+are added in time order: for N > BLOCK their last digits depend on BLOCK,
+never on the worker count. A chunk of one trial steps by a matrix-vector
+product, so its trajectory may differ in the last digits from the same
+trial's in a chunk of two or more; its draws do not.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -230,29 +235,36 @@ class SimulatedChunk:
 
     ``a`` is shared by every trial or one per trial, (count, d, d). Each
     ``advance`` runs the trajectories through one (count, m, d) block of
-    noise in a caller's buffer of (count, m+1, d) states, starting from
-    ``last``, the last state of the block before (x_0 = 0 for the first),
-    and adds the block's partial sums to ``gamma`` = sum x_i x_{i-1}^T and
-    ``sigma`` = sum x_{i-1} x_{i-1}^T and, only when ``noise_gram`` is set,
-    to ``noise_gram``, the per-trial sum e_i x_i^T over the block's own
-    steps (the i = 0 term is zero, as x_0 = 0); otherwise ``noise_gram`` is
-    None. Only ``last``, (count, d), outlives a block.
-    ``finish`` ends the trajectories; the statistics read the sums after it.
-    ``ls_error`` (``_ls_error``) is formed on first use.
+    noise in the caller's two buffers of m+1 states per trial: the recursion
+    (``_states_batch``) in ``x``, (m+1, d, count), trials last, starting
+    from ``last``, the last state of the block before (x_0 = 0 for the
+    first); then one copy into ``states``, (count, m+1, d), trial-major,
+    from which it adds the block's partial sums to ``gamma`` =
+    sum x_i x_{i-1}^T and ``sigma`` = sum x_{i-1} x_{i-1}^T and, only when
+    ``noise_gram`` is set, to ``noise_gram``, the per-trial sum e_i x_i^T
+    over the block's own steps (the i = 0 term is zero, as x_0 = 0);
+    otherwise ``noise_gram`` is None. Only ``last``, (d, count), outlives a
+    block. ``finish`` ends the trajectories; the statistics read the sums
+    after it. ``ls_error`` (``_ls_error``) is formed on first use.
     """
 
     def __init__(
         self, a: np.ndarray, b: np.ndarray, count: int, d: int, *, noise_gram: bool = False
     ) -> None:
-        self.a, self.b = a, b
-        self.last = np.zeros((count, d))
+        # one A per trial is held once, trials last as the recursion reads
+        # it; ``a`` is its trial-major view
+        self.a_last = a if a.ndim == 2 else np.ascontiguousarray(a.transpose(1, 2, 0))
+        self.a = a if a.ndim == 2 else self.a_last.transpose(2, 0, 1)
+        self.b = b
+        self.last = np.zeros((d, count))
         self.gamma, self.sigma = np.zeros((count, d, d)), np.zeros((count, d, d))
         self.noise_gram = np.zeros((count, d, d)) if noise_gram else None
 
-    def advance(self, noise: np.ndarray, states: np.ndarray) -> None:
-        states[:, 0] = self.last
-        _states_batch(self.a, self.b, noise, states)
-        self.last[...] = states[:, -1]
+    def advance(self, noise: np.ndarray, x: np.ndarray, states: np.ndarray) -> None:
+        x[0] = self.last
+        _states_batch(self.a_last, self.b, noise, x)
+        self.last[...] = x[-1]
+        states[...] = x.transpose(2, 0, 1)
         # one (count, d, d) product alive at a time; finish symmetrizes sigma
         x_prev = states[:, :-1]
         self.gamma += _gram(states[:, 1:], x_prev)
@@ -302,9 +314,10 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
     ``ChunkPlan``. The prior is drawn only when a ``BAYES`` or ``PRIOR``
     statistic reads it, and the noise only when a ``FIXED``, ``NOISE`` or
     ``BAYES`` one does. Each block of noise is drawn once and advances both
-    sets of trajectories in one shared buffer of states, so no worker holds
-    more than one block of noise. The fixed system's sum e_i x_i^T is formed
-    only when a ``NOISE`` statistic reads it.
+    sets of trajectories in one shared pair of state buffers, trials last
+    and trial-major, so no worker holds more than one block of noise. The
+    fixed system's sum e_i x_i^T is formed only when a ``NOISE`` statistic
+    reads it.
     """
     out: list = [None] * len(stats)
     reads = {source for source, _ in stats}
@@ -326,18 +339,20 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
         sims.append(((FIXED, NOISE), SimulatedChunk(a, b, count, d, noise_gram=NOISE in reads)))
     if BAYES in reads:
         sims.append(((BAYES,), SimulatedChunk(a_stack, np.eye(d), count, d)))
+        del a_stack  # the chunk holds its own trials-last copy
     if sims:
-        states = np.empty((count, min(n, BLOCK) + 1, d))
+        m = min(n, BLOCK)
+        x, states = np.empty((m + 1, d, count)), np.empty((count, m + 1, d))
         noise_stream = draws.noise.child(index, KIND_NOISE)
         for block, start in enumerate(range(0, n, BLOCK)):
             steps = min(BLOCK, n - start)
             noise = noise_stream.child(block).generator().standard_normal((count, steps, d))
             for _, sim in sims:
-                sim.advance(noise, states[:, : steps + 1])
+                sim.advance(noise, x[: steps + 1], states[:, : steps + 1])
             del noise  # the next block is drawn with this one gone
         for _, sim in sims:
             sim.finish()
-        del states
+        del x, states
     while sims:
         # the fixed system's sums and least-squares errors die before the Bayes statistics run
         sources, sim = sims.pop(0)

@@ -30,9 +30,9 @@ def one_trajectory(a: np.ndarray, b: np.ndarray, noise: np.ndarray):
     least-squares error.
     """
     n, d = noise.shape
-    states = np.zeros((1, n + 1, d))
+    x, states = np.zeros((n + 1, d, 1)), np.zeros((1, n + 1, d))
     chunk = SimulatedChunk(np.asarray(a, float), np.asarray(b, float), 1, d, noise_gram=True)
-    chunk.advance(noise[None], states)
+    chunk.advance(noise[None], x, states)
     chunk.finish()
     return states[0], chunk
 
@@ -115,9 +115,9 @@ def test_simulate_two_step_covariance():
     params = SystemParams(a=0.5 * np.eye(2), b=np.eye(2), n=3)
     trials = 100_000
     noise = Stream(12).generator().standard_normal((trials, params.n, params.d))
-    states = np.zeros((trials, params.n + 1, params.d))
-    _states_batch(params.a, params.b, noise, states)
-    xs = states[:, 2]
+    x = np.zeros((params.n + 1, params.d, trials))
+    _states_batch(params.a, params.b, noise, x)
+    xs = x[2].T
     prods = np.einsum("ti,tj->tij", xs, xs)
     mean = prods.mean(axis=0)
     se = prods.std(axis=(0,), ddof=1) / np.sqrt(trials)

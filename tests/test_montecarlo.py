@@ -80,10 +80,12 @@ def simulated(a, b, noise, *, noise_gram=False):
     """A ``SimulatedChunk`` fed ``noise`` (count, N, d) ``BLOCK`` steps at a time."""
     count, n, d = noise.shape
     chunk = SimulatedChunk(a, b, count, d, noise_gram=noise_gram)
-    states = np.empty((count, min(n, BLOCK) + 1, d))
+    m = min(n, BLOCK)
+    x, states = np.empty((m + 1, d, count)), np.empty((count, m + 1, d))
     for start in range(0, n, BLOCK):
         block = np.ascontiguousarray(noise[:, start : start + BLOCK])
-        chunk.advance(block, states[:, : block.shape[1] + 1])
+        steps = block.shape[1]
+        chunk.advance(block, x[: steps + 1], states[:, : steps + 1])
     chunk.finish()
     return chunk
 
@@ -468,8 +470,13 @@ def test_trajectory_chunk_trial_prefix_invariance():
 
 
 def _full_states(a, b, noise):
-    """States x_0..x_N of each trial in one (count, N+1, d) array, one step at a
-    time: the reference for the chunks' block recursion."""
+    """States x_0..x_N of each trial in one trial-major (count, N+1, d) array,
+    one step at a time: the reference for the chunks' block recursion.
+
+    A shared ``a`` steps by the trial-major product x_{i+1} += x_i A^T. One
+    ``a`` per trial, (count, d, d), sums A_{:, j} x_{i, j} over j in index
+    order, then adds the sum to the shock.
+    """
     count, n, d = noise.shape
     states = np.zeros((count, n + 1, d))
     np.matmul(noise, b.T, out=states[:, 1:])
@@ -477,8 +484,21 @@ def _full_states(a, b, noise):
         if a.ndim == 2:
             states[:, i + 1] += states[:, i] @ a.T
         else:
-            states[:, i + 1] += np.einsum("tij,tj->ti", a, states[:, i])
+            step = np.zeros((count, d))
+            for j in range(d):
+                step += a[:, :, j] * states[:, i, j, None]
+            states[:, i + 1] += step
     return states
+
+
+def _kernel_states(a, b, noise):
+    """``_states_batch`` over all of ``noise`` (count, N, d) in one block, from
+    x_0 = 0, as a trial-major (count, N+1, d) array; ``a`` is shared or
+    (count, d, d), as ``_full_states`` takes it."""
+    count, n, d = noise.shape
+    x = np.zeros((n + 1, d, count))
+    _states_batch(a if a.ndim == 2 else np.ascontiguousarray(a.transpose(1, 2, 0)), b, noise, x)
+    return x.transpose(2, 0, 1)
 
 
 def _gram_sums(states):
@@ -636,6 +656,45 @@ def test_verify_chunk_peak_does_not_grow_with_the_horizon():
     assert long < 5 * 2**20
 
 
+# peak of the task below with the trial-major recursion alone, one shared
+# (count, N+1, d) block of states (numpy 2.4)
+TRIAL_MAJOR_PEAK = 3.42e6
+
+
+def test_verify_chunk_holds_one_trials_last_block_beside_the_trial_major_one():
+    # mc_short's shape: d = 2, N = 16, one chunk of 4096 trials running both
+    # simulations. The trials-last buffer adds one (N+1, d, count) block,
+    # 1.11 MB; a second block-sized buffer, such as a transposed copy of the
+    # noise (1.05 MB), would break the bound
+    d, n, count = 2, 16, 4096
+    assert _chunk_trials(n * d) == count
+    params = SystemParams(a=rotation(0.5, 0.9), b=np.diag([1.0, 3.0]), n=n)
+    spec = PriorSpec(s=0.5, eps=0.5, d=d)
+    draws = Draws(Stream(115), n, d, params, Stream(116), spec)
+    plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
+    (task,) = _chunks(draws, count, plans)
+    task()  # the first run in a process also holds numpy's one-time set-up
+    block = (n + 1) * d * count * 8
+    assert _peak_bytes(task) < TRIAL_MAJOR_PEAK + block
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-a", "a-per-trial"])
+def test_trial_sums_are_bitwise_the_same_in_chunks_of_two_and_seven(shared):
+    # every chunk of two trials or more steps by the same products, so trial
+    # k's sums do not depend on how many trials its chunk holds
+    d, n = 3, 70
+    g = Stream(117).generator()
+    if shared:
+        a, b = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0], np.diag([1.0, 2.0, 0.5])
+    else:
+        a, b = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(118), 7).a, np.eye(d)
+    noise = g.standard_normal((7, n, d))
+    two = simulated(a if shared else a[:2], b, noise[:2], noise_gram=True)
+    seven = simulated(a, b, noise, noise_gram=True)
+    for name in ("gamma", "sigma", "noise_gram"):
+        assert np.array_equal(getattr(two, name), getattr(seven, name)[:2]), name
+
+
 def record_task_lists(monkeypatch):
     """The task lists ``run_plans`` hands ``_run_tasks``, recorded as they run."""
     lists = []
@@ -760,15 +819,34 @@ def test_gram_matches_einsum_on_strided_views(count, n, d):
         np.testing.assert_allclose(_gram(x, y), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("count, n, d", [(300, 50, 8), (1, 7, 2), (40, 9, 1)])
-def test_states_batch_is_bitwise_the_per_step_loop(count, n, d):
+def _einsum_states(a_stack, noise):
+    """The trial-major step with one A per trial, x_{i+1} = e_i + A x_i by
+    ``einsum("tij,tj->ti")``, whose pairing of the sum over j is numpy's own."""
+    count, n, d = noise.shape
+    states = np.zeros((count, n + 1, d))
+    states[:, 1:] = noise
+    for i in range(n):
+        states[:, i + 1] += np.einsum("tij,tj->ti", a_stack, states[:, i])
+    return states
+
+
+@pytest.mark.parametrize("count", [2, 7, 256])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 10])
+def test_states_batch_is_bitwise_the_per_step_loop(count, d):
+    # trials last, a shared A gives bitwise the trial-major step's states, and
+    # one A per trial bitwise the sum over j in index order; the old einsum
+    # pairs that sum's terms its own way, so it agrees only to rounding
+    n = 50
     g = Stream(94).generator()
     a = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0]
     b = np.diag(g.uniform(0.5, 2.0, d)) + 0.1 * g.standard_normal((d, d))
     noise = g.standard_normal((count, n, d))
-    states = np.zeros((count, n + 1, d))
-    _states_batch(a, b, noise, states)
-    assert np.array_equal(states, _full_states(a, b, noise))
+    assert np.array_equal(_kernel_states(a, b, noise), _full_states(a, b, noise))
+    a_stack = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(95), count).a
+    states = _kernel_states(a_stack, np.eye(d), noise)
+    assert np.array_equal(states, _full_states(a_stack, np.eye(d), noise))
+    ref = _einsum_states(a_stack, noise)
+    assert np.all(np.abs(states - ref) <= 1e-13 * np.abs(ref).max())
 
 
 def test_states_batch_one_a_per_trial_matches_simulate_injected():
@@ -776,12 +854,10 @@ def test_states_batch_one_a_per_trial_matches_simulate_injected():
     count, n = 20, 30
     a_stack = sample_prior_batch(spec, Stream(95), count).a
     noise = Stream(96).generator().standard_normal((count, n, spec.d))
-    states = np.zeros((count, n + 1, spec.d))
-    _states_batch(a_stack, np.eye(spec.d), noise, states)
+    states = _kernel_states(a_stack, np.eye(spec.d), noise)
     # the reference runs each trial alone, through the shared-A recursion
     for a, x, e in zip(a_stack, states, noise):
-        ref = np.zeros((1, n + 1, spec.d))
-        _states_batch(a, np.eye(spec.d), e[None], ref)
+        ref = _kernel_states(a, np.eye(spec.d), e[None])
         np.testing.assert_allclose(x, ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
