@@ -21,13 +21,26 @@ The underscored kernel (recursion, Gram sums, least squares, score) is the
 one simulator and estimator of the package. The Gram sums, least squares
 and score take a leading trial axis; the recursion, ``_states_batch``, takes
 the trial axis last, so each time step is one contiguous pass over every
-trial. Monte Carlo chunks run the recursion and the Gram sums on whole
-chunks, one block of time steps at a time (see ``montecarlo.SimulatedChunk``).
+trial, and it steps a trial by the same products in a chunk of any size.
+
+``simulate`` is the one driver of the recursion and the Gram sums. It runs
+one chunk's sets of trajectories (each a ``SimulatedChunk``) through the
+same noise, ``BLOCK`` time steps at a time: it draws one block of noise,
+(count, min(N, BLOCK), d), advances each set through it, and drops it
+before the next block is drawn. Every set shares two buffers of BLOCK+1
+states per trial, both allocated before the first block is drawn: the
+recursion runs in the trials-last one, and one copy per block turns it
+trial-major for the Gram sums' per-trial BLAS products. So a chunk holds
+one block of noise and two blocks of states, never its whole noise or a
+(count, N+1, d) state array, and its memory does not grow with N. The
+blocks' partial Gram sums are added in time order: for N > BLOCK their last
+digits depend on BLOCK, never on how many trials the chunk holds.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -38,6 +51,10 @@ from .linalg import sym_inv_sqrt, validate_square
 
 if TYPE_CHECKING:
     from .bounds import SpectralSplit
+
+# time steps per block: ``simulate`` draws a chunk's noise, and advances its
+# trajectories, one block at a time
+BLOCK = 64
 
 
 class PsiOverflowError(ValueError):
@@ -132,11 +149,18 @@ def _states_batch(a: np.ndarray, b: np.ndarray, noise: np.ndarray, x: np.ndarray
     state of the block before. ``a`` is one (d, d) matrix shared by every
     trial, or one per trial, trials last too: (d, d, count).
 
-    With two trials or more, a shared ``a`` gives bitwise the states of the
-    trial-major step x_{i+1} += x_i A^T; one ``a`` per trial sums over j in
-    index order. A single trial runs a matrix-vector product instead, whose
-    last digits may differ.
+    A shared ``a`` gives bitwise the states of the trial-major step
+    x_{i+1} += x_i A^T; one ``a`` per trial sums over j in index order. A
+    single trial steps as one column of two, so that it takes the same
+    products, and so the same bits, as in a chunk of any other size.
     """
+    if x.shape[-1] == 1:
+        # a lone column would step by matrix-vector products instead
+        pair = np.repeat(x, 2, axis=-1)
+        a_pair = a if a.ndim == 2 else np.repeat(a, 2, axis=-1)
+        _states_batch(a_pair, b, np.repeat(noise, 2, axis=0), pair)
+        x[1:] = pair[1:, :, :1]
+        return
     # shocks B e_i go straight into the state buffer: BLAS reads the
     # trial-major noise through a transposed view, so no noise-sized copy
     np.matmul(b, noise.transpose(1, 2, 0), out=x[1:])
@@ -181,6 +205,74 @@ def _data_score(params: SystemParams, gamma: np.ndarray, sigma: np.ndarray) -> n
     """Per-trial score of the log-likelihood in A: (BB*)^{-1} (gamma - A sigma)."""
     residual = gamma - np.einsum("ij,tjk->tik", params.a, sigma)
     return np.einsum("ij,tjk->tik", params.noise_cov_inv, residual)
+
+
+class SimulatedChunk:
+    """Per-trial Gram sums of one chunk's trajectories, as ``simulate`` forms them.
+
+    ``a`` is shared by every trial or one per trial, (count, d, d); ``b`` is
+    shared. Once ``simulate`` has run, ``gamma`` = sum x_i x_{i-1}^T and
+    ``sigma`` = sum x_{i-1} x_{i-1}^T (symmetric) and, only when
+    ``noise_gram`` is set, ``noise_gram`` = sum e_i x_i^T (the i = 0 term is
+    zero, as x_0 = 0); otherwise ``noise_gram`` is None. ``ls_error``
+    (``_ls_error``) is formed on first use.
+    """
+
+    def __init__(
+        self, a: np.ndarray, b: np.ndarray, count: int, d: int, *, noise_gram: bool = False
+    ) -> None:
+        # one A per trial is held once, trials last as the recursion reads
+        # it; ``a`` is its trial-major view
+        self.a_last = a if a.ndim == 2 else np.ascontiguousarray(a.transpose(1, 2, 0))
+        self.a = a if a.ndim == 2 else self.a_last.transpose(2, 0, 1)
+        self.b = b
+        # the last state of the block before, x_0 = 0 for the first; simulate drops it
+        self.last = np.zeros((d, count))
+        self.gamma, self.sigma = np.zeros((count, d, d)), np.zeros((count, d, d))
+        self.noise_gram = np.zeros((count, d, d)) if noise_gram else None
+
+    @cached_property
+    def ls_error(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ls_error(self.gamma, self.sigma, self.a)
+
+
+def simulate(
+    chunks: Sequence[SimulatedChunk],
+    n: int,
+    noise_block: Callable[[int, tuple[int, int, int]], np.ndarray],
+) -> None:
+    """Run every chunk's trajectories through the same ``n`` steps of noise; form their sums.
+
+    ``noise_block(j, shape)`` draws block j of the noise, standard normals
+    of ``shape`` = (count, m, d) with m = min(BLOCK, n - j * BLOCK); blocks
+    and buffers are as the module docstring sets out. At the end each
+    ``sigma`` is symmetrized in place (bitwise ``_sym``) and ``last``
+    dropped, so the statistics run beside the sums alone.
+    """
+    d, count = chunks[0].last.shape
+    m = min(n, BLOCK)
+    # trials last for the recursion, trial-major for the Gram sums
+    x, states = np.empty((m + 1, d, count)), np.empty((count, m + 1, d))
+    for j, start in enumerate(range(0, n, BLOCK)):
+        steps = min(BLOCK, n - start)
+        noise = noise_block(j, (count, steps, d))
+        x_block, states_block = x[: steps + 1], states[:, : steps + 1]
+        x_prev = states_block[:, :-1]
+        for chunk in chunks:
+            x_block[0] = chunk.last
+            _states_batch(chunk.a_last, chunk.b, noise, x_block)
+            chunk.last[...] = x_block[-1]
+            states_block[...] = x_block.transpose(2, 0, 1)
+            # one (count, d, d) product alive at a time
+            chunk.gamma += _gram(states_block[:, 1:], x_prev)
+            chunk.sigma += _gram(x_prev, x_prev)
+            if chunk.noise_gram is not None:
+                chunk.noise_gram += _gram(noise, x_prev)
+        del noise  # the next block is drawn with this one gone
+    for chunk in chunks:
+        chunk.sigma += np.swapaxes(chunk.sigma, 1, 2)
+        chunk.sigma *= 0.5
+        del chunk.last
 
 
 def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:

@@ -20,14 +20,16 @@ Plans read them while they are built, in this process, so every task pickles
 ``params`` with them and A^(k-1)B is walked once per system.
 
 One chunk task, ``_chunk``, serves every experiment on random draws. A
-plan names the source its statistic reads: a ``SimulatedChunk`` of the
-fixed system without (``FIXED``) or with (``NOISE``) its per-trial sum
-e_i x_i^T, a ``SimulatedChunk`` of one prior draw of A per trial (``BAYES``,
-the Bayes experiment, B = I), or the chunk's prior draws (``PRIOR``, the
-prior-score identity). ``run_plans`` gives several plans one task per chunk,
-which draws each block of the chunk's noise once and its prior once,
-simulates each set of trajectories once, forms each Gram sum at most once
-per block (e_i x_i^T only for a ``NOISE`` plan) and computes every plan's
+plan names the source its statistic reads: a ``model.SimulatedChunk`` of
+the fixed system without (``FIXED``) or with (``NOISE``) its per-trial sum
+e_i x_i^T, a ``SimulatedChunk`` of one prior draw of A per trial
+(``BAYES``, the Bayes experiment, B = I), or the chunk's prior draws
+(``PRIOR``, the prior-score identity). ``run_plans`` gives several plans
+one task per chunk, which draws its prior once and hands both sets of
+trajectories to one ``model.simulate`` call: that draws each block of the
+chunk's noise once, simulates each set once, forms each Gram sum at most
+once per block (e_i x_i^T only for a ``NOISE`` plan), and holds one block
+of noise at a time (see ``model``). The task then computes every plan's
 statistic; ``verify`` runs all six of its Monte Carlo experiments so, and
 the Bayes trajectories are driven by the same noise as the fixed-system
 ones. Gram sums are BLAS products, so another BLAS build or CPU kernel may
@@ -44,21 +46,9 @@ the chunk size, which depends only on N*d (stream layout ``RNG_LAYOUT``).
 Per-trial statistics are written into position-indexed arrays, and
 reductions run over those arrays with numpy's pairwise summation. The
 worker count only decides where tasks run, so under a fixed numpy/BLAS build
-reports are bit-identical for any ``workers`` value.
-
-A chunk task simulates all of its trials at once, ``BLOCK`` time steps at a
-time: it draws one block of noise, (count, min(N, BLOCK), d), advances each
-set of trajectories through it, and drops it before the next block is
-drawn (``SimulatedChunk``). Both sets share two buffers of BLOCK+1 states
-per trial: the recursion runs trials last, so each step is one pass over
-the chunk's trials, and one copy per block turns it trial-major for the
-Gram sums' per-trial BLAS products. So a worker holds one block of noise
-and two blocks of states, never a chunk's noise or a (count, N+1, d) state
-array, and its memory does not grow with N. The blocks' partial Gram sums
-are added in time order: for N > BLOCK their last digits depend on BLOCK,
-never on the worker count. A chunk of one trial steps by a matrix-vector
-product, so its trajectory may differ in the last digits from the same
-trial's in a chunk of two or more; its draws do not.
+reports are bit-identical for any ``workers`` value. ``model.simulate``
+steps a trial by the same products in a chunk of any size, so a trial's
+statistics do not depend on its chunk's trial count either.
 
 Trials whose sample covariance is singular (probability zero for genuine
 Gaussian data with N >= d+1) are counted and excluded; an experiment fails
@@ -70,7 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -84,25 +74,21 @@ from .minimax import (
     van_trees_bound,
 )
 from .model import (
+    SimulatedChunk,
     SystemParams,
     _data_score,
-    _gram,
-    _ls_error,
-    _states_batch,
     _sym,
     fisher_information,
+    simulate,
 )
 from .rng import KIND_NOISE, Stream
 
 # most trials of one chunk; a chunk of trajectories also draws at most
 # CHUNK_ELEMENTS noise numbers in all (see _chunk_trials). That bounds a
 # chunk's work and sets how an op splits into tasks over the workers; a
-# chunk's memory is one block of it (see BLOCK)
+# chunk's memory is one block of it (see model.BLOCK)
 CHUNK = 4096
 CHUNK_ELEMENTS = 2**22
-# time steps per block: a chunk draws its noise, and advances its
-# trajectories, one block at a time; see _chunk and SimulatedChunk
-BLOCK = 64
 # fewest trials: of the risk experiment, and of a conclusive 4-SE check and
 # every other experiment
 MIN_RISK_TRIALS = 100
@@ -230,68 +216,11 @@ def _gather(parts: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
-class SimulatedChunk:
-    """Per-trial Gram sums of one chunk's trajectories, fed one block of noise at a time.
-
-    ``a`` is shared by every trial or one per trial, (count, d, d). Each
-    ``advance`` runs the trajectories through one (count, m, d) block of
-    noise in the caller's two buffers of m+1 states per trial: the recursion
-    (``_states_batch``) in ``x``, (m+1, d, count), trials last, starting
-    from ``last``, the last state of the block before (x_0 = 0 for the
-    first); then one copy into ``states``, (count, m+1, d), trial-major,
-    from which it adds the block's partial sums to ``gamma`` =
-    sum x_i x_{i-1}^T and ``sigma`` = sum x_{i-1} x_{i-1}^T and, only when
-    ``noise_gram`` is set, to ``noise_gram``, the per-trial sum e_i x_i^T
-    over the block's own steps (the i = 0 term is zero, as x_0 = 0);
-    otherwise ``noise_gram`` is None. Only ``last``, (d, count), outlives a
-    block. ``finish`` ends the trajectories; the statistics read the sums
-    after it. ``ls_error`` (``_ls_error``) is formed on first use.
-    """
-
-    def __init__(
-        self, a: np.ndarray, b: np.ndarray, count: int, d: int, *, noise_gram: bool = False
-    ) -> None:
-        # one A per trial is held once, trials last as the recursion reads
-        # it; ``a`` is its trial-major view
-        self.a_last = a if a.ndim == 2 else np.ascontiguousarray(a.transpose(1, 2, 0))
-        self.a = a if a.ndim == 2 else self.a_last.transpose(2, 0, 1)
-        self.b = b
-        self.last = np.zeros((d, count))
-        self.gamma, self.sigma = np.zeros((count, d, d)), np.zeros((count, d, d))
-        self.noise_gram = np.zeros((count, d, d)) if noise_gram else None
-
-    def advance(self, noise: np.ndarray, x: np.ndarray, states: np.ndarray) -> None:
-        x[0] = self.last
-        _states_batch(self.a_last, self.b, noise, x)
-        self.last[...] = x[-1]
-        states[...] = x.transpose(2, 0, 1)
-        # one (count, d, d) product alive at a time; finish symmetrizes sigma
-        x_prev = states[:, :-1]
-        self.gamma += _gram(states[:, 1:], x_prev)
-        self.sigma += _gram(x_prev, x_prev)
-        if self.noise_gram is not None:
-            self.noise_gram += _gram(noise, x_prev)
-
-    def finish(self) -> None:
-        """Symmetrize ``sigma`` in place (bitwise ``_sym``) and drop ``last``.
-
-        In place, so the statistics, and the pickling of their results, run
-        beside the sums alone.
-        """
-        self.sigma += np.swapaxes(self.sigma, 1, 2)
-        self.sigma *= 0.5
-        del self.last
-
-    @cached_property
-    def ls_error(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ls_error(self.gamma, self.sigma, self.a)
-
-
 class Draws(NamedTuple):
     """The chunk streams the plans of one set of experiments read, and what they drive.
 
-    Chunk c draws its noise one block of m <= ``BLOCK`` steps at a time:
-    block j is (count, m, d) standard normals from
+    Chunk c draws its noise one block at a time, as ``model.simulate`` asks
+    for it: block j is (count, m, d) standard normals from
     ``noise.child(c, KIND_NOISE, j)``. The same noise drives the trajectories
     of the fixed system ``params`` and, with B = I, one trajectory per prior
     draw of A. Chunk c draws from the prior ``spec`` once, under
@@ -313,9 +242,9 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
     ``stats`` holds one (source, statistic) pair per plan, in plan order; see
     ``ChunkPlan``. The prior is drawn only when a ``BAYES`` or ``PRIOR``
     statistic reads it, and the noise only when a ``FIXED``, ``NOISE`` or
-    ``BAYES`` one does. Each block of noise is drawn once and advances both
-    sets of trajectories in one shared pair of state buffers, trials last
-    and trial-major, so no worker holds more than one block of noise. The
+    ``BAYES`` one does. Both sets of trajectories go to one
+    ``model.simulate`` call, so each block of noise is drawn once and
+    advances both, and no worker holds more than one block of noise. The
     fixed system's sum e_i x_i^T is formed only when a ``NOISE`` statistic
     reads it.
     """
@@ -332,7 +261,7 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
         compute((PRIOR,), sample)
         a_stack = sample.a
         del sample  # the Haar factors die once the A stack and the score are formed
-    n, d = draws.n, draws.d
+    d = draws.d
     sims = []
     if reads & {FIXED, NOISE}:
         a, b = draws.params.a, draws.params.b
@@ -341,18 +270,12 @@ def _chunk(draws: Draws, stats: tuple, index: int, count: int) -> list[dict[str,
         sims.append(((BAYES,), SimulatedChunk(a_stack, np.eye(d), count, d)))
         del a_stack  # the chunk holds its own trials-last copy
     if sims:
-        m = min(n, BLOCK)
-        x, states = np.empty((m + 1, d, count)), np.empty((count, m + 1, d))
-        noise_stream = draws.noise.child(index, KIND_NOISE)
-        for block, start in enumerate(range(0, n, BLOCK)):
-            steps = min(BLOCK, n - start)
-            noise = noise_stream.child(block).generator().standard_normal((count, steps, d))
-            for _, sim in sims:
-                sim.advance(noise, x[: steps + 1], states[:, : steps + 1])
-            del noise  # the next block is drawn with this one gone
-        for _, sim in sims:
-            sim.finish()
-        del x, states
+        stream = draws.noise.child(index, KIND_NOISE)
+        simulate(
+            [sim for _, sim in sims],
+            draws.n,
+            lambda j, shape: stream.child(j).generator().standard_normal(shape),
+        )
     while sims:
         # the fixed system's sums and least-squares errors die before the Bayes statistics run
         sources, sim = sims.pop(0)

@@ -12,8 +12,9 @@ than 1024 noise numbers (N*d > 1024), so that a chunk draws at most 2^22 of
 them; the chunk size depends only on N*d. Chunk c draws each kind of prior
 randomness from the stream ``(seed, salt, c, kind)``, where ``kind`` is one
 of the ``KIND_*`` draw kinds below, in one trial-major call. Its noise is
-drawn one block of at most 64 time steps at a time: block j draws its
-(count, m, d) noise, trial-major, from ``(seed, salt, c, KIND_NOISE, j)``.
+drawn one block of at most ``model.BLOCK`` (64) time steps at a time, as
+``model.simulate`` asks for it: block j draws its (count, m, d) noise,
+trial-major, from ``(seed, salt, c, KIND_NOISE, j)``.
 numpy fills arrays in order, so trial k's draws are the k-th run of draws of
 each stream whatever the chunk's trial count. They depend only on
 ``(seed, salt, k)`` and the chunk size: not on the total trial count, not

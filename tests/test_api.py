@@ -6,8 +6,10 @@ would break the traced benchmark rather than any import. The package's
 runtime dependencies are exactly the third-party modules it imports. The
 package root holds its submodules, ``RNG_LAYOUT`` and ``__version__`` only,
 and the installed command exits through ``cli.entry``. No module reaches
-into another's underscored names beyond ``model``'s kernel. A helper that
-several test modules share has one definition, in ``tests/oracles.py``.
+into another's underscored names beyond three of ``model``'s (the score,
+the symmetrizer and the array freezer); the simulation kernel stays inside
+``model``. A helper that several test modules share has one definition, in
+``tests/oracles.py``.
 With no linter installed, a check here keeps the source and test files to
 one final newline and two blank lines above each top-level definition.
 """
@@ -94,11 +96,9 @@ def test_runtime_dependencies_are_the_third_party_imports():
 
 
 # the only underscored names of one ltibounds module that another may import:
-# model's batched kernel and the array freezer
-SHARED_PRIVATE = {
-    ("model", name)
-    for name in ("_states_batch", "_gram", "_ls_error", "_data_score", "_sym", "_frozen")
-}
+# model's score and symmetrizer, which the statistics read, and the array
+# freezer; the recursion, Gram sums and least squares run only inside model
+SHARED_PRIVATE = {("model", name) for name in ("_data_score", "_sym", "_frozen")}
 
 
 def test_no_module_imports_another_modules_underscored_name():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from ltibounds.bounds import psi
 from ltibounds.model import (
+    BLOCK,
     PsiOverflowError,
+    SimulatedChunk,
     SystemParams,
     _data_score,
     _ls_error,
@@ -16,8 +18,8 @@ from ltibounds.model import (
     expected_gram,
     fisher_information,
     information_scalar,
+    simulate,
 )
-from ltibounds.montecarlo import SimulatedChunk
 from ltibounds.rng import Stream
 from oracles import scalar_params
 
@@ -25,16 +27,18 @@ from oracles import scalar_params
 def one_trajectory(a: np.ndarray, b: np.ndarray, noise: np.ndarray):
     """One trajectory driven by ``noise`` (N, d) through the batch kernel.
 
-    A batch of one in one block: its states x_0..x_N, and the finished
-    ``SimulatedChunk`` that holds its Gram sums, e_i x_i^T sum and
-    least-squares error.
+    Its states x_0..x_N, from the recursion alone, and the ``SimulatedChunk``
+    of a batch of one that ``simulate`` fills with its Gram sums, e_i x_i^T
+    sum and least-squares error.
     """
     n, d = noise.shape
-    x, states = np.zeros((n + 1, d, 1)), np.zeros((1, n + 1, d))
-    chunk = SimulatedChunk(np.asarray(a, float), np.asarray(b, float), 1, d, noise_gram=True)
-    chunk.advance(noise[None], x, states)
-    chunk.finish()
-    return states[0], chunk
+    assert n <= BLOCK  # one block: the states are those the sums were formed from
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    x = np.zeros((n + 1, d, 1))
+    _states_batch(a, b, noise[None], x)
+    chunk = SimulatedChunk(a, b, 1, d, noise_gram=True)
+    simulate([chunk], n, lambda j, shape: noise[None])
+    return x[:, :, 0], chunk
 
 
 def ls_estimate(chunk: SimulatedChunk) -> np.ndarray:

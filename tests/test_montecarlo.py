@@ -13,6 +13,8 @@ from ltibounds.minimax import PriorSpec, sample_prior_batch
 from ltibounds.bounds import psi
 from ltibounds.linalg import sym_inv_sqrt
 from ltibounds.model import (
+    BLOCK,
+    SimulatedChunk,
     SystemParams,
     _data_score,
     _gram,
@@ -20,10 +22,10 @@ from ltibounds.model import (
     _states_batch,
     _sym,
     fisher_information,
+    simulate,
 )
 from ltibounds.montecarlo import (
     BAYES,
-    BLOCK,
     CHUNK,
     FIXED,
     NOISE,
@@ -43,7 +45,6 @@ from ltibounds.montecarlo import (
     _mse_stats,
     _multiplication_stats,
     _prior_score_stats,
-    SimulatedChunk,
     _risk_stats,
     _run_tasks,
     bayes_risk_experiment,
@@ -77,16 +78,15 @@ def chunk_noise(rng, index, count, n, d):
 
 
 def simulated(a, b, noise, *, noise_gram=False):
-    """A ``SimulatedChunk`` fed ``noise`` (count, N, d) ``BLOCK`` steps at a time."""
+    """A ``SimulatedChunk`` that ``simulate`` drives with ``noise`` (count, N, d),
+    block j being a contiguous copy of its steps j*BLOCK onwards, as drawn."""
     count, n, d = noise.shape
     chunk = SimulatedChunk(a, b, count, d, noise_gram=noise_gram)
-    m = min(n, BLOCK)
-    x, states = np.empty((m + 1, d, count)), np.empty((count, m + 1, d))
-    for start in range(0, n, BLOCK):
-        block = np.ascontiguousarray(noise[:, start : start + BLOCK])
-        steps = block.shape[1]
-        chunk.advance(block, x[: steps + 1], states[:, : steps + 1])
-    chunk.finish()
+
+    def noise_block(j, shape):
+        return np.ascontiguousarray(noise[:, j * BLOCK : j * BLOCK + shape[1]])
+
+    simulate([chunk], n, noise_block)
     return chunk
 
 
@@ -602,6 +602,9 @@ VERIFY_KEYS = [*TRAJECTORY_KEYS, MSE_KEYS, {"lhs"}]
 
 
 def _peak_bytes(task) -> int:
+    """The traced peak of a warm ``task``: the first run in a process also
+    holds numpy's one-time set-up, so ``task`` runs once untraced first."""
+    task()
     tracemalloc.start()
     try:
         task()
@@ -673,26 +676,29 @@ def test_verify_chunk_holds_one_trials_last_block_beside_the_trial_major_one():
     draws = Draws(Stream(115), n, d, params, Stream(116), spec)
     plans = verify_plans(_statistics(params, np.eye(d), np.eye(d)), spec)
     (task,) = _chunks(draws, count, plans)
-    task()  # the first run in a process also holds numpy's one-time set-up
     block = (n + 1) * d * count * 8
     assert _peak_bytes(task) < TRIAL_MAJOR_PEAK + block
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-a", "a-per-trial"])
 def test_trial_sums_are_bitwise_the_same_in_chunks_of_two_and_seven(shared):
-    # every chunk of two trials or more steps by the same products, so trial
-    # k's sums do not depend on how many trials its chunk holds
-    d, n = 3, 70
+    # every chunk steps a trial by the same products, a chunk of one trial
+    # too, so trial k's sums do not depend on how many trials its chunk holds
+    n = 70
     g = Stream(117).generator()
-    if shared:
-        a, b = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0], np.diag([1.0, 2.0, 0.5])
-    else:
-        a, b = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(118), 7).a, np.eye(d)
-    noise = g.standard_normal((7, n, d))
-    two = simulated(a if shared else a[:2], b, noise[:2], noise_gram=True)
-    seven = simulated(a, b, noise, noise_gram=True)
-    for name in ("gamma", "sigma", "noise_gram"):
-        assert np.array_equal(getattr(two, name), getattr(seven, name)[:2]), name
+    for d in (2, 3, 8):
+        if shared:
+            a = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0]
+            b = np.diag(np.linspace(0.5, 2.0, d))
+        else:
+            a, b = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(118), 7).a, np.eye(d)
+        noise = g.standard_normal((7, n, d))
+        seven = simulated(a, b, noise, noise_gram=True)
+        for count in (1, 2):
+            own = simulated(a if shared else a[:count], b, noise[:count], noise_gram=True)
+            for name in ("gamma", "sigma", "noise_gram"):
+                same = np.array_equal(getattr(own, name), getattr(seven, name)[:count])
+                assert same, (d, count, name)
 
 
 def record_task_lists(monkeypatch):
@@ -830,22 +836,25 @@ def _einsum_states(a_stack, noise):
     return states
 
 
-@pytest.mark.parametrize("count", [2, 7, 256])
+@pytest.mark.parametrize("count", [1, 2, 7, 256])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 10])
 def test_states_batch_is_bitwise_the_per_step_loop(count, d):
     # trials last, a shared A gives bitwise the trial-major step's states, and
     # one A per trial bitwise the sum over j in index order; the old einsum
-    # pairs that sum's terms its own way, so it agrees only to rounding
-    n = 50
+    # pairs that sum's terms its own way, so it agrees only to rounding. The
+    # references run at 7 trials or more: at one trial the trial-major step
+    # is a vector-matrix product, whose last digits differ from its own rows
+    n, ref_count = 50, max(count, 7)
     g = Stream(94).generator()
     a = 0.9 * np.linalg.qr(g.standard_normal((d, d)))[0]
     b = np.diag(g.uniform(0.5, 2.0, d)) + 0.1 * g.standard_normal((d, d))
-    noise = g.standard_normal((count, n, d))
-    assert np.array_equal(_kernel_states(a, b, noise), _full_states(a, b, noise))
-    a_stack = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(95), count).a
-    states = _kernel_states(a_stack, np.eye(d), noise)
-    assert np.array_equal(states, _full_states(a_stack, np.eye(d), noise))
-    ref = _einsum_states(a_stack, noise)
+    noise = g.standard_normal((ref_count, n, d))
+    own = noise[:count]
+    assert np.array_equal(_kernel_states(a, b, own), _full_states(a, b, noise)[:count])
+    a_stack = sample_prior_batch(PriorSpec(s=0.5, eps=0.5, d=d), Stream(95), ref_count).a
+    states = _kernel_states(a_stack[:count], np.eye(d), own)
+    assert np.array_equal(states, _full_states(a_stack, np.eye(d), noise)[:count])
+    ref = _einsum_states(a_stack, noise)[:count]
     assert np.all(np.abs(states - ref) <= 1e-13 * np.abs(ref).max())
 
 
@@ -889,7 +898,6 @@ def test_chunks_form_each_gram_sum_once_and_only_what_their_reducer_reads(monkey
         return original(x, y)
 
     monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
-    monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
@@ -925,7 +933,7 @@ def _full_sums(a, b, noise):
 def test_streamed_sums_match_the_whole_array_formula(n, shared):
     # N <= BLOCK is one block and gives the same bytes; beyond it the blocks'
     # partial sums only change the summation order
-    assert ltibounds.montecarlo.BLOCK == 64
+    assert BLOCK == 64
     d, count = 3, 40
     g = Stream(106).generator()
     if shared:
@@ -954,10 +962,9 @@ def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(ltibounds.model, "_gram", recording_gram)
-    monkeypatch.setattr(ltibounds.montecarlo, "_gram", recording_gram)
     # N = 197 runs as 4 blocks: 64, 64, 64 and 5 steps
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=197)
-    blocks = -(-params.n // ltibounds.montecarlo.BLOCK)
+    blocks = -(-params.n // BLOCK)
     assert blocks == 4
     identity, risk, concentration, multiplication = _statistics(params, np.eye(2), 0.5 * np.eye(2))
     spec = PriorSpec(s=0.5, eps=0.5, d=2)
@@ -974,7 +981,7 @@ def test_multi_block_chunks_form_each_gram_sum_once_per_block(monkeypatch):
         _chunk(draws, stats, 0, 10)
         assert len(calls) == sums * blocks, stats
         # every product spans at most one block's steps
-        assert max(shape[1] for shape in calls) <= ltibounds.montecarlo.BLOCK
+        assert max(shape[1] for shape in calls) <= BLOCK
 
 
 def test_gather_joins_every_array_on_the_trial_axis():
