@@ -10,7 +10,6 @@ diagonalizable systems split into stable / limit-stable / unstable parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +29,7 @@ class NotDiagonalizableError(ValueError):
     """Eigenvector basis too ill-conditioned for a reliable spectral split."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All deterministic bound quantities evaluated for one system."""
 
     psi: np.ndarray
@@ -43,8 +41,7 @@ class BoundReport:
     mse_lower: float
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
+class SpectralSplit(NamedTuple):
     """Eigen-decomposition of A split by eigenvalue modulus, with its block quantities.
 
     Under the diagonalizability assumption the split blocks are diagonal, so

@@ -19,30 +19,17 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
+# minimax and montecarlo load on first attribute use (see the package root),
+# so a bounds op never loads them: only the commands that run them read them
+from . import minimax, montecarlo
 from .bounds import NotDiagonalizableError, cr_bound, explicit_bound, lab_upper_bound
 from .config import ConfigError, ExperimentConfig, load_config
-from .minimax import PriorSpec, minimax_regimes, sample_prior_batch, van_trees_bound
-from .model import SystemParams
-from .montecarlo import (
-    MIN_CONCLUSIVE_TRIALS,
-    MIN_RISK_TRIALS,
-    AllTrialsSingularError,
-    Draws,
-    TooManySingularTrialsError,
-    bayes_plan,
-    concentration_plan,
-    dominance_plan,
-    empirical_risk,
-    identity_plan,
-    multiplication_plan,
-    prior_identity_plan,
-    run_plans,
-)
+from .model import AllTrialsSingularError, SystemParams, TooManySingularTrialsError
 from .rng import Stream
 
 EXIT_OK = 0
@@ -59,8 +46,7 @@ SALT_RISK = 4
 SALT_SAMPLES = 5
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One emitted number with its formula tag and the run coordinates."""
 
     quantity: str
@@ -228,7 +214,7 @@ def run_bounds(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
-    vt_bound = van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon)
+    vt_bound = minimax.van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon)
     rows = [
         _row(
             cfg,
@@ -240,7 +226,7 @@ def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
             **_logged(vt_bound, "log_value"),
         )
     ]
-    regime = minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha)
+    regime = minimax.minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha)
     for name in ("stable", "limit", "unstable"):
         applicable = name == regime.regime
         rows.append(
@@ -260,12 +246,15 @@ def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def run_risk(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
-    if cfg.trials < MIN_RISK_TRIALS:
+    minimum = montecarlo.MIN_RISK_TRIALS
+    if cfg.trials < minimum:
         raise ConfigError(
-            "run.trials", f"must be >= {MIN_RISK_TRIALS} for the risk command, got {cfg.trials}"
+            "run.trials", f"must be >= {minimum} for the risk command, got {cfg.trials}"
         )
     params = _system(cfg)
-    est = empirical_risk(params, cfg.trials, Stream(cfg.seed).child(SALT_RISK), workers=workers)
+    est = montecarlo.empirical_risk(
+        params, cfg.trials, Stream(cfg.seed).child(SALT_RISK), workers=workers
+    )
     eigs = np.linalg.eigvalsh(est.error_matrix)
     rows = [
         _row(cfg, "risk_mse", est.mse, "empirical-risk", trials=est.trials,
@@ -284,10 +273,10 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
         # a standard error needs two trials
         raise ConfigError("run.trials", f"must be >= 2 for the verify command, got {cfg.trials}")
     params = _system(cfg)
-    spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
+    spec = minimax.PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
     root = Stream(cfg.seed)
     trials = cfg.trials
-    conclusive = trials >= MIN_CONCLUSIVE_TRIALS
+    conclusive = trials >= montecarlo.MIN_CONCLUSIVE_TRIALS
     # The bound is the one `bounds` reports for this config; concentration and
     # multiplication read only its l_ab. Each experiment after the identity
     # checks is named once below: quantity, eq tag, trial minimum, plan, and the
@@ -300,16 +289,16 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     bound = partial(cr_bound, params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
     experiments = [
         (
-            "risk_dominance", "risk-dominance", MIN_RISK_TRIALS,
-            lambda: dominance_plan(params, trials, bound),
+            "risk_dominance", "risk-dominance", montecarlo.MIN_RISK_TRIALS,
+            lambda: montecarlo.dominance_plan(params, trials, bound),
             lambda dom: (dom.margin, {
                 "status": ("pass" if dom.holds else "fail") if conclusive else "inconclusive",
                 "constant_c": cfg.constant_c, "epsilon": cfg.epsilon,
             }),
         ),
         (
-            "bayes_dominance", "bayes-risk-lower-bound", MIN_CONCLUSIVE_TRIALS,
-            lambda: bayes_plan(spec, cfg.n, trials),
+            "bayes_dominance", "bayes-risk-lower-bound", montecarlo.MIN_CONCLUSIVE_TRIALS,
+            lambda: montecarlo.bayes_plan(spec, cfg.n, trials),
             lambda bayes: (bayes.bayes_mse, {
                 "status": "pass" if bayes.bayes_mse >= bayes.vt_bound.value else "fail",
                 "vt_bound": bayes.vt_bound.value, **_logged(bayes.vt_bound, "log_vt_bound"),
@@ -318,25 +307,30 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
         ),
         # constant-dependent experiments: descriptive ("info"), never drive the exit code
         (
-            "concentration_constant", "gram-deviation-rate", MIN_CONCLUSIVE_TRIALS,
-            lambda: concentration_plan(params, trials, list(cfg.t_levels), bound),
+            "concentration_constant", "gram-deviation-rate", montecarlo.MIN_CONCLUSIVE_TRIALS,
+            lambda: montecarlo.concentration_plan(params, trials, list(cfg.t_levels), bound),
             lambda fit: (fit.fitted_constant, {
                 "status": "info", "t_levels": list(fit.t_levels),
                 "exceedance": list(fit.empirical_exceedance), "delta1_levels": list(fit.delta1_levels),
             }),
         ),
         (
-            "multiplication_ratio", "multiplication-rate", MIN_CONCLUSIVE_TRIALS,
-            lambda: multiplication_plan(params, trials, bound),
+            "multiplication_ratio", "multiplication-rate", montecarlo.MIN_CONCLUSIVE_TRIALS,
+            lambda: montecarlo.multiplication_plan(params, trials, bound),
             lambda mult: (mult.mc_value / mult.bound_value, {
                 "status": "info", "mc_value": mult.mc_value, "bound_value": mult.bound_value,
             }),
         ),
     ]
     plans = [plan() for _, _, minimum, plan, _ in experiments if trials >= minimum]
-    draws = Draws(root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec)
-    checks, prior_check, *results = run_plans(
-        draws, trials, [identity_plan(params), prior_identity_plan(spec), *plans], workers
+    draws = montecarlo.Draws(
+        root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec
+    )
+    checks, prior_check, *results = montecarlo.run_plans(
+        draws,
+        trials,
+        [montecarlo.identity_plan(params), montecarlo.prior_identity_plan(spec), *plans],
+        workers,
     )
 
     rows: list[ReportRow] = []
@@ -385,8 +379,8 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
 
 
 def run_sample_prior(cfg: ExperimentConfig) -> list[ReportRow]:
-    spec = PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
-    draws = sample_prior_batch(spec, Stream(cfg.seed).child(SALT_SAMPLES), cfg.trials)
+    spec = minimax.PriorSpec(s=cfg.s, eps=cfg.epsilon, d=cfg.d)
+    draws = minimax.sample_prior_batch(spec, Stream(cfg.seed).child(SALT_SAMPLES), cfg.trials)
     rows = []
     for k, (sigmas, a) in enumerate(zip(draws.sigmas, draws.a)):
         rows.append(

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     d: int
     n: int
     a: np.ndarray
@@ -74,7 +72,7 @@ class ExperimentConfig:
     t_levels: tuple[float, ...]
     out_format: str
     out_path: str | None
-    echo: dict = field(repr=False, default_factory=dict)
+    echo: dict
 
 
 def _number(value: Any, name: str) -> float:

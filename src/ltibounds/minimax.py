@@ -39,8 +39,7 @@ class PriorSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
-class PriorSample:
+class PriorSample(NamedTuple):
     """Draws (U, sigmas, V) with the assembled matrices a = sI + U diag V^T.
 
     Fields of one draw are (d, d) / (d,) arrays; a batch stacks them along a

@@ -11,7 +11,8 @@ Index conventions, fixed once for every sum in this package:
   ``k = 1..N-1`` with weight ``N - k`` on the ``A^(k-1) B`` term — the
   ``x_0 = 0`` start removes one term from every expectation. Both come from
   the one walk of ``expected_gram``, which ``SystemParams`` makes at most
-  once per system.
+  once per system: one product per step fills a stack of every
+  ``A^(k-1) B``, and both weighted sums are formed from the stack in k order.
 
 Off-by-one errors between these two families of sums are the main
 correctness hazard here; all other modules reuse these helpers instead of
@@ -64,6 +65,14 @@ class PsiOverflowError(ValueError):
     """
 
 
+class AllTrialsSingularError(RuntimeError):
+    """Every trial produced a singular sample covariance."""
+
+
+class TooManySingularTrialsError(RuntimeError):
+    """Singular-covariance rejections exceeded the 0.1% audit threshold."""
+
+
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
@@ -97,9 +106,9 @@ class SystemParams:
         object.__setattr__(self, "b", _frozen(b))
 
     def __setstate__(self, state: dict) -> None:
-        # unpickled arrays come back writeable: freeze them again, the split's too
-        split = state.get("split")
-        for value in (*state.values(), *(vars(split).values() if split else ())):
+        # unpickled arrays come back writeable: freeze them again, those in
+        # the cached tuples (psi_info, the split) too
+        for value in state.values():
             for m in value if isinstance(value, tuple) else (value,):
                 if isinstance(m, np.ndarray):
                     _frozen(m)
@@ -279,17 +288,27 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
     """Psi = sum_{k=1}^{N-1} (N-k) c c^T and its trace sum (N-k) |c|_F^2, c = A^(k-1) B.
 
     The walk itself; readers take its cached result, ``params.psi_info``.
-    Raises ``PsiOverflowError`` when either sum is beyond float64 range.
+    It takes one product per step, into a stack of every c; both weighted
+    sums over k are then formed from the stack by ``cumsum``, which adds in
+    k order from 0, as a loop would, so the bits do not depend on how numpy
+    groups a sum. Raises ``PsiOverflowError`` when either sum is beyond
+    float64 range.
     """
-    out = np.zeros((params.d, params.d))
-    total = 0.0
-    c = params.b.copy()
+    n, d = params.n, params.d
+    weights = np.arange(n - 1, 0, -1, dtype=float)  # N - k
+    c = np.empty((n - 1, d, d))
+    # a leading 0 that each sum starts from
+    terms = np.empty((n, d, d))
+    terms[0] = 0.0
     # an overflow is reported once, below, not as numpy warnings from each step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, params.n):
-            out += (params.n - k) * (c @ c.T)
-            total += (params.n - k) * float((c * c).sum())
-            c = params.a @ c
+        c[0] = params.b
+        for k in range(1, n - 1):
+            np.matmul(params.a, c[k - 1], out=c[k])
+        np.matmul(c, np.swapaxes(c, 1, 2), out=terms[1:])
+        terms[1:] *= weights[:, None, None]
+        out = np.cumsum(terms, axis=0)[-1]
+        total = float(np.cumsum(weights * (c * c).sum(axis=(1, 2)))[-1])
     if not (np.all(np.isfinite(out)) and math.isfinite(total)):
         rho = float(np.max(np.abs(np.linalg.eigvals(params.a))))
         cause = f"rho(A) = {rho:.6g} > 1" if rho > 1.0 else f"rho(A) = {rho:.6g}"

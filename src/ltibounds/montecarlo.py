@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple
 
@@ -74,8 +73,10 @@ from .minimax import (
     van_trees_bound,
 )
 from .model import (
+    AllTrialsSingularError,
     SimulatedChunk,
     SystemParams,
+    TooManySingularTrialsError,
     _data_score,
     _sym,
     fisher_information,
@@ -97,16 +98,7 @@ MIN_CONCLUSIVE_TRIALS = 1000
 CHECK_SE = 4.0
 
 
-class AllTrialsSingularError(RuntimeError):
-    """Every trial produced a singular sample covariance."""
-
-
-class TooManySingularTrialsError(RuntimeError):
-    """Singular-covariance rejections exceeded the 0.1% audit threshold."""
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
+class RiskEstimate(NamedTuple):
     """Monte Carlo estimate of the error matrix E (A_hat - A)(A_hat - A)^T."""
 
     error_matrix: np.ndarray
@@ -116,8 +108,7 @@ class RiskEstimate:
     failed_trials: int
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Empirical tail of the rescaled sample-covariance deviation."""
 
     deviations: np.ndarray
@@ -127,8 +118,7 @@ class ConcentrationReport:
     fitted_constant: float
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verification row: a Monte Carlo value against its exact target.
 
     ``passed`` is None when the trial count is too small for the

@@ -1,6 +1,7 @@
 """Oracles and helpers that only the tests read: the prior's density, its
 normalizer, Fisher information and log-density gradient, the rank-one norm
-inequality fuzz, and the systems and bounds that several test modules share.
+inequality fuzz, the step-by-step walk of A^(k-1)B, and the systems and
+bounds that several test modules share.
 
 The package samples the operator-ball prior and uses its score; these are
 the closed forms that the tests check those against. Each helper has its
@@ -9,7 +10,6 @@ one definition here, which ``tests/test_api.py`` checks.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import partial
 
 import numpy as np
@@ -101,6 +101,22 @@ def norm_ineq_fuzz(d: int, trials: int, rng: Stream, *, workers: int = 1) -> flo
     return float(np.min(_gather(_run_tasks(tasks, workers))["slack"]))
 
 
+def stepwise_walk(params: SystemParams) -> tuple[np.ndarray, float]:
+    """Psi and the information scalar by one loop over k that adds each term as it goes.
+
+    The reference for ``model.expected_gram``, which forms the same sums
+    from a stack of every A^(k-1)B; both must agree bit for bit.
+    """
+    out = np.zeros((params.d, params.d))
+    total = 0.0
+    c = params.b.copy()
+    for k in range(1, params.n):
+        out += (params.n - k) * (c @ c.T)
+        total += (params.n - k) * float((c * c).sum())
+        c = params.a @ c
+    return 0.5 * (out + out.T), total
+
+
 def rotation(theta: float, scale: float = 1.0) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return scale * np.array([[c, -s], [s, c]])
@@ -113,4 +129,4 @@ def scalar_params(a: float, b: float = 1.0, n: int = 8) -> SystemParams:
 def inflated_cr_bound(*args, **kwargs):
     """``cr_bound`` with ``cr_matrix`` inflated 10x: a bound no estimator meets."""
     report = cr_bound(*args, **kwargs)
-    return dataclasses.replace(report, cr_matrix=10.0 * report.cr_matrix)
+    return report._replace(cr_matrix=10.0 * report.cr_matrix)

@@ -5,7 +5,9 @@ reads the ``trials`` argument of the ``montecarlo`` ones, so a rename there
 would break the traced benchmark rather than any import. The package's
 runtime dependencies are exactly the third-party modules it imports. The
 package root holds its submodules, ``RNG_LAYOUT`` and ``__version__`` only,
-and the installed command exits through ``cli.entry``. No module reaches
+and the installed command exits through ``cli.entry``. A ``bounds`` op
+leaves the lazily loaded ``minimax`` and ``montecarlo`` unloaded, and a
+dataclass is kept only where construction validates or caches. No module reaches
 into another's underscored names beyond three of ``model``'s (the score,
 the symmetrizer and the array freezer); the simulation kernel stays inside
 ``model``. A helper that several test modules share has one definition, in
@@ -62,6 +64,51 @@ def test_the_root_holds_only_its_submodules_and_versions():
         check=True,
     )
     assert proc.stdout.strip() == repr(sorted(["RNG_LAYOUT", *SUBMODULES]))
+
+
+def test_a_bounds_op_leaves_the_monte_carlo_modules_unloaded():
+    # a fresh process: the lazy modules stay unloaded until an op reads them
+    script = (
+        "import sys, types\n"
+        "import ltibounds.cli\n"
+        "lazy = ['ltibounds.minimax', 'ltibounds.montecarlo']\n"
+        "seen = []\n"
+        "for cmd, config in (('bounds', sys.argv[1]), ('verify', sys.argv[2])):\n"
+        "    code = ltibounds.cli.main([cmd, '--config', config, '--out', sys.argv[3]])\n"
+        "    assert code == 0, code\n"
+        "    seen.append([type(sys.modules[name]) is types.ModuleType for name in lazy])\n"
+        "print(seen)\n"
+    )
+    golden = ROOT / "tests" / "golden"
+    configs = [str(golden / f"{name}.json") for name in ("bounds_stable_n256", "verify_d3_n64_t50")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *configs, os.devnull],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        check=True,
+    )
+    # loaded after verify only
+    assert proc.stdout.strip() == "[[False, False], [True, True]]"
+
+
+def test_every_dataclass_validates_or_caches():
+    # a record that only holds values is a NamedTuple: defining a dataclass
+    # costs each process about 1 ms, a NamedTuple about a tenth of that
+    plain = []
+    for path in sorted((ROOT / "src" / "ltibounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                continue
+            methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            if not any(
+                n.name == "__post_init__" or "cached_property" in map(ast.unparse, n.decorator_list)
+                for n in methods
+            ):
+                plain.append(f"{path.stem}.{node.name}")
+    assert plain == []
 
 
 def test_the_installed_command_ends_through_the_entry_function():

@@ -21,7 +21,7 @@ from ltibounds.model import (
     simulate,
 )
 from ltibounds.rng import Stream
-from oracles import scalar_params
+from oracles import scalar_params, stepwise_walk
 
 
 def one_trajectory(a: np.ndarray, b: np.ndarray, noise: np.ndarray):
@@ -322,27 +322,42 @@ def test_information_scalar_is_trace_of_psi(seed, d, radius, extra):
     assert information_scalar(params) == pytest.approx(np.trace(psi(params)), rel=1e-12)
 
 
-def separate_walks(params: SystemParams) -> tuple[np.ndarray, float]:
-    """Psi and the information scalar as two walks of A^(k-1) B, the reference."""
-    out, c = np.zeros((params.d, params.d)), params.b.copy()
-    for k in range(1, params.n):
-        out += (params.n - k) * (c @ c.T)
-        c = params.a @ c
-    total, c = 0.0, params.b.copy()
-    for k in range(1, params.n):
-        total += (params.n - k) * float(np.sum(c * c))
-        c = params.a @ c
-    return 0.5 * (out + out.T), total
+def assert_same_bits(x, y):
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
 @RANDOM_SYSTEMS
-def test_expected_gram_is_bitwise_the_separate_walks(seed, d, radius, extra):
+def test_expected_gram_is_bitwise_the_stepwise_walk(seed, d, radius, extra):
     params = random_params(seed, d, radius, extra)
     psi_m, info = expected_gram(params)
-    ref_psi, ref_info = separate_walks(params)
-    assert np.array_equal(psi_m, ref_psi) and info == ref_info
+    ref_psi, ref_info = stepwise_walk(params)
+    assert_same_bits(psi_m, ref_psi)
+    assert_same_bits(info, ref_info)
     assert np.array_equal(psi(params), psi_m) and information_scalar(params) == info
+
+
+# every (d, N) of the grid with N >= d + 1; at d = 1 numpy would sum a
+# contiguous k axis pairwise, which is what the in-order sums must not do
+WALK_GRID = [(d, n) for d in (1, 2, 3, 8, 10) for n in (2, 3, 65, 2048) if n >= d + 1]
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.9, 0.999, 1.0, 1.01])
+@pytest.mark.parametrize("d, n", WALK_GRID)
+def test_expected_gram_is_bitwise_the_stepwise_walk_on_the_grid(d, n, radius):
+    # a non-normal A (random, upper triangular at radius 1.0) and a non-diagonal B
+    g = np.random.default_rng([d, n])
+    a = g.standard_normal((d, d))
+    if radius == 1.0:
+        a = np.triu(a, 1) + np.diag(np.linspace(-1.0, 1.0, d) if d > 1 else [1.0])
+    else:
+        a *= radius / max(np.abs(np.linalg.eigvals(a)))
+    b = np.diag(g.uniform(0.5, 2.0, d)) + 0.3 * g.standard_normal((d, d))
+    params = SystemParams(a=a, b=b, n=n)
+    psi_m, info = expected_gram(params)
+    ref_psi, ref_info = stepwise_walk(params)
+    assert_same_bits(psi_m, ref_psi)
+    assert_same_bits(info, ref_info)
 
 
 @pytest.mark.parametrize(

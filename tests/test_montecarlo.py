@@ -14,8 +14,10 @@ from ltibounds.bounds import psi
 from ltibounds.linalg import sym_inv_sqrt
 from ltibounds.model import (
     BLOCK,
+    AllTrialsSingularError,
     SimulatedChunk,
     SystemParams,
+    TooManySingularTrialsError,
     _data_score,
     _gram,
     _ls_error,
@@ -30,10 +32,8 @@ from ltibounds.montecarlo import (
     FIXED,
     NOISE,
     PRIOR,
-    AllTrialsSingularError,
     ChunkPlan,
     Draws,
-    TooManySingularTrialsError,
     _accepted_trials,
     _chunk,
     _chunk_ranges,
