@@ -297,7 +297,7 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
     n, d = params.n, params.d
     weights = np.arange(n - 1, 0, -1, dtype=float)  # N - k
     c = np.empty((n - 1, d, d))
-    # a leading 0 that each sum starts from
+    # Psi's sum starts from a leading +0, as the loop's did, so even a zero's sign matches
     terms = np.empty((n, d, d))
     terms[0] = 0.0
     # an overflow is reported once, below, not as numpy warnings from each step

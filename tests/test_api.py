@@ -93,8 +93,8 @@ def test_a_bounds_op_leaves_the_monte_carlo_modules_unloaded():
 
 
 def test_every_dataclass_validates_or_caches():
-    # a record that only holds values is a NamedTuple: defining a dataclass
-    # costs each process about 1 ms, a NamedTuple about a tenth of that
+    # a record that only holds values is a NamedTuple: defining a frozen
+    # dataclass costs each process about 0.8 ms, a NamedTuple about 0.2 ms
     plain = []
     for path in sorted((ROOT / "src" / "ltibounds").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
