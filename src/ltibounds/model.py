@@ -297,7 +297,7 @@ def expected_gram(params: SystemParams) -> tuple[np.ndarray, float]:
     n, d = params.n, params.d
     weights = np.arange(n - 1, 0, -1, dtype=float)  # N - k
     c = np.empty((n - 1, d, d))
-    # Psi's sum starts from a leading +0, as the loop's did, so even a zero's sign matches
+    # a leading +0 row: Psi's sum starts from +0 as a running sum does, so even a zero's sign agrees
     terms = np.empty((n, d, d))
     terms[0] = 0.0
     # an overflow is reported once, below, not as numpy warnings from each step
