@@ -32,7 +32,6 @@ class NotDiagonalizableError(ValueError):
 class BoundReport(NamedTuple):
     """All deterministic bound quantities evaluated for one system."""
 
-    psi: np.ndarray
     l_ab: float
     delta1: float
     delta2: float
@@ -284,13 +283,14 @@ def cr_bound(
     zero when negative; a ValueError names ``run.epsilon`` where L/eps leaves
     float64, and ``run.constant_c`` where (1 + C Delta1)^2 does. Psi,
     Psi^{-1/2} and the information scalar are cached on ``params``, so a
-    system walks A^(k-1)B once however often it is bounded.
+    system walks A^(k-1)B once however often it is bounded; Psi itself is
+    ``psi(params)``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if constant <= 0:
         raise ValueError(f"constant must be > 0, got {constant}")
-    psi_m, info = params.psi_info
+    info = params.psi_info[1]
     l_val = l_ab(params, grid_points)
     ratio = in_float64(lambda: l_val / epsilon, f"l_ab / run.epsilon at run.epsilon = {epsilon!r}")
     t = max(math.log(ratio) if l_val > 0 else 0.0, 0.0)
@@ -305,7 +305,6 @@ def cr_bound(
     phi_value = _phi_at_norm(params)
     mse_lower = shrink * d**2 / phi_value
     return BoundReport(
-        psi=psi_m,
         l_ab=l_val,
         delta1=d1,
         delta2=d2,

@@ -27,7 +27,7 @@ import numpy as np
 # minimax and montecarlo load on first attribute use (see the package root),
 # so a bounds op never loads them: only the commands that run them read them
 from . import minimax, montecarlo
-from .bounds import NotDiagonalizableError, cr_bound, explicit_bound, lab_upper_bound
+from .bounds import NotDiagonalizableError, cr_bound, explicit_bound, lab_upper_bound, psi
 from .config import ConfigError, ExperimentConfig, load_config
 from .model import AllTrialsSingularError, SystemParams, TooManySingularTrialsError
 from .rng import Stream
@@ -164,10 +164,9 @@ def run_bounds(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.epsilon >= 1.0:
         raise ConfigError("run.epsilon", "must be in (0, 1) for the bounds command")
     params = _system(cfg)
-    report = cr_bound(
-        params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points
-    )
-    psi_eigs = np.linalg.eigvalsh(report.psi)
+    # the walk of A^(k-1)B runs here, in psi; cr_bound reads its cached result
+    psi_eigs = np.linalg.eigvalsh(psi(params))
+    report = cr_bound(params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
     cr_eigs = np.linalg.eigvalsh(report.cr_matrix)
     consts = {"epsilon": cfg.epsilon, "constant_c": cfg.constant_c}
     rows = [
@@ -214,8 +213,10 @@ def run_bounds(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
+    """The van Trees bound and the rate of the one regime ``minimax_regimes`` puts s in."""
     vt_bound = minimax.van_trees_bound(cfg.d, cfg.n, cfg.s, cfg.epsilon)
-    rows = [
+    rate = minimax.minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha)
+    return [
         _row(
             cfg,
             "van_trees_bound",
@@ -224,25 +225,18 @@ def run_minimax(cfg: ExperimentConfig) -> list[ReportRow]:
             s=cfg.s,
             epsilon=cfg.epsilon,
             **_logged(vt_bound, "log_value"),
-        )
+        ),
+        _row(
+            cfg,
+            f"minimax_rate_{rate.regime}",
+            rate.value,
+            f"minimax-rate-{rate.regime}",
+            valid=rate.valid,
+            s=cfg.s,
+            alpha=cfg.alpha,
+            **_logged(rate, "log_value"),
+        ),
     ]
-    regime = minimax.minimax_regimes(cfg.d, cfg.n, cfg.s, cfg.alpha)
-    for name in ("stable", "limit", "unstable"):
-        applicable = name == regime.regime
-        rows.append(
-            _row(
-                cfg,
-                f"minimax_rate_{name}",
-                regime.value if applicable else 0.0,
-                f"minimax-rate-{name}",
-                applicable=applicable,
-                valid=bool(regime.valid) if applicable else False,
-                s=cfg.s,
-                alpha=cfg.alpha,
-                **(_logged(regime, "log_value") if applicable else {}),
-            )
-        )
-    return rows
 
 
 def run_risk(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
@@ -277,15 +271,17 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     root = Stream(cfg.seed)
     trials = cfg.trials
     conclusive = trials >= montecarlo.MIN_CONCLUSIVE_TRIALS
-    # The bound is the one `bounds` reports for this config; concentration and
-    # multiplication read only its l_ab. Each experiment after the identity
-    # checks is named once below: quantity, eq tag, trial minimum, plan, and the
-    # value and extra of its row. One below its minimum is not run and gets a
-    # skipped row. All plans run in one call of run_plans, so the six Monte
-    # Carlo experiments read one set of chunks. Building them fills params'
-    # cached Psi, (BB*)^{-1} and, with the concentration plan, Psi^{-1/2}, so an
-    # ill-conditioned Psi stops the op before any task runs and the pickled
-    # params carries the one walk into the bound task.
+    # The walk of A^(k-1)B runs here, in psi, before any plan is built; the
+    # identity plan reads its Psi. The bound is the one `bounds` reports for
+    # this config; concentration and multiplication read only its l_ab. Each
+    # experiment after the identity checks is named once below: quantity, eq
+    # tag, trial minimum, plan, and the value and extra of its row. One below
+    # its minimum is not run and gets a skipped row. All plans run in one call
+    # of run_plans, so the six Monte Carlo experiments read one set of chunks.
+    # Building them fills params' cached (BB*)^{-1} and, with the concentration
+    # plan, Psi^{-1/2}, so an ill-conditioned Psi stops the op before any task
+    # runs and the pickled params carries the one walk into the bound task.
+    psi_matrix = psi(params)
     bound = partial(cr_bound, params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
     experiments = [
         (
@@ -329,7 +325,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     checks, prior_check, *results = montecarlo.run_plans(
         draws,
         trials,
-        [montecarlo.identity_plan(params), montecarlo.prior_identity_plan(spec), *plans],
+        [montecarlo.identity_plan(params, psi_matrix), montecarlo.prior_identity_plan(spec), *plans],
         workers,
     )
 

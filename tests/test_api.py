@@ -7,7 +7,10 @@ runtime dependencies are exactly the third-party modules it imports. The
 package root holds its submodules, ``RNG_LAYOUT`` and ``__version__`` only,
 and the installed command exits through ``cli.entry``. A ``bounds`` op
 leaves the lazily loaded ``minimax`` and ``montecarlo`` unloaded, and a
-dataclass is kept only where construction validates or caches. No module reaches
+dataclass is kept only where construction validates or caches. Each
+``bounds`` and ``verify`` op walks A^(k-1)B inside its one ``bounds.psi``
+call, the span the tracer times, and a ``verify`` op starts its pool before
+its own process imports ``numpy.random``. No module reaches
 into another's underscored names beyond three of ``model``'s (the score,
 the symmetrizer and the array freezer); the simulation kernel stays inside
 ``model``. A helper that several test modules share has one definition, in
@@ -24,12 +27,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ltibounds
 import ltibounds.cli
+import ltibounds.model
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -90,6 +95,59 @@ def test_a_bounds_op_leaves_the_monte_carlo_modules_unloaded():
     )
     # loaded after verify only
     assert proc.stdout.strip() == "[[False, False], [True, True]]"
+
+
+def test_the_tracer_sees_each_ops_walk_inside_its_one_psi_span(monkeypatch, tmp_path):
+    # bench/tracing.py times the walk of A^(k-1)B as the bounds.psi span
+    tracing = _load_tracing(monkeypatch)
+    walk = ltibounds.model.expected_gram
+    walked_at = []
+
+    def timed_walk(params):
+        walked_at.append(time.perf_counter())
+        return walk(params)
+
+    monkeypatch.setattr(ltibounds.model, "expected_gram", timed_walk)
+    golden = ROOT / "tests" / "golden"
+    # verify_d3_n64 runs every plan, the concentration plan's Psi^{-1/2} too
+    for command, name in (("bounds", "bounds_stable_n256"), ("verify", "verify_d3_n64")):
+        walked_at.clear()
+        argv = [command, "--config", str(golden / f"{name}.json"), "--out", str(tmp_path / "r.csv")]
+        with tracing.installed(tracing.Tracer()) as tracer:
+            assert ltibounds.cli.main([*argv, "--workers", "1"]) == 0
+        (span,) = [s for s in tracer.spans if s[tracing.NAME] == "bounds.psi"]
+        (at,) = walked_at
+        assert span[tracing.START] <= at <= span[tracing.END], command
+
+
+def test_a_verify_op_starts_its_pool_before_its_parent_imports_numpy_random():
+    # importing numpy.random costs a process about 6.1 MB resident, 3.4 MB of
+    # it OpenSSL through secrets; in the parent before the pool starts, it
+    # moves the op's peak from the workers to the parent (mc_short 38.8 ->
+    # 43.7 MB), so each worker imports it in its first chunk instead
+    script = (
+        "import sys\n"
+        "from ltibounds import cli, montecarlo\n"
+        "run_tasks = montecarlo._run_tasks\n"
+        "seen = []\n"
+        "def probe(tasks, workers):\n"
+        "    seen.append((len(tasks) > 1 and workers > 1, 'numpy.random' in sys.modules))\n"
+        "    return run_tasks(tasks, workers)\n"
+        "montecarlo._run_tasks = probe\n"
+        "code = cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2], '--workers', '2'])\n"
+        "print(code, seen)\n"
+    )
+    # 1000 trials: one chunk and the bound task, so a pool of two starts
+    config = ROOT / "tests" / "golden" / "verify_d3_n64.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config), os.devnull],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        check=True,
+    )
+    # one pool started, and numpy.random not yet imported in the parent
+    assert proc.stdout.strip() == "0 [(True, False)]"
 
 
 def test_every_dataclass_validates_or_caches():

@@ -349,12 +349,8 @@ def test_minimax_hand_value(tmp_path):
     assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
     rows = {r["quantity"]: r for r in read_rows(out)}
     assert float(rows["van_trees_bound"]["value"]) == pytest.approx(4.0 / 35.0, abs=1e-12)
-    # all three regime rows present, exactly one applicable
-    applicable = [
-        json.loads(rows[f"minimax_rate_{k}"]["extra"])["applicable"]
-        for k in ("stable", "limit", "unstable")
-    ]
-    assert applicable == [True, False, False]
+    # one regime row, the regime that s = 0 is in: no placeholder rows for the others
+    assert list(rows) == ["config", "van_trees_bound", "minimax_rate_stable"]
 
 
 def test_minimax_limit_regime(tmp_path):
@@ -375,12 +371,10 @@ def test_minimax_unstable_row_carries_log_value(tmp_path):
     unstable = rows["minimax_rate_unstable"]
     assert unstable["value"] == "0.0"  # underflows; the log keeps the number
     extra = json.loads(unstable["extra"])
-    assert extra["applicable"] is True
     assert extra["log_value"] == pytest.approx(
         math.log(4.0 * (2.5**2 - 1.0) ** 2 / 1.5) - 2000.0 * math.log(2.5), rel=1e-12
     )
-    for name in ("stable", "limit"):
-        assert "log_value" not in json.loads(rows[f"minimax_rate_{name}"]["extra"])
+    assert "minimax_rate_stable" not in rows and "minimax_rate_limit" not in rows
 
 
 def test_minimax_van_trees_row_carries_log_value_below_normal_range(tmp_path):
@@ -422,7 +416,6 @@ def test_minimax_invalid_row_still_present(tmp_path):
     assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
     rows = {r["quantity"]: r for r in read_rows(out)}
     extra = json.loads(rows["minimax_rate_stable"]["extra"])
-    assert extra["applicable"] is True
     assert extra["valid"] is False  # N=10 below the stable-regime threshold
 
 
@@ -432,7 +425,7 @@ def test_minimax_subnormal_alpha_marks_the_stable_rate_invalid(tmp_path):
     path = write_config(tmp_path, run={"s": 0.5, "alpha": 5e-324})
     assert main(["minimax", "--config", str(path), "--out", str(out)]) == 0
     extra = json.loads({r["quantity"]: r for r in read_rows(out)}["minimax_rate_stable"]["extra"])
-    assert extra["applicable"] is True and extra["valid"] is False
+    assert extra["valid"] is False
 
 
 @pytest.mark.parametrize(
@@ -488,8 +481,8 @@ def test_minimax_rows_are_finite_and_logged_below_normal_or_the_op_stops_typed(
         return
     for row in csv.DictReader(io.StringIO(text)):
         extra = json.loads(row["extra"])
-        if row["quantity"] == "config" or extra.get("applicable") is False:
-            continue  # the echo and the rates of other regimes are 0.0 by design
+        if row["quantity"] == "config":
+            continue  # the echo's 0.0 is no number
         if abs(float(row["value"])) < sys.float_info.min:
             assert math.isfinite(extra["log_value"]), row
 
