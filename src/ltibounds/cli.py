@@ -271,17 +271,17 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
     root = Stream(cfg.seed)
     trials = cfg.trials
     conclusive = trials >= montecarlo.MIN_CONCLUSIVE_TRIALS
-    # The walk of A^(k-1)B runs here, in psi, before any plan is built; the
-    # identity plan reads its Psi. The bound is the one `bounds` reports for
-    # this config; concentration and multiplication read only its l_ab. Each
-    # experiment after the identity checks is named once below: quantity, eq
-    # tag, trial minimum, plan, and the value and extra of its row. One below
-    # its minimum is not run and gets a skipped row. All plans run in one call
-    # of run_plans, so the six Monte Carlo experiments read one set of chunks.
+    # The identity plan is built first: its psi call runs the walk of
+    # A^(k-1)B. The bound is the one `bounds` reports for this config;
+    # concentration and multiplication read only its l_ab. Each experiment
+    # after the identity checks is named once below: quantity, eq tag, trial
+    # minimum, plan, and the value and extra of its row. One below its minimum
+    # is not run and gets a skipped row. All plans run in one call of
+    # run_plans, so the six Monte Carlo experiments read one set of chunks.
     # Building them fills params' cached (BB*)^{-1} and, with the concentration
     # plan, Psi^{-1/2}, so an ill-conditioned Psi stops the op before any task
     # runs and the pickled params carries the one walk into the bound task.
-    psi_matrix = psi(params)
+    identity = montecarlo.identity_plan(params)
     bound = partial(cr_bound, params, cfg.epsilon, cfg.constant_c, grid_points=cfg.grid_points)
     experiments = [
         (
@@ -323,10 +323,7 @@ def run_verify(cfg: ExperimentConfig, workers: int) -> list[ReportRow]:
         root.child(SALT_IDENTITY), cfg.n, cfg.d, params, root.child(SALT_PRIOR), spec
     )
     checks, prior_check, *results = montecarlo.run_plans(
-        draws,
-        trials,
-        [montecarlo.identity_plan(params, psi_matrix), montecarlo.prior_identity_plan(spec), *plans],
-        workers,
+        draws, trials, [identity, montecarlo.prior_identity_plan(spec), *plans], workers
     )
 
     rows: list[ReportRow] = []

@@ -601,15 +601,15 @@ def _entrywise_check(name: str, samples: np.ndarray, target: np.ndarray) -> Chec
     )
 
 
-def identity_plan(params: SystemParams, psi_matrix: np.ndarray) -> ChunkPlan:
-    """Plan of ``identity_checks``; ``psi_matrix`` is ``bounds.psi(params)``.
+def identity_plan(params: SystemParams) -> ChunkPlan:
+    """Plan of ``identity_checks``.
 
     The closed-form information is formed here, not in the reducer: that fills
     ``params.noise_cov_inv`` before the chunk tasks pickle ``params``, so the
     workers' ``_data_score`` reads (BB*)^{-1} instead of each solving for it.
     """
     d = params.d
-    psi_inv = np.linalg.solve(psi_matrix, np.eye(d))
+    psi_inv = np.linalg.solve(psi(params), np.eye(d))
     fisher = fisher_information(params)
 
     def reduce(data) -> list[CheckResult]:
@@ -633,7 +633,7 @@ def identity_checks(
     standard errors.
     """
     draws = Draws(rng, params.n, params.d, params)
-    return run_plans(draws, trials, [identity_plan(params, psi(params))], workers)[0]
+    return run_plans(draws, trials, [identity_plan(params)], workers)[0]
 
 
 def prior_identity_plan(spec: PriorSpec) -> ChunkPlan:

@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi, psi
+from ltibounds.bounds import cr_bound, geom_sum, l_ab, lab_upper_bound, phi
 from ltibounds.cli import main
 from ltibounds.minimax import (
     PriorSpec,
@@ -73,7 +73,7 @@ def test_criterion_1_exact_identity_suite():
     for idx, (label, params) in enumerate(IDENTITY_FAMILY):
         # one run of the identity chunks: the checks, and the Fisher samples
         # reduced to a relative Frobenius distance instead of an entrywise check
-        identity = identity_plan(params, psi(params))
+        identity = identity_plan(params)
         plan = identity._replace(reduce=lambda data: (identity.reduce(data), data))
         draws = Draws(root.child(10, idx), params.n, params.d, params)
         ((checks, samples),) = run_plans(draws, TRIALS_IDENTITY, [plan])

@@ -156,7 +156,7 @@ def test_risk_worker_independence():
 
 def identity_samples(params, trials, rng):
     """Per-trial selfnorm, score and Fisher samples of ``identity_checks``' chunks."""
-    plan = identity_plan(params, psi(params))._replace(reduce=_arrays)
+    plan = identity_plan(params)._replace(reduce=_arrays)
     return run_plans(fixed_draws(params, rng), trials, [plan])[0]
 
 
@@ -718,7 +718,7 @@ def test_run_plans_lists_the_chunks_before_the_bound(monkeypatch):
     lists = record_task_lists(monkeypatch)
     params = SystemParams(a=rotation(0.5, 0.8), b=np.diag([1.0, 2.0]), n=6)
     bound = partial(cr_bound, params, 0.3, 1.0, grid_points=128)
-    plans = [identity_plan(params, psi(params)), dominance_plan(params, CHUNK + 1, bound)]
+    plans = [identity_plan(params), dominance_plan(params, CHUNK + 1, bound)]
     run_plans(fixed_draws(params, Stream(7)), CHUNK + 1, plans)
     (tasks,) = lists
     assert [task.func for task in tasks] == [_chunk, _chunk, cr_bound]
